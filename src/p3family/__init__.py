@@ -5,7 +5,7 @@ Submodules:
   logp3     the exponential transform Y = exp(X)
   logitp3   the logistic transform Z = 1/(1 + exp(-X)) and logit gamma
   sums      sums of independent components and their mixture weights
-  wpt       nonlinear wireless-power-transfer layer (SISO/MISO)
+  wpt       harvested power as an affine/logit map over pearson3/sums
   specfun   incomplete-gamma integrals, Lerch transcendent, coefficients
   series    truncation and Euler-acceleration policies
   mc        seeded Monte Carlo and numeric-convolution oracles

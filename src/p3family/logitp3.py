@@ -12,7 +12,7 @@ case.
 import math
 
 from .errors import DomainError, SupportError
-from .pearson3 import Pearson3Params, p3_cdf, p3_pdf
+from .pearson3 import Pearson3Params, p3_cdf
 from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
 from .specfun import (
     gamma_integral_lower_scaled,
@@ -20,6 +20,7 @@ from .specfun import (
     lerch_phi,
     ln_gamma,
     neg_binom_coeff,
+    reg_lower_gamma,
 )
 
 __all__ = [
@@ -97,7 +98,10 @@ def _moment_series_neg_shift(params: Pearson3Params, n: int, ctl: SeriesControl)
     # b > 0, m < 0: two-piece incomplete-gamma form, split at T = -m b.
     # Written via the exponentially scaled truncated integrals: the exp
     # factors of both pieces collapse to the l-independent e^(m b), so the
-    # terms never overflow however deep the series runs.
+    # terms never overflow however deep the series runs. For a positive
+    # lower rate s, e^(m b) e^(s T) = e^((n+l) m) exactly and the lower
+    # piece is e^((n+l) m) s^(-a) P(a, s T): one exponential, which stays
+    # finite where e^(s T) alone would overflow.
     a, b, m = params.a, params.b, params.m
     T = -m * b
     front = math.exp(m * b - ln_gamma(a))
@@ -105,9 +109,13 @@ def _moment_series_neg_shift(params: Pearson3Params, n: int, ctl: SeriesControl)
     def _terms():
         l = 0
         while True:
-            lower = gamma_integral_lower_scaled(a, 1.0 - (n + l) / b, T, ctl)
-            upper = gamma_integral_upper_scaled(a, 1.0 + l / b, T)
-            yield neg_binom_coeff(n, l) * (-1.0) ** l * front * (lower + upper)
+            s = 1.0 - (n + l) / b
+            if s > 0:
+                lower = math.exp((n + l) * m - a * math.log(s)) * reg_lower_gamma(a, s * T)
+            else:
+                lower = front * gamma_integral_lower_scaled(a, s, T, ctl)
+            upper = front * gamma_integral_upper_scaled(a, 1.0 + l / b, T)
+            yield neg_binom_coeff(n, l) * (-1.0) ** l * (lower + upper)
             l += 1
 
     return sum_alternating(_terms(), ctl)

@@ -11,7 +11,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError
 from .pearson3 import Pearson3Params, p3_sample
@@ -78,14 +77,12 @@ def sample_sum(spec: SumSpec, seed: int, count: int) -> np.ndarray:
 def sample_harvested(scenario, seed: int, count: int) -> np.ndarray:
     """Draws of the harvested power: per-branch gamma gains through the
     nonlinear harvester, fully independent of the closed forms."""
-    from .wpt import _harvest
-
     rng = np.random.default_rng(seed)
     r = np.zeros(count)
     for br in scenario.branches:
         g = rng.gamma(shape=br.fading.a, scale=1.0 / br.fading.b, size=count)
         r += br.loss * br.p * g
-    return np.asarray(_harvest(scenario.model, r), dtype=float)
+    return np.asarray(scenario.model.harvest(r), dtype=float)
 
 
 def empirical_cdf(samples, x: float) -> float:
@@ -168,6 +165,8 @@ def convolve_pdfs_numeric(gridded) -> GriddedPdf:
     Midpoint-rule convolution: exact up to O(dx^2); the result integrates
     to the product of the input integrals.
     """
+    from scipy.signal import fftconvolve
+
     gridded = list(gridded)
     if len(gridded) < 1:
         raise DomainError("need at least one density")

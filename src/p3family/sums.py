@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import DomainError, MomentDivergenceError, SupportError
-from .logitp3 import ltp3_cdf, ltp3_moment, ltp3_pdf, ltp3_support
-from .logp3 import lp3_cdf, lp3_moment, lp3_pdf, lp3_support
+from .errors import ConvergenceError, DomainError, SupportError
+from .logitp3 import ltp3_moment, ltp3_pdf, ltp3_support
+from .logp3 import lp3_moment, lp3_pdf, lp3_support
 from .pearson3 import Pearson3Params, p3_cdf, p3_moment, p3_pdf
 from .series import DEFAULT_CONTROL, SeriesControl
 
@@ -235,11 +235,12 @@ def _mixture_reg_lower(spec, g: float) -> float:
     if spec._weight_scale <= _HP_WEIGHT_SCALE:
         from .specfun import reg_lower_gamma
 
-        return math.fsum(
+        # rounding noise near the support edge can leave [0, 1]
+        return min(1.0, max(0.0, math.fsum(
             spec._weights[i][k] * reg_lower_gamma(float(k + 1), abs(spec.terms[i].b) * g)
             for i in range(spec.L)
             for k in range(spec._shapes[i])
-        )
+        )))
     with localcontext() as ctx:
         ctx.prec = _hp_context_prec(spec._weight_scale)
         gd = Decimal(g)
@@ -265,12 +266,12 @@ def _mixture_gamma_pdf(spec, g: float) -> float:
     """Sum_{i,k} Xi(i,k) |b_i| gammapdf(k, |b_i| g): the mixture density in
     the gamma direction, with the same Decimal fallback as the CDF."""
     if spec._weight_scale <= _HP_WEIGHT_SCALE:
-        return math.fsum(
+        return max(0.0, math.fsum(
             spec._weights[i][k]
             * p3_pdf(Pearson3Params(float(k + 1), abs(spec.terms[i].b), 0.0), g)
             for i in range(spec.L)
             for k in range(spec._shapes[i])
-        )
+        ))
     with localcontext() as ctx:
         ctx.prec = _hp_context_prec(spec._weight_scale)
         gd = Decimal(g)
@@ -355,16 +356,6 @@ def xi_shifted(spec: SumSpec, i: int, k: int, l: int) -> float:
     return shift * xi0_recursive(spec, i, k)
 
 
-def _mixture(spec: SumSpec, component_fn):
-    """Weighted sum over (i, k) of component_fn(Pearson3Params(k, b_i, sm))."""
-    sm = spec.sm
-    return math.fsum(
-        spec._weights[i][k] * component_fn(Pearson3Params(float(k + 1), spec.terms[i].b, sm))
-        for i in range(spec.L)
-        for k in range(spec._shapes[i])
-    )
-
-
 def sum_pdf(spec: SumSpec, x: float) -> float:
     """Density of the sum at an interior point."""
     lo, hi = spec.support()
@@ -390,12 +381,18 @@ def sum_cdf(spec: SumSpec, x: float) -> float:
 
 
 def sum_moment(spec: SumSpec, n: int) -> float:
-    """Raw moment E[(X_1 + ... + X_L)^n]."""
+    """Raw moment E[(X_1 + ... + X_L)^n], folding in one component at a
+    time by E[(S + X)^j] = sum_k C(j, k) E[S^k] E[X^(j-k)]."""
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
-    if spec.regime == EQUAL_RATES:
-        return p3_moment(spec.reduced, n)
-    return _mixture(spec, lambda p: p3_moment(p, n))
+    moments = [1.0] + [0.0] * n
+    for t in spec.terms:
+        own = [p3_moment(t, k) for k in range(n + 1)]
+        moments = [
+            math.fsum(math.comb(j, k) * moments[k] * own[j - k] for k in range(j + 1))
+            for j in range(n + 1)
+        ]
+    return moments[n]
 
 
 def logsum_cdf(spec: SumSpec, y: float) -> float:
@@ -416,21 +413,9 @@ def logsum_pdf(spec: SumSpec, y: float) -> float:
 
 
 def logsum_moment(spec: SumSpec, n: int) -> float:
-    """Raw moment E[exp(SX_L)^n]; positive rates must all exceed n."""
-    if n < 0:
-        raise DomainError(f"moment order must be nonnegative, got n={n}")
-    if n == 0:
-        return 1.0
-    if spec.terms[0].b > 0:
-        bad = [t.b for t in spec.terms if t.b <= n]
-        if bad:
-            raise MomentDivergenceError(
-                f"moment of order n={n} diverges: requires b_i > n for every "
-                f"component, offending rates {bad}"
-            )
-    if spec.regime == EQUAL_RATES:
-        return lp3_moment(spec.reduced, n)
-    return _mixture(spec, lambda p: lp3_moment(p, n))
+    """Raw moment E[exp(SX_L)^n], the product of the component moments;
+    positive rates must all exceed n."""
+    return math.prod(lp3_moment(t, n) for t in spec.terms)
 
 
 def logitsum_cdf(spec: SumSpec, z: float) -> float:
@@ -463,7 +448,17 @@ def logitsum_moment(spec: SumSpec, n: int,
         raise DomainError("logit-sum moments require positive rates on every component")
     if spec.regime == EQUAL_RATES:
         return ltp3_moment(spec.reduced, n, ctl)
-    return _mixture(spec, lambda p: ltp3_moment(p, n, ctl))
+    if spec._weight_scale > _HP_WEIGHT_SCALE:
+        raise ConvergenceError(
+            f"logit-sum moment lost to cancellation: mixture weights reach "
+            f"{spec._weight_scale:.3g}, above {_HP_WEIGHT_SCALE:.0e}"
+        )
+    sm = spec.sm
+    return math.fsum(
+        spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n, ctl)
+        for i in range(spec.L)
+        for k in range(spec._shapes[i])
+    )
 
 
 def spec_to_json(spec: SumSpec) -> str:

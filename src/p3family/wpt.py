@@ -4,13 +4,15 @@ A logistic energy-harvesting circuit maps the received RF power r to
 
     Q(r) = Ps (1 + e^(A B)) / (e^(A B) (1 + e^(-A (r - B)))) - Ps e^(-A B),
 
-which rises from 0 at r = 0 to the saturation level Ps. With gamma
-(Nakagami power) fading the harvested power is an affine image of a logit
-Pearson III variate with shift -A B and inverse scale b_hat = b/(A l p),
-so its CDF, density and moments inherit the closed forms of `logitp3`.
-Multi-branch reception sums independent gamma gains; the equal-rate
-regime collapses to one effective shape, the distinct-rate regime to a
-finite mixture with weights from `sums`.
+which rises from 0 at r = 0 to the saturation level Ps. With
+c = Ps e^(-A B) and span = c (1 + e^(A B)) this is the affine map
+Q = span Z - c of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B.
+Under gamma (Nakagami power) fading A r is gamma with inverse scale
+b_hat = b/(A l p), so X is Pearson III with shift -A B: one `pearson3`
+law when every branch shares b_hat, a `sums.SumSpec` when the b_hat are
+pairwise distinct. The harvested-power CDF and density are that law's
+at x = ln((q + c)/(Ps - q)); the moments expand binomially over its
+logit moments from `logitp3` or `sums`.
 """
 
 import json
@@ -21,20 +23,15 @@ import numpy as np
 
 from .errors import DomainError, SupportError
 from .logitp3 import ltp3_moment
-from .pearson3 import Pearson3Params
-from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
-from .specfun import (
-    gamma_integral_lower_scaled,
-    gamma_integral_upper_scaled,
-    ln_gamma,
-    reg_lower_gamma,
-)
+from .pearson3 import Pearson3Params, p3_cdf, p3_pdf
+from .series import DEFAULT_CONTROL, SeriesControl
 from .sums import (
     DISTINCT_RATES,
     EQUAL_RATES,
     SumSpec,
-    _mixture_gamma_pdf,
-    _mixture_reg_lower,
+    logitsum_moment,
+    sum_cdf,
+    sum_pdf,
 )
 
 __all__ = [
@@ -86,6 +83,12 @@ class EHModel:
         """Affine gain c (1 + e^(A B)) mapping the logit variate onto (0, Ps)."""
         return self.c * (1.0 + math.exp(self.A * self.B))
 
+    def harvest(self, r):
+        """The logistic harvester applied to received power r (scalar or array)."""
+        eab = math.exp(self.A * self.B)
+        num = self.Ps * (1.0 + eab)
+        return num / (eab * (1.0 + np.exp(-self.A * (np.asarray(r) - self.B)))) - self.c
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -124,29 +127,23 @@ def path_loss(link: LinkBudget) -> float:
     return -math.expm1(-link.at * link.ar / (lam * lam * link.d * link.d))
 
 
-def _harvest(model: EHModel, r):
-    """The logistic harvester applied to received power r (scalar or array)."""
-    eab = math.exp(model.A * model.B)
-    num = model.Ps * (1.0 + eab)
-    return num / (eab * (1.0 + np.exp(-model.A * (np.asarray(r) - model.B)))) - model.c
-
-
 def harvested_power_siso(model: EHModel, link: LinkBudget, h2: float) -> float:
     """Harvested power for one branch at realized power gain h2 >= 0."""
     if h2 < 0:
         raise DomainError(f"power gain must be nonnegative, got h2={h2}")
-    return float(_harvest(model, link.loss * link.p * h2))
+    return float(model.harvest(link.loss * link.p * h2))
 
 
 @dataclass(frozen=True)
 class MisoScenario:
     """A harvester fed by L independent branches.
 
-    The statistics split on the effective inverse scales b/(A l p): all
-    equal (within relative 1e-9) collapses to one gamma of total shape;
-    all pairwise distinct uses the mixture weights of `sums` (which
-    requires integer fading shapes there). Partially coincident scales
-    are rejected at construction.
+    Construction builds the law of X = A r - A B for the aggregate received
+    power r. When every effective inverse scale b/(A l p) agrees within
+    relative 1e-9 it is one Pearson III of total shape (any positive fading
+    shapes); when the scales are pairwise distinct it is a `SumSpec`
+    mixture, which requires integer fading shapes. Partially coincident
+    scales are rejected.
     """
 
     model: EHModel
@@ -161,50 +158,32 @@ class MisoScenario:
             if not isinstance(br, LinkBudget):
                 raise DomainError(f"branches must be LinkBudget values, got {br!r}")
         bhats = [br.bhat(self.model) for br in branches]
-        if len(branches) == 1:
-            object.__setattr__(self, "regime", EQUAL_RATES)
-            object.__setattr__(self, "_sum_spec", None)
-            return
-        gaps = [
-            abs(x - y) / max(abs(x), abs(y))
-            for i, x in enumerate(bhats)
-            for y in bhats[i + 1:]
-        ]
-        if max(gaps) <= 1e-9:
-            object.__setattr__(self, "regime", EQUAL_RATES)
-            object.__setattr__(self, "_sum_spec", None)
+        shift = -self.model.A * self.model.B
+        if (max(bhats) - min(bhats)) / max(bhats) <= 1e-9:
+            law = Pearson3Params(
+                math.fsum(br.fading.a for br in branches),
+                math.fsum(bhats) / len(bhats),
+                shift,
+            )
         else:
-            # Delegates distinctness checking (and the integer-shape
-            # requirement) to the sum machinery.
-            spec = SumSpec(
+            # The first term carries the whole shift, so the sum's total
+            # shift is exactly -A B.
+            law = SumSpec(
                 tuple(
-                    Pearson3Params(br.fading.a, bh, 0.0)
-                    for br, bh in zip(branches, bhats)
+                    Pearson3Params(br.fading.a, bh, shift if i == 0 else 0.0)
+                    for i, (br, bh) in enumerate(zip(branches, bhats))
                 ),
                 snap_tol=1e-9,
             )
-            if spec.regime != DISTINCT_RATES:
-                raise DomainError("inconsistent rate regime classification")
-            object.__setattr__(self, "regime", DISTINCT_RATES)
-            object.__setattr__(self, "_sum_spec", spec)
+        object.__setattr__(self, "_law", law)
 
     @property
     def L(self) -> int:
         return len(self.branches)
 
-    def components(self):
-        """Weighted (weight, shape, b_hat) decomposition of the aggregate
-        received-power gamma; weights sum to 1."""
-        if self.regime == EQUAL_RATES:
-            sa = math.fsum(br.fading.a for br in self.branches)
-            bh = math.fsum(br.bhat(self.model) for br in self.branches) / self.L
-            return [(1.0, sa, bh)]
-        spec = self._sum_spec
-        return [
-            (spec._weights[i][k], float(k + 1), spec.terms[i].b)
-            for i in range(spec.L)
-            for k in range(spec._shapes[i])
-        ]
+    @property
+    def regime(self) -> str:
+        return EQUAL_RATES if isinstance(self._law, Pearson3Params) else DISTINCT_RATES
 
 
 def harvested_power_miso(scenario: MisoScenario, h2s) -> float:
@@ -219,131 +198,40 @@ def harvested_power_miso(scenario: MisoScenario, h2s) -> float:
     r = math.fsum(
         br.loss * br.p * h for br, h in zip(scenario.branches, h2s)
     )
-    return float(_harvest(scenario.model, r))
-
-
-def _cdf_core(model: EHModel, a: float, bhat: float, q: float) -> float:
-    """CDF of harvested power for one gamma component, saturating on
-    (0, Ps)."""
-    if q <= 0:
-        return 0.0
-    if q >= model.Ps:
-        return 1.0
-    # logit of the affinely mapped q plus the A B shift
-    u = bhat * (math.log((q + model.c) / (model.Ps - q)) + model.A * model.B)
-    return reg_lower_gamma(a, u)
-
-
-def _pdf_core(model: EHModel, a: float, bhat: float, q: float) -> float:
-    """Density of harvested power for one gamma component on (0, Ps)."""
-    AB = model.A * model.B
-    u = bhat * (math.log((q + model.c) / (model.Ps - q)) + AB)
-    return math.exp(
-        math.log(bhat)
-        - AB * bhat
-        + math.log(model.span)
-        + (a - 1.0) * math.log(u)
-        - (bhat + 1.0) * math.log(q + model.c)
-        + (bhat - 1.0) * math.log(model.Ps - q)
-        - ln_gamma(a)
-    )
-
-
-def _moment_core(model: EHModel, comps, n: int, ctl: SeriesControl) -> float:
-    """E[Q^n] by binomial expansion of the affine map over the logit
-    moments of each mixture component."""
-    if n < 1:
-        raise DomainError(f"moment order must be >= 1, got n={n}")
-    AB = model.A * model.B
-    ratio = 1.0 + math.exp(AB)
-    out = 0.0
-    for l1 in range(n + 1):
-        if l1 == 0:
-            w_mom = 1.0
-        else:
-            w_mom = math.fsum(
-                w * ltp3_moment(Pearson3Params(a, bh, -AB), l1, ctl)
-                for w, a, bh in comps
-            )
-        out += math.comb(n, l1) * (-1.0) ** (n - l1) * ratio ** l1 * w_mom
-    return model.c ** n * out
-
-
-def _mean_core(model: EHModel, comps, ctl: SeriesControl) -> float:
-    """E[Q] by the dedicated single alternating series per component.
-
-    Each term pairs the two exponentially scaled truncated gamma
-    integrals; the residual exp factor A B (1 - b_hat) is k-independent,
-    so the terms stay bounded while decaying only like 1/k (Euler
-    acceleration does the rest).
-    """
-    AB = model.A * model.B
-    T_pref = AB  # split point is A B * b_hat
-    total = 0.0
-    for w, a, bhat in comps:
-        T = T_pref * bhat
-        front = math.exp(AB * (1.0 - bhat) - ln_gamma(a))
-
-        def _terms():
-            k = 0
-            while True:
-                lower = gamma_integral_lower_scaled(a, 1.0 - (k + 1) / bhat, T, ctl)
-                upper = gamma_integral_upper_scaled(a, 1.0 + k / bhat, T)
-                yield (-1.0) ** k * front * (lower + upper)
-                k += 1
-
-        comp_mean = (
-            model.c * (1.0 + math.exp(-AB)) * sum_alternating(_terms(), ctl)
-            - model.c
-        )
-        total += w * comp_mean
-    return total
+    return float(scenario.model.harvest(r))
 
 
 def q_cdf_siso(model: EHModel, link: LinkBudget, q: float) -> float:
     """Harvested-power CDF for a single branch."""
-    return _cdf_core(model, link.fading.a, link.bhat(model), q)
+    return q_cdf_miso(MisoScenario(model, (link,)), q)
 
 
 def q_pdf_siso(model: EHModel, link: LinkBudget, q: float) -> float:
     """Harvested-power density for a single branch; support (0, Ps)."""
-    if not (0.0 < q < model.Ps):
-        raise SupportError(
-            f"q={q} is outside the open support (0, {model.Ps}) of the harvested power"
-        )
-    return _pdf_core(model, link.fading.a, link.bhat(model), q)
+    return q_pdf_miso(MisoScenario(model, (link,)), q)
 
 
 def q_moment_siso(model: EHModel, link: LinkBudget, n: int,
                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Raw moment E[Q^n] for a single branch."""
-    return _moment_core(model, [(1.0, link.fading.a, link.bhat(model))], n, ctl)
+    return q_moment_miso(MisoScenario(model, (link,)), n, ctl)
 
 
 def q_mean_siso(model: EHModel, link: LinkBudget,
                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Mean harvested power for a single branch (single-series form)."""
-    return _mean_core(model, [(1.0, link.fading.a, link.bhat(model))], ctl)
-
-
-def _logit_shifted(model: EHModel, q: float) -> float:
-    """The common transform g(q) = ln((q + c)/(Ps - q)) + A B multiplied by
-    each component's b_hat to form its gamma argument."""
-    return math.log((q + model.c) / (model.Ps - q)) + model.A * model.B
+    """Mean harvested power for a single branch."""
+    return q_mean_miso(MisoScenario(model, (link,)), ctl)
 
 
 def q_cdf_miso(scenario: MisoScenario, q: float) -> float:
     """Harvested-power CDF for the aggregate of all branches."""
+    model = scenario.model
     if q <= 0:
         return 0.0
-    if q >= scenario.model.Ps:
+    if q >= model.Ps:
         return 1.0
-    if scenario.regime == DISTINCT_RATES:
-        # shared mixture evaluator: stays accurate when near-coincident
-        # b_hat values blow the weights up
-        return _mixture_reg_lower(scenario._sum_spec, _logit_shifted(scenario.model, q))
-    ((w, a, bh),) = scenario.components()
-    return _cdf_core(scenario.model, a, bh, q)
+    cdf = p3_cdf if scenario.regime == EQUAL_RATES else sum_cdf
+    return cdf(scenario._law, math.log((q + model.c) / (model.Ps - q)))
 
 
 def q_pdf_miso(scenario: MisoScenario, q: float) -> float:
@@ -351,26 +239,33 @@ def q_pdf_miso(scenario: MisoScenario, q: float) -> float:
     model = scenario.model
     if not (0.0 < q < model.Ps):
         raise SupportError(
-            f"q={q} is outside the open support (0, {model.Ps})"
+            f"q={q} is outside the open support (0, {model.Ps}) of the harvested power"
         )
-    if scenario.regime == DISTINCT_RATES:
-        # dg/dq = 1/(q+c) + 1/(Ps-q) chains the gamma-direction density
-        gprime = 1.0 / (q + model.c) + 1.0 / (model.Ps - q)
-        return gprime * _mixture_gamma_pdf(scenario._sum_spec, _logit_shifted(model, q))
-    ((w, a, bh),) = scenario.components()
-    return _pdf_core(model, a, bh, q)
+    pdf = p3_pdf if scenario.regime == EQUAL_RATES else sum_pdf
+    # dx/dq = 1/(q + c) + 1/(Ps - q) carries the density of X over to Q
+    gprime = 1.0 / (q + model.c) + 1.0 / (model.Ps - q)
+    return gprime * pdf(scenario._law, math.log((q + model.c) / (model.Ps - q)))
 
 
 def q_moment_miso(scenario: MisoScenario, n: int,
                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Raw moment E[Q^n] for the aggregate of all branches."""
-    return _moment_core(scenario.model, scenario.components(), n, ctl)
+    """Raw moment E[Q^n] for the aggregate of all branches: the binomial
+    expansion of Q = span Z - c over the logit moments E[Z^k]."""
+    if n < 1:
+        raise DomainError(f"moment order must be >= 1, got n={n}")
+    model = scenario.model
+    z_moment = ltp3_moment if scenario.regime == EQUAL_RATES else logitsum_moment
+    return math.fsum(
+        math.comb(n, k) * model.span ** k * (-model.c) ** (n - k)
+        * z_moment(scenario._law, k, ctl)
+        for k in range(n + 1)
+    )
 
 
 def q_mean_miso(scenario: MisoScenario,
                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Mean harvested power for the aggregate of all branches."""
-    return _mean_core(scenario.model, scenario.components(), ctl)
+    return q_moment_miso(scenario, 1, ctl)
 
 
 def outage_probability(model: EHModel, target, q_t: float) -> float:

@@ -1,0 +1,98 @@
+"""Module-boundary guard: no p3family module uses another's private names.
+
+A name is private when it starts with one underscore (dunders excepted).
+The scan parses every module under the package and flags two forms:
+``from .other import _name`` (also spelled ``from p3family.other``), and
+``other._name`` read through a name bound to another p3family module.
+"""
+
+import ast
+from pathlib import Path
+
+import p3family
+
+PACKAGE_DIR = Path(p3family.__file__).parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _top_level_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _sibling(module: str, level: int):
+    """The p3family module an import statement's ``module`` refers to."""
+    if level == 1:
+        return module
+    if level == 0 and module and module.startswith("p3family."):
+        return module[len("p3family."):]
+    return None
+
+
+def private_uses(sources: dict) -> list:
+    """(module, line, other, name) for each private name of module `other`
+    used by a different module; `sources` maps module name to source text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defined = {name: _top_level_names(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        aliases = {}  # local name -> sibling module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.level, node.module) in ((1, None), (0, "p3family")):
+                    for a in node.names:
+                        if a.name in defined:
+                            aliases[a.asname or a.name] = a.name
+                    continue
+                other = _sibling(node.module, node.level)
+                for a in node.names:
+                    if other in defined and other != name and _is_private(a.name) \
+                            and a.name in defined[other]:
+                        found.append((name, node.lineno, other, a.name))
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    other = _sibling(a.name, 0)
+                    if other in defined and a.asname:
+                        aliases[a.asname] = other
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                other = aliases.get(node.value.id)
+                if other is not None and other != name and _is_private(node.attr) \
+                        and node.attr in defined[other]:
+                    found.append((name, node.lineno, other, node.attr))
+    return found
+
+
+def test_scanner_flags_both_forms():
+    sources = {
+        "a": "_hidden = 1\ndef _helper():\n    pass\n",
+        "b": "from .a import _helper\n",
+        "c": "def f():\n    from . import a\n    return a._hidden\n",
+        "d": "import p3family.a as pa\nx = pa._hidden\n",
+        "e": "from .a import _missing\n",
+    }
+    assert sorted((m, o, n) for m, _, o, n in private_uses(sources)) == [
+        ("b", "a", "_helper"),
+        ("c", "a", "_hidden"),
+        ("d", "a", "_hidden"),
+    ]
+
+
+def test_no_private_cross_module_names():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = private_uses(sources)
+    assert not found, "private names used across modules: " + ", ".join(
+        f"{m}.py:{line} uses {o}.{n}" for m, line, o, n in found
+    )

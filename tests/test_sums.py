@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from p3family.errors import DomainError, MomentDivergenceError, SupportError
+from p3family.errors import ConvergenceError, DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf
 from p3family.sums import (
@@ -205,6 +205,39 @@ def test_near_coincident_rates_high_precision_path():
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(sum_cdf(ref, x), abs=1e-4)
         assert sum_pdf(close, x) == pytest.approx(sum_pdf(ref, x), abs=1e-4)
+
+
+def test_mixture_cdf_and_pdf_nonnegative_near_support_edge():
+    # float-path rounding noise of about 1e-16 must not push the CDF below 0
+    spec = SumSpec((
+        P(2.0, 1.008877774538321, -0.16439041891017916),
+        P(3.0, 1.710222831979049, 0.04623136823211216),
+        P(1.0, 3.3856764543480886, -0.126364454112212),
+    ))
+    assert spec._weight_scale <= 1e6
+    for dx in (0.001, 0.002, 0.003):
+        assert 0.0 <= sum_cdf(spec, spec.sm + dx) < 1e-15
+        assert sum_pdf(spec, spec.sm + dx) >= 0.0
+
+
+def test_moments_with_huge_mixture_weights():
+    # 16 shape-8 terms with rates 1 + 0.05 i: weights reach 1e118, so any
+    # moment formed from them would cancel every digit
+    spec = SumSpec(tuple(P(8.0, 1.0 + 0.05 * i) for i in range(16)))
+    assert spec._weight_scale > 1e100
+    mean = math.fsum(t.a / t.b for t in spec.terms)
+    var = math.fsum(t.a / t.b ** 2 for t in spec.terms)
+    assert mean == pytest.approx(95.8467, rel=1e-6)
+    assert sum_moment(spec, 1) == pytest.approx(mean, rel=1e-13)
+    assert sum_moment(spec, 2) == pytest.approx(var + mean ** 2, rel=1e-13)
+    with pytest.raises(ConvergenceError):
+        logitsum_moment(spec, 1)
+    # the log transform's moment is a product of the component moments
+    shifted = SumSpec(tuple(P(8.0, 2.0 + 0.05 * i, 0.01 * i) for i in range(16)))
+    expected = math.prod(
+        math.exp(t.m) * (t.b / (t.b - 1.0)) ** t.a for t in shifted.terms
+    )
+    assert logsum_moment(shifted, 1) == pytest.approx(expected, rel=1e-13)
 
 
 def test_logsum():

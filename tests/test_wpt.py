@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import gamma
 
-from p3family.errors import DomainError, SupportError
+from p3family.errors import ConvergenceError, DomainError, SupportError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.mc import empirical_cdf, empirical_moment, sample_harvested
 from p3family.pearson3 import Pearson3Params
@@ -180,6 +181,36 @@ def test_siso_vs_mc():
     assert abs(q_mean_siso(MODEL, LINK) - emp) < 0.01 * emp
     emp2, se2 = empirical_moment(samples, 2)
     assert abs(q_moment_siso(MODEL, LINK, 2) - emp2) < 3.0 * se2
+
+
+def test_far_link_concentrated_fading_moments_vs_quadrature():
+    # b_hat near 375 (a = 10) and 1500 (a = 40): the m < 0 moment series
+    # meets rates with s T near 784, beyond double range for e^(s T) alone
+    for a in (10.0, 40.0):
+        lk = link(d=60.0, fading=Pearson3Params(a, a))
+        sc = MisoScenario(MODEL, (lk,))
+        scale = lk.loss * lk.p / a  # gamma scale of the received power
+        r_hi = gamma.isf(1e-20, a, scale=scale)
+        for n, value in ((1, q_mean_miso(sc)), (2, q_moment_miso(sc, 2))):
+            ref, _ = quad(
+                lambda r: MODEL.harvest(r) ** n * gamma.pdf(r, a, scale=scale),
+                0.0, r_hi, points=[a * scale], limit=200, epsabs=0.0, epsrel=1e-13,
+            )
+            assert value == pytest.approx(ref, rel=1e-9)
+        if a == 10.0:
+            assert q_mean_miso(sc) == pytest.approx(7.0719281353e-5, rel=1e-10)
+
+
+def test_close_rate_moments_raise():
+    # b_hat 2e-4 apart: mixture weights near 2e19 would cancel every digit
+    # of the logit moments, so the moments refuse rather than return noise
+    sc = MisoScenario(MODEL, (link(10.0, 1.0), link(10.001, 1.0)))
+    assert sc.regime == DISTINCT_RATES
+    assert 0.0 <= q_cdf_miso(sc, MODEL.Ps / 10) <= 1.0
+    with pytest.raises(ConvergenceError):
+        q_mean_miso(sc)
+    with pytest.raises(ConvergenceError):
+        q_moment_miso(sc, 2)
 
 
 def test_miso_regimes_and_reduction():
