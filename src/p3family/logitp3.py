@@ -113,7 +113,7 @@ def _moment_series_neg_shift(params: Pearson3Params, n: int, ctl: SeriesControl)
             if s > 0:
                 lower = math.exp((n + l) * m - a * math.log(s)) * reg_lower_gamma(a, s * T)
             else:
-                lower = front * gamma_integral_lower_scaled(a, s, T, ctl)
+                lower = front * gamma_integral_lower_scaled(a, s, T)
             upper = front * gamma_integral_upper_scaled(a, 1.0 + l / b, T)
             yield neg_binom_coeff(n, l) * (-1.0) ** l * (lower + upper)
             l += 1
@@ -141,8 +141,11 @@ def ltp3_moment(params: Pearson3Params, n: int,
             for k in range(n + 1)
         )
     if params.m >= 0:
-        return _moment_series_pos_shift(params, n, ctl)
-    return _moment_series_neg_shift(params, n, ctl)
+        value = _moment_series_pos_shift(params, n, ctl)
+    else:
+        value = _moment_series_neg_shift(params, n, ctl)
+    # Z lies in (0, 1): rounding in the series may not push E[Z^n] past it.
+    return min(max(value, 0.0), 1.0)
 
 
 def ltp3_mean_closed(params: Pearson3Params,

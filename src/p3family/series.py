@@ -1,12 +1,15 @@
 """Infinite-series summation with a uniform truncation policy.
 
 Two evaluators are provided: plain truncation for series whose terms
-eventually decay monotonically, and an Euler-transform (repeated pairwise
-averaging of partial sums) accelerator for alternating series, which also
-handles the conditionally convergent boundary cases.
+eventually decay monotonically, and an Euler-transform accelerator for
+alternating series, which also handles the conditionally convergent
+boundary cases. The Euler estimate is the repeated pairwise average of the
+last partial sums, taken as one dot product with cached binomial weights.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -68,13 +71,11 @@ def sum_series(terms, ctl: SeriesControl = DEFAULT_CONTROL):
     return total
 
 
-def _euler_estimate(partials):
-    # Repeated pairwise averaging collapsed to a single value: the
-    # binomially weighted mean of the partial sums.
-    arr = np.asarray(partials, dtype=float)
-    while arr.size > 1:
-        arr = 0.5 * (arr[:-1] + arr[1:])
-    return float(arr[0])
+@lru_cache(maxsize=None)
+def _euler_weights(n: int):
+    # Repeated pairwise averaging of n partial sums collapsed to a single
+    # value: the binomially weighted mean with weights C(n-1, k) / 2^(n-1).
+    return np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2.0 ** (n - 1)
 
 
 def sum_alternating(terms, ctl: SeriesControl = DEFAULT_CONTROL,
@@ -82,7 +83,7 @@ def sum_alternating(terms, ctl: SeriesControl = DEFAULT_CONTROL,
     """Sum an alternating series with Euler-transform acceleration.
 
     `terms` yields the signed terms. Partial sums are accumulated in
-    blocks; after each block the full averaging transform is applied and
+    blocks; after each block the averaging transform is applied and
     the run stops once `ctl.consecutive_small` successive estimates agree
     to `ctl.rel_tol`. Handles conditionally convergent and Abel-summable
     alternating series that plain truncation cannot.
@@ -102,15 +103,15 @@ def sum_alternating(terms, ctl: SeriesControl = DEFAULT_CONTROL,
         if produced == 0:
             # Finite series: the plain sum is exact.
             return total
-        recent = partials[-window:]
-        est = _euler_estimate(recent)
+        recent = np.asarray(partials[-window:], dtype=float)
+        est = float(_euler_weights(recent.size) @ recent)
         if prev is not None:
             tol = ctl.rel_tol * max(abs(est), _TINY)
             # Abel-summable series with growing terms (e.g. (-1)^l times a
             # polynomial) stabilize to the roundoff floor of the averaged
             # partial sums, not to an arbitrary relative tolerance; accept
             # that floor while it is still far below the estimate.
-            floor = 64.0 * eps * max(abs(p) for p in recent)
+            floor = 64.0 * eps * float(np.abs(recent).max())
             if floor <= 1e-8 * max(abs(est), _TINY):
                 tol = max(tol, floor)
             if abs(est - prev) <= tol:

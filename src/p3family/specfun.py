@@ -1,10 +1,12 @@
 """Special functions used by the closed-form distribution expressions.
 
 Covers log-gamma, regularized incomplete gammas, the truncated gamma-type
-integrals ``int_0^T x^(a-1) exp(-s x) dx`` (valid for any real rate ``s``,
-including negative, with no complex intermediates), the Lerch transcendent
-on ``z in [-1, 0]``, generalized binomial coefficients, and Pochhammer
-symbols.
+integrals ``int_0^T x^(a-1) exp(-s x) dx`` for any real rate ``s``
+(``gammainc`` for positive rates, the Kummer function ``hyp1f1`` in
+closed form for negative ones, with no series and no complex
+intermediates), the upper integrals with a Watson-lemma tail, the Lerch
+transcendent on ``z in [-1, 0]``, generalized binomial coefficients, and
+Pochhammer symbols.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
-from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating, sum_series
+from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
 
 __all__ = [
     "ln_gamma",
@@ -49,13 +51,13 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return float(_sp.gammaincc(a, x))
 
 
-def gamma_integral_lower(a: float, s: float, T: float,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def gamma_integral_lower(a: float, s: float, T: float) -> float:
     """Evaluate int_0^T x^(a-1) exp(-s x) dx for any real rate s.
 
     For s > 0 this is s^(-a) * gamma_lower(a, s T); for s = 0 it is T^a / a;
-    for s < 0 a convergent all-positive power series is used, keeping the
-    arithmetic real throughout.
+    for s < 0 it is exp(-s T) times the closed form of
+    `gamma_integral_lower_scaled`, combined in log space so that only an
+    integral beyond double range fails, with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_lower requires a > 0, got a={a}")
@@ -67,19 +69,13 @@ def gamma_integral_lower(a: float, s: float, T: float,
         return math.exp(math.lgamma(a) - a * math.log(s)) * float(_sp.gammainc(a, s * T))
     if s == 0.0:
         return T ** a / a
-
-    # s < 0: expand exp(|s| x) and integrate termwise.
-    r = -s * T
-
-    def _terms():
-        c = T ** a  # |s|^k T^(a+k) / k!
-        k = 0
-        while True:
-            yield c / (a + k)
-            k += 1
-            c *= r / k
-
-    return sum_series(_terms(), ctl)
+    try:
+        return math.exp(a * math.log(T) - math.log(a) - s * T
+                        + math.log(_sp.hyp1f1(1.0, a + 1.0, s * T)))
+    except OverflowError:
+        raise DomainError(
+            f"gamma_integral_lower(a={a}, s={s}, T={T}) exceeds the double range"
+        ) from None
 
 
 def gamma_integral_upper(a: float, s: float, T: float) -> float:
@@ -96,8 +92,8 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
     return math.exp(math.lgamma(a) - a * math.log(s)) * float(_sp.gammaincc(a, s * T))
 
 
-# Beyond this value of |s| T the direct scaled evaluations hit double
-# overflow/underflow and the Watson-lemma tail expansion takes over.
+# Beyond this value of s T the direct scaled upper integral hits double
+# underflow and the Watson-lemma tail expansion takes over.
 _WATSON_CUTOFF = 600.0
 
 
@@ -106,13 +102,11 @@ def _watson_tail(a: float, sT: float, T: float) -> float:
 
     Watson's lemma about the endpoint x = T: substituting x = T + t and
     expanding (T + t)^(a-1) gives T^(a-1)/s * sum_j prod_{i<=j}(a-i)/(sT)^j.
-    The same series with sT < 0 covers the lower integral's endpoint
-    (substitute x = T - t). Truncated at the smallest term; for
-    |sT| >= _WATSON_CUTOFF the truncation error is far below double
-    precision.
+    Truncated at the smallest term; for sT >= _WATSON_CUTOFF the truncation
+    error is far below double precision.
     """
     s = sT / T
-    term = T ** (a - 1.0) / abs(s)
+    term = T ** (a - 1.0) / s
     total = term
     j = 1
     while True:
@@ -124,13 +118,15 @@ def _watson_tail(a: float, sT: float, T: float) -> float:
         j += 1
 
 
-def gamma_integral_lower_scaled(a: float, s: float, T: float,
-                                ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def gamma_integral_lower_scaled(a: float, s: float, T: float) -> float:
     """Evaluate exp(s T) * int_0^T x^(a-1) exp(-s x) dx without overflow.
 
-    The unscaled integral grows like exp(-s T) when s is very negative;
-    multiplying by exp(s T) keeps the value O(T^(a-1)/|s|), so series over
-    large negative rates stay inside double range.
+    The unscaled integral grows like exp(-s T) when s is very negative.
+    For s < 0 the scaled value is the closed form (T^a / a) M(1, a+1, s T):
+    the integral is (T^a / a) M(a, a+1, -s T) (DLMF 8.5.1), and Kummer's
+    transformation (DLMF 13.2.39) absorbs the exp(s T). It stays
+    O(T^(a-1)/|s|), so series over large negative rates stay inside double
+    range.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_lower_scaled requires a > 0, got a={a}")
@@ -138,10 +134,9 @@ def gamma_integral_lower_scaled(a: float, s: float, T: float,
         raise DomainError(f"gamma_integral_lower_scaled requires T >= 0, got T={T}")
     if T == 0.0:
         return 0.0
-    r = -s * T
-    if r < _WATSON_CUTOFF:
-        return math.exp(s * T) * gamma_integral_lower(a, s, T, ctl)
-    return _watson_tail(a, s * T, T)
+    if s < 0:
+        return T ** a / a * float(_sp.hyp1f1(1.0, a + 1.0, s * T))
+    return math.exp(s * T) * gamma_integral_lower(a, s, T)
 
 
 def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:

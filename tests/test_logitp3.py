@@ -112,9 +112,10 @@ def test_moment_basics():
         Pearson3Params(3.0, 2.0, -1.5),
         Pearson3Params(2.0, -1.5, 0.0),
         Pearson3Params(3.0, -0.8, 0.7),
+        Pearson3Params(40.0, 8.0, -8.0),
     ],
 )
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_moment_vs_quadrature(params, n):
     # independent oracle: direct quadrature of z^n times the density
     lo, hi = ltp3_support(params)
@@ -142,6 +143,10 @@ def test_moments_bounded():
         for n in (1, 2, 4):
             v = ltp3_moment(params, n)
             assert 0.0 < v <= 1.0
+    # Moments within rounding of 1, which the series once put at 1 + 3e-15.
+    for params, n in ((Pearson3Params(40.0, 0.05, -1.0), 1),
+                      (Pearson3Params(40.0, 0.3, -1.0), 2)):
+        assert 0.0 < ltp3_moment(params, n) <= 1.0
 
 
 def test_mean_closed():

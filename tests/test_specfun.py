@@ -94,17 +94,43 @@ def test_gamma_integral_split_identity(a, s, T):
     assert total == pytest.approx(math.gamma(a) / s ** a, rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [1.0, 2.7, 3.0])
-@pytest.mark.parametrize("sT", [5.0, 300.0, 900.0, 5000.0])
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 3.0, 40.0])
+@pytest.mark.parametrize("sT", [5.0, 300.0, 599.0, 601.0, 900.0, 5000.0, 1e5])
 def test_scaled_gamma_integrals_vs_mpmath(a, sT):
     T = 2.19
     s = sT / T
-    ref_up = float(mp.e ** (s * T) * mp.gammainc(a, s * T) / mp.mpf(s) ** a)
+    with mp.workdps(40):
+        ref_up = float(mp.e ** (s * T) * mp.gammainc(a, s * T) / mp.mpf(s) ** a)
+        # quadrature with breakpoints where e^(-s t) has decayed by e, e^10, e^100
+        ref_low = float(mp.quad(lambda t: (T - t) ** (a - 1) * mp.e ** (-s * t),
+                                [0] + [k / s for k in (1, 10, 100) if k / s < T] + [T]))
+        # DLMF 8.5.1 with Kummer's transformation, evaluated by mpmath
+        ref_kummer = float(mp.mpf(T) ** a / a * mp.hyp1f1(1, a + 1, -mp.mpf(s) * T))
     assert gamma_integral_upper_scaled(a, s, T) == pytest.approx(ref_up, rel=1e-11)
-    ref_low = float(
-        mp.quad(lambda t: (T - t) ** (a - 1) * mp.e ** (-s * t), [0, T])
-    )
-    assert gamma_integral_lower_scaled(a, -s, T) == pytest.approx(ref_low, rel=1e-11)
+    low = gamma_integral_lower_scaled(a, -s, T)
+    assert low == pytest.approx(ref_low, rel=1e-11)
+    assert low == pytest.approx(ref_kummer, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 40.0])
+@pytest.mark.parametrize("sT", [1e-3, 1.0, 50.0, 300.0, 700.0])
+def test_gamma_integral_lower_negative_rate_vs_mpmath(a, sT):
+    # Unscaled, so the value grows like e^(|s| T): up to about 1e304 at |sT| = 700.
+    # The oracle is DLMF 8.5.1 itself, M(a, a+1, -s T), without the Kummer
+    # transformation the library applies.
+    T = 0.5
+    s = -sT / T
+    with mp.workdps(40):
+        ref = float(mp.mpf(T) ** a / a * mp.hyp1f1(a, a + 1, -mp.mpf(s) * T))
+    assert gamma_integral_lower(a, s, T) == pytest.approx(ref, rel=1e-12)
+
+
+def test_gamma_integral_lower_negative_rate_overflow():
+    # e^800: beyond double range, a library error rather than inf or OverflowError
+    with pytest.raises(DomainError):
+        gamma_integral_lower(1.0, -1.0, 800.0)
+    with pytest.raises(DomainError):
+        gamma_integral_lower(40.0, -700.0 / 2.19, 2.19)
 
 
 def test_scaled_gamma_integrals_small_rates():
