@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 argument or domain error, 3 convergence error,
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -123,7 +124,7 @@ def cmd_dist(args) -> int:
             [f"p3family.{args.family} {args.quantity} a={_fmt(args.a)} "
              f"b={_fmt(args.b)} m={_fmt(args.m)}",
              "columns: point, value"],
-            ((x, fn(params, x)) for x in points),
+            zip(points, fn(params, np.array(points))),
         )
         return 0
     if args.at is None:
@@ -155,7 +156,7 @@ def cmd_sum(args) -> int:
             [f"p3family.sums {args.transform} {args.quantity} "
              f"spec={os.path.basename(args.spec)} L={spec.L} regime={spec.regime}",
              "columns: point, value"],
-            ((x, fn(spec, x)) for x in points),
+            zip(points, fn(spec, np.array(points))),
         )
         return 0
     if args.at is None:
@@ -282,7 +283,7 @@ def _figure_curves(fig_id):
                 f"{fig_id}_{tag}.csv",
                 [f"p3family.logitp3 ltp3_{quantity} a={_fmt(a)} b={_fmt(b)} m=0",
                  "columns: z, value"],
-                ((z, fn(params, z)) for z in zs),
+                zip(zs, fn(params, np.array(zs))),
             )
         return
     if fig_id in ("fig3", "fig4"):
@@ -378,13 +379,13 @@ def cmd_compare(args) -> int:
         samples = pearson3.p3_sample(params, seed, count)
         if args.family == "logitp3":
             samples = 1.0 / (1.0 + np.exp(-samples))
-            cdf = lambda x: logitp3.ltp3_cdf(params, x)
+            cdf = logitp3.ltp3_cdf
         elif args.family == "logp3":
             samples = np.exp(samples)
-            cdf = lambda x: logp3.lp3_cdf(params, x)
+            cdf = logp3.lp3_cdf
         else:
-            cdf = lambda x: pearson3.p3_cdf(params, x)
-        ks = mc.ks_distance(samples, cdf)
+            cdf = pearson3.p3_cdf
+        ks = mc.ks_distance(samples, functools.partial(cdf, params))
         report = mc.OracleReport.build(
             f"{args.family} cdf KS a={_fmt(args.a)} b={_fmt(args.b)} m={_fmt(args.m)}",
             0.0, ks, mc.ks_threshold(count), count, seed, 1.0,
@@ -392,7 +393,7 @@ def cmd_compare(args) -> int:
     elif args.op == "sums.cdf":
         spec = sums.spec_from_json(_read_file(args.spec))
         samples = mc.sample_sum(spec, seed, count)
-        ks = mc.ks_distance(samples, lambda x: sums.sum_cdf(spec, x))
+        ks = mc.ks_distance(samples, functools.partial(sums.sum_cdf, spec))
         report = mc.OracleReport.build(
             f"sum cdf KS L={spec.L}", 0.0, ks, mc.ks_threshold(count),
             count, seed, 1.0,

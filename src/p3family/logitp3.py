@@ -11,6 +11,9 @@ case.
 
 import math
 
+import numpy as np
+from scipy.special import xlogy
+
 from .errors import DomainError, SupportError
 from .pearson3 import Pearson3Params, p3_cdf
 from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
@@ -51,29 +54,41 @@ def ltp3_support(params: Pearson3Params):
     return (0.0, mid)
 
 
-def ltp3_cdf(params: Pearson3Params, z: float) -> float:
-    """CDF: the base CDF at logit(z); saturates at the support edges."""
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"ltp3_cdf requires z in (0, 1), got z={z}")
-    return p3_cdf(params, math.log(z / (1.0 - z)))
+def _check_unit_interval(name: str, z):
+    bad = ~((0.0 < z) & (z < 1.0))
+    if bad.any():
+        raise DomainError(f"{name} requires z in (0, 1), got z={z[bad][0]}")
 
 
-def ltp3_pdf(params: Pearson3Params, z: float) -> float:
-    """Density |b| e^(bm)/Gamma(a) (b(logit z - m))^(a-1) z^(-b-1) (1-z)^(b-1)."""
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"ltp3_pdf requires z in (0, 1), got z={z}")
+def ltp3_cdf(params: Pearson3Params, z):
+    """CDF at z (a float or an array of them): the base CDF at logit(z);
+    saturates at the support edges."""
+    z = np.asarray(z, dtype=float)
+    _check_unit_interval("ltp3_cdf", z)
+    return p3_cdf(params, np.log(z / (1.0 - z)))
+
+
+def ltp3_pdf(params: Pearson3Params, z):
+    """Density |b| e^(bm)/Gamma(a) (b(logit z - m))^(a-1) z^(-b-1) (1-z)^(b-1)
+    at interior points z (a float or an array of them)."""
+    z = np.asarray(z, dtype=float)
+    _check_unit_interval("ltp3_pdf", z)
     lo, hi = ltp3_support(params)
-    if not (lo < z < hi):
-        raise SupportError(f"z={z} is outside the open support ({lo}, {hi}) of {params}")
-    u = params.b * (math.log(z / (1.0 - z)) - params.m)
-    return math.exp(
+    outside = ~((lo < z) & (z < hi))
+    if outside.any():
+        raise SupportError(
+            f"z={z[outside][0]} is outside the open support ({lo}, {hi}) of {params}"
+        )
+    u = params.b * (np.log(z / (1.0 - z)) - params.m)
+    out = np.exp(
         math.log(abs(params.b))
         + params.b * params.m
-        + (params.a - 1.0) * math.log(u)
-        - (params.b + 1.0) * math.log(z)
-        + (params.b - 1.0) * math.log1p(-z)
+        + xlogy(params.a - 1.0, u)
+        - (params.b + 1.0) * np.log(z)
+        + (params.b - 1.0) * np.log1p(-z)
         - ln_gamma(params.a)
     )
+    return out if out.ndim else float(out)
 
 
 def _moment_series_pos_shift(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
@@ -136,15 +151,16 @@ def ltp3_moment(params: Pearson3Params, n: int,
         return 1.0
     if params.b < 0:
         mirrored = Pearson3Params(params.a, -params.b, -params.m)
-        return math.fsum(
+        value = math.fsum(
             math.comb(n, k) * (-1.0) ** k * ltp3_moment(mirrored, k, ctl)
             for k in range(n + 1)
         )
-    if params.m >= 0:
+    elif params.m >= 0:
         value = _moment_series_pos_shift(params, n, ctl)
     else:
         value = _moment_series_neg_shift(params, n, ctl)
-    # Z lies in (0, 1): rounding in the series may not push E[Z^n] past it.
+    # Z lies in (0, 1): rounding in the series, or cancellation in the
+    # reflection, may not push E[Z^n] past it.
     return min(max(value, 0.0), 1.0)
 
 

@@ -7,6 +7,9 @@ is valid only for b < 0.
 
 import math
 
+import numpy as np
+from scipy.special import xlogy
+
 from .errors import DomainError, MomentDivergenceError, SupportError
 from .pearson3 import Pearson3Params, p3_cdf
 from .series import DEFAULT_CONTROL, SeriesControl, sum_series
@@ -22,26 +25,35 @@ def lp3_support(params: Pearson3Params):
     return (0.0, math.exp(params.m))
 
 
-def lp3_pdf(params: Pearson3Params, y: float) -> float:
-    """Density |b| e^(b m) / Gamma(a) * (b (ln y - m))^(a-1) * y^(-b-1)."""
+def lp3_pdf(params: Pearson3Params, y):
+    """Density |b| e^(b m) / Gamma(a) * (b (ln y - m))^(a-1) * y^(-b-1) at
+    interior points y (a float or an array of them)."""
+    y = np.asarray(y, dtype=float)
     lo, hi = lp3_support(params)
-    if not (lo < y < hi):
-        raise SupportError(f"y={y} is outside the open support ({lo}, {hi}) of {params}")
-    u = params.b * (math.log(y) - params.m)
-    return math.exp(
+    outside = ~((lo < y) & (y < hi))
+    if outside.any():
+        raise SupportError(
+            f"y={y[outside][0]} is outside the open support ({lo}, {hi}) of {params}"
+        )
+    log_y = np.log(y)
+    u = params.b * (log_y - params.m)
+    out = np.exp(
         math.log(abs(params.b))
         + params.b * params.m
-        + (params.a - 1.0) * math.log(u)
-        - (params.b + 1.0) * math.log(y)
+        + xlogy(params.a - 1.0, u)
+        - (params.b + 1.0) * log_y
         - ln_gamma(params.a)
     )
+    return out if out.ndim else float(out)
 
 
-def lp3_cdf(params: Pearson3Params, y: float) -> float:
+def lp3_cdf(params: Pearson3Params, y):
     """CDF of Y = exp(X): the base CDF evaluated at ln y."""
-    if y <= 0:
-        raise DomainError(f"lp3_cdf requires y > 0, got y={y}")
-    return p3_cdf(params, math.log(y))
+    y = np.asarray(y, dtype=float)
+    bad = y <= 0
+    if bad.any():
+        raise DomainError(f"lp3_cdf requires y > 0, got y={y[bad][0]}")
+    return p3_cdf(params, np.log(y))
 
 
 def lp3_moment(params: Pearson3Params, n: int) -> float:

@@ -96,19 +96,20 @@ def empirical_cdf(samples, x: float) -> float:
 def ks_distance(samples, cdf_fn) -> float:
     """Sup distance between the empirical CDF and an analytic CDF.
 
-    `cdf_fn` may be scalar or vectorized; a vectorized callable avoids a
-    Python-level loop over the (sorted) sample.
+    `cdf_fn` must be vectorized: it is called once, on the sorted sample
+    array, and must return an array of the same shape (the library CDFs
+    do); any other shape raises DomainError.
     """
     samples = np.sort(np.asarray(samples))
     n = samples.size
     if n == 0:
         raise DomainError("ks_distance needs at least one sample")
-    try:
-        f = np.asarray(cdf_fn(samples), dtype=float)
-        if f.shape != samples.shape:
-            raise TypeError("cdf_fn is not vectorized")
-    except (TypeError, ValueError):
-        f = np.array([cdf_fn(x) for x in samples])
+    f = np.asarray(cdf_fn(samples), dtype=float)
+    if f.shape != samples.shape:
+        raise DomainError(
+            f"cdf_fn returned shape {f.shape} for samples of shape {samples.shape}; "
+            "it must be vectorized"
+        )
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -153,10 +154,11 @@ class GriddedPdf:
 
 
 def sample_pdf_on_grid(pdf, lo: float, hi: float, dx: float) -> GriddedPdf:
-    """Sample a density at midpoints of [lo, hi] cells of width dx."""
+    """Sample a vectorized density at midpoints of [lo, hi] cells of width
+    dx, in one call on the array of midpoints."""
     n = max(1, int(round((hi - lo) / dx)))
     xs = lo + dx * (np.arange(n) + 0.5)
-    return GriddedPdf(float(xs[0]), dx, np.array([pdf(x) for x in xs]))
+    return GriddedPdf(float(xs[0]), dx, np.asarray(pdf(xs), dtype=float))
 
 
 def convolve_pdfs_numeric(gridded) -> GriddedPdf:

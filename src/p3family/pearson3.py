@@ -9,9 +9,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, xlogy
 
 from .errors import DomainError, SupportError
-from .specfun import ln_gamma, pochhammer, reg_lower_gamma, reg_upper_gamma
+from .specfun import ln_gamma, pochhammer
 
 __all__ = [
     "Pearson3Params",
@@ -50,33 +51,34 @@ class Pearson3Params:
         return lo < x < hi
 
 
-def p3_pdf(params: Pearson3Params, x: float) -> float:
-    """Density at an interior point x.
+def p3_pdf(params: Pearson3Params, x):
+    """Density at interior points x (a float or an array of them).
 
-    Raises SupportError outside or on the boundary of the open support,
-    where the density is not defined.
+    Raises SupportError if any point lies outside or on the boundary of the
+    open support, where the density is not defined. A scalar x gives a
+    float, an array the array of values.
     """
-    if not params.contains(x):
+    x = np.asarray(x, dtype=float)
+    lo, hi = params.support()
+    outside = ~((lo < x) & (x < hi))
+    if outside.any():
         raise SupportError(
-            f"x={x} is outside the open support {params.support()} of {params}"
+            f"x={x[outside][0]} is outside the open support {params.support()} of {params}"
         )
     u = params.b * (x - params.m)  # positive on both support branches
-    return math.exp(
-        math.log(abs(params.b)) + (params.a - 1.0) * math.log(u) - u - ln_gamma(params.a)
+    out = np.exp(
+        math.log(abs(params.b)) + xlogy(params.a - 1.0, u) - u - ln_gamma(params.a)
     )
+    return out if out.ndim else float(out)
 
 
-def p3_cdf(params: Pearson3Params, x: float) -> float:
-    """Distribution function; saturates to 0/1 outside the open support."""
-    lo, hi = params.support()
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    u = params.b * (x - params.m)
-    if params.b > 0:
-        return reg_lower_gamma(params.a, u)
-    return reg_upper_gamma(params.a, u)
+def p3_cdf(params: Pearson3Params, x):
+    """Distribution function at x (a float or an array of them); saturates
+    to 0/1 outside the open support."""
+    x = np.asarray(x, dtype=float)
+    u = np.maximum(params.b * (x - params.m), 0.0)
+    out = gammainc(params.a, u) if params.b > 0 else gammaincc(params.a, u)
+    return out if out.ndim else float(out)
 
 
 def p3_moment(params: Pearson3Params, n: int) -> float:

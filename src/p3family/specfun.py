@@ -126,7 +126,9 @@ def gamma_integral_lower_scaled(a: float, s: float, T: float) -> float:
     the integral is (T^a / a) M(a, a+1, -s T) (DLMF 8.5.1), and Kummer's
     transformation (DLMF 13.2.39) absorbs the exp(s T). It stays
     O(T^(a-1)/|s|), so series over large negative rates stay inside double
-    range.
+    range. For s > 0 the factors exp(s T), s^(-a), Gamma(a) and P(a, s T)
+    combine in log space, so that only a value beyond double range fails,
+    with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_lower_scaled requires a > 0, got a={a}")
@@ -134,9 +136,17 @@ def gamma_integral_lower_scaled(a: float, s: float, T: float) -> float:
         raise DomainError(f"gamma_integral_lower_scaled requires T >= 0, got T={T}")
     if T == 0.0:
         return 0.0
-    if s < 0:
+    p = float(_sp.gammainc(a, s * T)) if s > 0 else 0.0
+    if p == 0.0:
+        # s <= 0, or P(a, s T) underflows (s T far below a), where the
+        # hypergeometric series converges fast
         return T ** a / a * float(_sp.hyp1f1(1.0, a + 1.0, s * T))
-    return math.exp(s * T) * gamma_integral_lower(a, s, T)
+    try:
+        return math.exp(s * T + math.lgamma(a) - a * math.log(s) + math.log(p))
+    except OverflowError:
+        raise DomainError(
+            f"gamma_integral_lower_scaled(a={a}, s={s}, T={T}) exceeds the double range"
+        ) from None
 
 
 def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:

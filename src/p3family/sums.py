@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
+from scipy.special import gammainc, xlogy
+
 from .errors import ConvergenceError, DomainError, SupportError
 from .logitp3 import ltp3_moment, ltp3_pdf, ltp3_support
 from .logp3 import lp3_moment, lp3_pdf, lp3_support
@@ -219,30 +222,41 @@ def _weights_recursive(shapes, bs):
 # alternating-sign cancellation that the Decimal path takes over.
 _HP_WEIGHT_SCALE = 1e6
 
+# A float mixture value below 2^26 units of rounding of its absolute terms,
+# c eps sum |w_ik F_ik| with c = 2^26, is recomputed in Decimal: near the
+# support edge each term is O(u^k) while the sum is O(u^sa), so the float
+# sum there is rounding noise. Above the bound the float value keeps about
+# 7 significant digits at worst; with moderate weights the bound is reached
+# only near the edge.
+_ROUNDING_BOUND = 2.0 ** 26 * np.finfo(float).eps
+
 
 def _hp_context_prec(scale: float) -> int:
     return 30 + max(0, int(math.log10(max(scale, 1.0))) + 1)
 
 
-def _mixture_reg_lower(spec, g: float) -> float:
-    """Sum_{i,k} Xi(i,k) P(k, |b_i| g) for g >= 0: the mixture CDF in the
-    gamma direction. Near-coincident rates make the weights huge with
-    alternating signs; the exact-rational weights are then combined in
-    Decimal arithmetic wide enough to absorb the cancellation.
+def _edge_digits(spec, g: float, order: int) -> int:
+    """Decimal digits lost to cancellation at gamma-direction offset g:
+    -log10 of a lower bound of the mixture CDF (order = total shape sa) or
+    density (order = sa - 1). Each component density b^a x^(a-1) e^(-b x)
+    / Gamma(a) is at least its copy with the largest rate in the
+    exponential; those copies convolve to prod b_i^a_i g^(sa-1)
+    e^(-b_max g) / Gamma(sa), and its integral bounds the CDF. A value far
+    below the smallest double needs no more than 340 digits to round to 0.
     """
-    if g <= 0.0:
-        return 0.0
-    if spec._weight_scale <= _HP_WEIGHT_SCALE:
-        from .specfun import reg_lower_gamma
+    rates = [abs(t.b) for t in spec.terms]
+    log_lower = (
+        math.fsum(a * math.log(b) for a, b in zip(spec._shapes, rates))
+        - max(rates) * g + order * math.log(g) - math.lgamma(order + 1)
+    )
+    return min(340, max(0, math.ceil(-log_lower / math.log(10.0))))
 
-        # rounding noise near the support edge can leave [0, 1]
-        return min(1.0, max(0.0, math.fsum(
-            spec._weights[i][k] * reg_lower_gamma(float(k + 1), abs(spec.terms[i].b) * g)
-            for i in range(spec.L)
-            for k in range(spec._shapes[i])
-        )))
+
+def _reg_lower_decimal(spec, g: float, prec: int) -> float:
+    """Sum_{i,k} Xi(i,k) P(k, |b_i| g) at one point g > 0, from the
+    exact-rational weights in Decimal arithmetic of `prec` digits."""
     with localcontext() as ctx:
-        ctx.prec = _hp_context_prec(spec._weight_scale)
+        ctx.prec = prec
         gd = Decimal(g)
         total = Decimal(0)
         for i, row in enumerate(spec._weights_frac):
@@ -259,21 +273,14 @@ def _mixture_reg_lower(spec, g: float) -> float:
                     s_k += pow_term
                 inner += Decimal(wf.numerator) / Decimal(wf.denominator) * s_k
             total += eu * inner
-        return min(1.0, max(0.0, float(1 - total)))
+        return float(1 - total)
 
 
-def _mixture_gamma_pdf(spec, g: float) -> float:
-    """Sum_{i,k} Xi(i,k) |b_i| gammapdf(k, |b_i| g): the mixture density in
-    the gamma direction, with the same Decimal fallback as the CDF."""
-    if spec._weight_scale <= _HP_WEIGHT_SCALE:
-        return max(0.0, math.fsum(
-            spec._weights[i][k]
-            * p3_pdf(Pearson3Params(float(k + 1), abs(spec.terms[i].b), 0.0), g)
-            for i in range(spec.L)
-            for k in range(spec._shapes[i])
-        ))
+def _gamma_pdf_decimal(spec, g: float, prec: int) -> float:
+    """Sum_{i,k} Xi(i,k) |b_i| gammapdf(k, |b_i| g) at one point g > 0, in
+    Decimal arithmetic of `prec` digits."""
     with localcontext() as ctx:
-        ctx.prec = _hp_context_prec(spec._weight_scale)
+        ctx.prec = prec
         gd = Decimal(g)
         total = Decimal(0)
         for i, row in enumerate(spec._weights_frac):
@@ -287,7 +294,81 @@ def _mixture_gamma_pdf(spec, g: float) -> float:
                     pow_term = pow_term * u / k
                 inner += Decimal(wf.numerator) / Decimal(wf.denominator) * pow_term
             total += eu * b_abs * inner
-        return max(0.0, float(total))
+        return float(total)
+
+
+def _cdf_component(k: int, b: float, u, out):
+    gammainc(k, u, out=out)
+
+
+def _pdf_component(k: int, b: float, u, out):
+    np.exp(math.log(b) + xlogy(k - 1.0, u) - u - math.lgamma(k), out=out)
+
+
+def _float_mixture(spec, g, component):
+    """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over a 1-d block of
+    points g, and the sum of the absolute terms.
+
+    The weighted components are accumulated one at a time by Knuth's
+    two-sum, with the rounding error of each addition carried apart, so
+    the result is the correctly rounded sum of the terms up to a few units
+    of eps^2 times their absolute sum, as math.fsum would give it.
+    """
+    total = np.zeros_like(g)
+    carry = np.zeros_like(g)
+    bound = np.zeros_like(g)
+    term, u, t, z = (np.empty_like(g) for _ in range(4))
+    for i, row in enumerate(spec._weights):
+        b = abs(spec.terms[i].b)
+        np.multiply(g, b, out=u)
+        for k, w in enumerate(row, start=1):
+            component(k, b, u, term)
+            term *= w
+            bound += np.abs(term, out=z)
+            # two-sum: with t = fl(total + term) and z = t - total, the
+            # rounding error of t is (total - (t - z)) + (term - z)
+            np.add(total, term, out=t)
+            np.subtract(t, total, out=z)
+            term -= z
+            np.subtract(t, z, out=z)
+            total -= z
+            total += term
+            carry += total
+            total, t = t, total
+    total += carry
+    return total, bound
+
+
+# Points per block of the float mixture, so that its work vectors stay in
+# cache and its memory does not grow with the number of points.
+_BLOCK = 1 << 14
+
+
+def _mixture(spec, g, component, decimal, order):
+    """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over an array of
+    finite gamma-direction offsets g > 0, or g >= 0 for the CDF, which is 0
+    at g = 0.
+
+    The float path sums block by block (_float_mixture). Points whose value
+    falls below _ROUNDING_BOUND times the absolute sum of their terms are
+    recomputed by `decimal` with the digits the cancellation costs. Above
+    _HP_WEIGHT_SCALE every point takes the Decimal path.
+    """
+    base_prec = _hp_context_prec(spec._weight_scale)
+    flat = g.reshape(-1)
+    if spec._weight_scale > _HP_WEIGHT_SCALE:
+        return np.array(
+            [decimal(spec, v, base_prec) if v > 0 else 0.0 for v in flat]
+        ).reshape(g.shape)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        total, bound = _float_mixture(spec, block, component)
+        for j in np.flatnonzero(total < _ROUNDING_BOUND * bound):
+            v = float(block[j])
+            total[j] = decimal(spec, v, base_prec + _edge_digits(spec, v, order))
+        out[start:start + _BLOCK] = total
+    return out.reshape(g.shape)
 
 
 def xi0_recursive(spec: SumSpec, i: int, k: int) -> float:
@@ -356,28 +437,43 @@ def xi_shifted(spec: SumSpec, i: int, k: int, l: int) -> float:
     return shift * xi0_recursive(spec, i, k)
 
 
-def sum_pdf(spec: SumSpec, x: float) -> float:
-    """Density of the sum at an interior point."""
+def sum_pdf(spec: SumSpec, x):
+    """Density of the sum at interior points x (a float or an array)."""
+    x = np.asarray(x, dtype=float)
     lo, hi = spec.support()
-    if not (lo < x < hi):
-        raise SupportError(f"x={x} is outside the open support ({lo}, {hi}) of the sum")
+    outside = ~((lo < x) & (x < hi))
+    if outside.any():
+        raise SupportError(
+            f"x={x[outside][0]} is outside the open support ({lo}, {hi}) of the sum"
+        )
     if spec.regime == EQUAL_RATES:
         return p3_pdf(spec.reduced, x)
-    return _mixture_gamma_pdf(spec, abs(x - spec.sm))
+    g = np.asarray(np.abs(x - spec.sm))
+    out = _mixture(spec, g, _pdf_component, _gamma_pdf_decimal, spec.sa - 1)
+    # rounding may not push a density below 0
+    np.maximum(out, 0.0, out=out)
+    return out if out.ndim else float(out)
 
 
-def sum_cdf(spec: SumSpec, x: float) -> float:
-    """CDF of the sum; saturates outside the support."""
+def sum_cdf(spec: SumSpec, x):
+    """CDF of the sum at x (a float or an array); saturates outside the
+    support."""
     if spec.regime == EQUAL_RATES:
         return p3_cdf(spec.reduced, x)
-    lo, hi = spec.support()
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    if spec.terms[0].b > 0:
-        return _mixture_reg_lower(spec, x - spec.sm)
-    return 1.0 - _mixture_reg_lower(spec, spec.sm - x)
+    x = np.asarray(x, dtype=float)
+    # offset into the support in the gamma direction, 0 outside it
+    g = np.asarray(x - spec.sm if spec.terms[0].b > 0 else spec.sm - x)
+    np.maximum(g, 0.0, out=g)
+    far = g == math.inf
+    g[far] = 0.0
+    out = _mixture(spec, g, _cdf_component, _reg_lower_decimal, spec.sa)
+    out[far] = 1.0
+    # rounding may not push a CDF out of [0, 1]
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    if spec.terms[0].b < 0:
+        np.subtract(1.0, out, out=out)
+    return out if out.ndim else float(out)
 
 
 def sum_moment(spec: SumSpec, n: int) -> float:
@@ -395,21 +491,26 @@ def sum_moment(spec: SumSpec, n: int) -> float:
     return moments[n]
 
 
-def logsum_cdf(spec: SumSpec, y: float) -> float:
-    """CDF of exp(SX_L)."""
-    if y <= 0:
-        raise DomainError(f"logsum_cdf requires y > 0, got y={y}")
-    return sum_cdf(spec, math.log(y))
+def logsum_cdf(spec: SumSpec, y):
+    """CDF of exp(SX_L) at y (a float or an array)."""
+    y = np.asarray(y, dtype=float)
+    bad = y <= 0
+    if bad.any():
+        raise DomainError(f"logsum_cdf requires y > 0, got y={y[bad][0]}")
+    return sum_cdf(spec, np.log(y))
 
 
-def logsum_pdf(spec: SumSpec, y: float) -> float:
-    """Density of exp(SX_L) at an interior point."""
+def logsum_pdf(spec: SumSpec, y):
+    """Density of exp(SX_L) at interior points y (a float or an array)."""
     if spec.regime == EQUAL_RATES:
         return lp3_pdf(spec.reduced, y)
+    y = np.asarray(y, dtype=float)
     lo, hi = lp3_support(Pearson3Params(1.0, spec.terms[0].b, spec.sm))
-    if not (lo < y < hi):
-        raise SupportError(f"y={y} is outside the open support ({lo}, {hi})")
-    return sum_pdf(spec, math.log(y)) / y
+    outside = ~((lo < y) & (y < hi))
+    if outside.any():
+        raise SupportError(f"y={y[outside][0]} is outside the open support ({lo}, {hi})")
+    out = sum_pdf(spec, np.log(y)) / y
+    return out if out.ndim else float(out)
 
 
 def logsum_moment(spec: SumSpec, n: int) -> float:
@@ -418,23 +519,29 @@ def logsum_moment(spec: SumSpec, n: int) -> float:
     return math.prod(lp3_moment(t, n) for t in spec.terms)
 
 
-def logitsum_cdf(spec: SumSpec, z: float) -> float:
-    """CDF of logistic(SX_L)."""
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"logitsum_cdf requires z in (0, 1), got z={z}")
-    return sum_cdf(spec, math.log(z / (1.0 - z)))
+def logitsum_cdf(spec: SumSpec, z):
+    """CDF of logistic(SX_L) at z (a float or an array)."""
+    z = np.asarray(z, dtype=float)
+    bad = ~((0.0 < z) & (z < 1.0))
+    if bad.any():
+        raise DomainError(f"logitsum_cdf requires z in (0, 1), got z={z[bad][0]}")
+    return sum_cdf(spec, np.log(z / (1.0 - z)))
 
 
-def logitsum_pdf(spec: SumSpec, z: float) -> float:
-    """Density of logistic(SX_L) at an interior point."""
+def logitsum_pdf(spec: SumSpec, z):
+    """Density of logistic(SX_L) at interior points z (a float or an array)."""
     if spec.regime == EQUAL_RATES:
         return ltp3_pdf(spec.reduced, z)
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"logitsum_pdf requires z in (0, 1), got z={z}")
+    z = np.asarray(z, dtype=float)
+    bad = ~((0.0 < z) & (z < 1.0))
+    if bad.any():
+        raise DomainError(f"logitsum_pdf requires z in (0, 1), got z={z[bad][0]}")
     lo, hi = ltp3_support(Pearson3Params(1.0, spec.terms[0].b, spec.sm))
-    if not (lo < z < hi):
-        raise SupportError(f"z={z} is outside the open support ({lo}, {hi})")
-    return sum_pdf(spec, math.log(z / (1.0 - z))) / (z * (1.0 - z))
+    outside = ~((lo < z) & (z < hi))
+    if outside.any():
+        raise SupportError(f"z={z[outside][0]} is outside the open support ({lo}, {hi})")
+    out = sum_pdf(spec, np.log(z / (1.0 - z))) / (z * (1.0 - z))
+    return out if out.ndim else float(out)
 
 
 def logitsum_moment(spec: SumSpec, n: int,

@@ -133,6 +133,20 @@ def test_gamma_integral_lower_negative_rate_overflow():
         gamma_integral_lower(40.0, -700.0 / 2.19, 2.19)
 
 
+def test_gamma_integral_lower_scaled_positive_rate():
+    # e^(sT) s^(-a) Gamma(a) P(a, sT), combined in log space: e^100 alone is
+    # fine, e^1000 is beyond double range and must be a library error
+    with mp.workdps(40):
+        ref = float(mp.e ** 100 * mp.gammainc(2, 0, 100) / mp.mpf(100) ** 2)
+    assert gamma_integral_lower_scaled(2.0, 100.0, 1.0) == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(DomainError):
+        gamma_integral_lower_scaled(2.0, 1000.0, 1.0)
+    # P(40, 2e-20) underflows to 0 while the scaled integral is about T^a / a
+    assert gamma_integral_lower_scaled(40.0, 1e-20, 2.0) == pytest.approx(
+        2.0 ** 40 / 40.0, rel=1e-13
+    )
+
+
 def test_scaled_gamma_integrals_small_rates():
     # Positive and zero rates route through the unscaled evaluators.
     assert gamma_integral_lower_scaled(2.0, 0.0, 3.0) == pytest.approx(4.5, rel=1e-13)

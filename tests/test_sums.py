@@ -3,8 +3,10 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from p3family.errors import ConvergenceError, DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
@@ -166,6 +168,29 @@ def test_sum_cdf_values():
     assert sum_cdf(NEG_L2, 5.0) == 1.0
 
 
+@pytest.mark.parametrize("spec", [
+    MIXED_L3,
+    NEG_L2,
+    SumSpec((P(1.0, 1.0, 0.1), P(2.0, 1.8, -0.2), P(3.0, 3.1, 0.05))),
+])
+def test_mixture_cdf_is_the_correctly_rounded_sum(spec):
+    # The float mixture adds its weighted terms Xi(i,k) P(k, |b_i| g) with
+    # two-sum, so it is their correctly rounded sum, as math.fsum gives it,
+    # to within one ulp; plain accumulation is off by up to eps sum |terms|.
+    sign = math.copysign(1.0, spec.terms[0].b)
+    xs = spec.sm + sign * np.linspace(0.5, 12.0, 200)
+    for x, v in zip(xs, sum_cdf(spec, xs)):
+        g = sign * (x - spec.sm)
+        ref = math.fsum(
+            xi0_recursive(spec, i, k) * gammainc(k, abs(spec.rate(i)) * g)
+            for i in range(1, spec.L + 1) for k in range(1, spec.shape(i) + 1)
+        )
+        ref = min(1.0, max(0.0, ref))
+        if sign < 0:
+            ref = 1.0 - ref
+        assert abs(v - ref) <= math.ulp(ref)
+
+
 @pytest.mark.parametrize("spec", [HYPOEXP, MIXED_L3, NEG_L2])
 def test_sum_cdf_vs_mc(spec):
     samples = sample_sum(spec, 404, 300_000)
@@ -218,6 +243,59 @@ def test_mixture_cdf_and_pdf_nonnegative_near_support_edge():
     for dx in (0.001, 0.002, 0.003):
         assert 0.0 <= sum_cdf(spec, spec.sm + dx) < 1e-15
         assert sum_pdf(spec, spec.sm + dx) >= 0.0
+
+
+def _moschopoulos(spec, g, density):
+    """CDF (or density) of the gamma-direction offset g of a sum of gammas by
+    Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
+    gamma mixture with positive weights, at 50 digits, independent of the
+    partial-fraction weights under test."""
+    with mp.workdps(50):
+        rates = [mp.mpf(abs(t.b)) for t in spec.terms]
+        shapes = [int(round(t.a)) for t in spec.terms]
+        top = max(rates)
+        scale = mp.fprod((r / top) ** a for r, a in zip(rates, shapes))
+        gammas = [None] + [
+            mp.fsum(a * (1 - r / top) ** k for r, a in zip(rates, shapes)) / k
+            for k in range(1, 200)
+        ]
+        deltas = [mp.mpf(1)]
+        total = mp.mpf(0)
+        u = top * mp.mpf(g)
+        for k in range(199):
+            if k:
+                deltas.append(
+                    mp.fsum(i * gammas[i] * deltas[k - i] for i in range(1, k + 1)) / k
+                )
+            shape = spec.sa + k
+            if density:
+                term = deltas[k] * top * mp.exp(
+                    (shape - 1) * mp.log(u) - u - mp.loggamma(shape)
+                )
+            else:
+                term = deltas[k] * mp.gammainc(shape, 0, u, regularized=True)
+            total += term
+            if term < mp.mpf(10) ** -40 * total:
+                break
+        return float(scale * total)
+
+
+def test_mixture_near_support_edge_vs_moschopoulos():
+    # near the edge each weighted term is O(u^k) and the sum O(u^6): the float
+    # mixture was rounding noise (2.7e-18, 2.3e-16, 0.0 for the CDF) there
+    spec = SumSpec((
+        P(2.0, 1.008877774538321, -0.16439041891017916),
+        P(3.0, 1.710222831979049, 0.04623136823211216),
+        P(1.0, 3.3856764543480886, -0.126364454112212),
+    ))
+    offsets = (0.001, 0.002, 0.003)
+    cdf = sum_cdf(spec, spec.sm + np.array(offsets))
+    pdf = sum_pdf(spec, spec.sm + np.array(offsets))
+    assert np.all(np.diff(cdf) > 0.0) and np.all(np.diff(pdf) > 0.0)
+    for g, c, f in zip(offsets, cdf, pdf):
+        g = (spec.sm + g) - spec.sm  # the offset the library sees
+        assert c == pytest.approx(_moschopoulos(spec, g, False), rel=1e-12)
+        assert f == pytest.approx(_moschopoulos(spec, g, True), rel=1e-12)
 
 
 def test_moments_with_huge_mixture_weights():
