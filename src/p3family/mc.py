@@ -86,10 +86,12 @@ def sample_harvested(scenario, seed: int, count: int) -> np.ndarray:
 
 
 def empirical_cdf(samples, x: float) -> float:
-    """Fraction of samples <= x."""
+    """Fraction of samples <= x, at one point x."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise DomainError("empirical_cdf needs at least one sample")
+    if np.ndim(x) != 0:
+        raise DomainError(f"empirical_cdf takes one point x, got shape {np.shape(x)}")
     return float(np.count_nonzero(samples <= x)) / samples.size
 
 

@@ -5,24 +5,25 @@ density. With pairwise-distinct inverse scales the density is a finite
 mixture of Pearson III densities whose weights come from the partial
 fraction expansion of the product of the component Laplace transforms;
 the weights are available both as a nested closed-form sum and through a
-numerically gentler recursion. The log and logit transforms of the sum
-reuse the same weights.
+numerically gentler recursion; where they cancel, Moschopoulos' series of
+positive weights takes over. The log and logit transforms of the sum
+reuse the same mixtures.
 
 Weights use the 1-based index convention of the mixture: ``i`` selects the
 component whose inverse scale is ``b_i`` and ``k`` in ``1..a_i`` its
 effective shape.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammainc, xlogy
 
-from .errors import ConvergenceError, DomainError, SupportError
+from .errors import DomainError, SupportError
 from .logitp3 import ltp3_moment, ltp3_pdf, ltp3_support
 from .logp3 import lp3_moment, lp3_pdf, lp3_support
 from .pearson3 import Pearson3Params, p3_cdf, p3_moment, p3_pdf
@@ -90,28 +91,19 @@ class SumSpec:
             raise DomainError("component inverse scales must all share one sign")
 
         bs = [t.b for t in terms]
-        L = len(terms)
-        max_gap = max(
-            (_rel_gap(bs[i], bs[j]) for i in range(L) for j in range(i + 1, L)),
-            default=0.0,
-        )
-        min_gap = min(
-            (_rel_gap(bs[i], bs[j]) for i in range(L) for j in range(i + 1, L)),
-            default=0.0,
-        )
+        gaps = {
+            (i, j): _rel_gap(bs[i], bs[j])
+            for i in range(len(bs)) for j in range(i + 1, len(bs))
+        }
+        max_gap = max(gaps.values(), default=0.0)
         if max_gap <= self.snap_tol:
             object.__setattr__(self, "regime", EQUAL_RATES)
             object.__setattr__(self, "snapped", max_gap > _EQUAL_TOL)
-        elif min_gap <= self.snap_tol:
-            pair = next(
-                (i, j)
-                for i in range(L)
-                for j in range(i + 1, L)
-                if _rel_gap(bs[i], bs[j]) <= self.snap_tol
-            )
+        elif min(gaps.values()) <= self.snap_tol:
+            i, j = next(pair for pair, gap in gaps.items() if gap <= self.snap_tol)
             raise DomainError(
-                f"mixed rates: components {pair[0] + 1} and {pair[1] + 1} have "
-                f"coincident inverse scales ({bs[pair[0]]}, {bs[pair[1]]}) while "
+                f"mixed rates: components {i + 1} and {j + 1} have "
+                f"coincident inverse scales ({bs[i]}, {bs[j]}) while "
                 "others are distinct; only all-equal or all-distinct rates are supported"
             )
         else:
@@ -120,18 +112,15 @@ class SumSpec:
 
         object.__setattr__(self, "_shapes", tuple(int(round(t.a)) for t in terms))
         if self.regime == DISTINCT_RATES:
-            fracs = _weights_recursive(self._shapes, bs)
-            object.__setattr__(self, "_weights_frac", fracs)
+            weights = [[float(v) for v in row] for row in _weights_recursive(self._shapes, bs)]
+            object.__setattr__(self, "_weights", weights)
             object.__setattr__(
-                self, "_weights", [[float(v) for v in row] for row in fracs]
+                self, "_weight_scale", max(abs(v) for row in weights for v in row)
             )
-            object.__setattr__(
-                self,
-                "_weight_scale",
-                max(abs(v) for row in self._weights for v in row),
-            )
+            # Moschopoulos' series (_series): its rate and its first delta
+            object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
+            object.__setattr__(self, "_deltas", np.ones(1))
         else:
-            object.__setattr__(self, "_weights_frac", None)
             object.__setattr__(self, "_weights", None)
             object.__setattr__(self, "_weight_scale", 0.0)
 
@@ -218,83 +207,53 @@ def _weights_recursive(shapes, bs):
     return weights
 
 
-# Above this weight magnitude the float mixture loses enough digits to
-# alternating-sign cancellation that the Decimal path takes over.
+# Above this weight magnitude the partial fractions lose enough digits to
+# alternating-sign cancellation that the positive series takes over.
 _HP_WEIGHT_SCALE = 1e6
 
-# A float mixture value below 2^26 units of rounding of its absolute terms,
-# c eps sum |w_ik F_ik| with c = 2^26, is recomputed in Decimal: near the
-# support edge each term is O(u^k) while the sum is O(u^sa), so the float
-# sum there is rounding noise. Above the bound the float value keeps about
-# 7 significant digits at worst; with moderate weights the bound is reached
+# A partial-fraction value below 2^26 units of rounding of its absolute
+# terms, c eps sum |w_ik F_ik| with c = 2^26, is recomputed from the series:
+# near the support edge each term is O(u^k) while the sum is O(u^sa), so the
+# float sum there is rounding noise. Above the bound it keeps about 7
+# significant digits at worst; with moderate weights the bound is reached
 # only near the edge.
 _ROUNDING_BOUND = 2.0 ** 26 * np.finfo(float).eps
 
+# The series stops once its tail bound falls below this fraction of its sum.
+_SERIES_TOL = 2.0 ** -60
 
-def _hp_context_prec(scale: float) -> int:
-    return 30 + max(0, int(math.log10(max(scale, 1.0))) + 1)
 
+def _series(spec):
+    """Yield shape sa + k, weight C delta_k and a bound on the sum of the
+    later weights, k = 0, 1, ...: Moschopoulos' series (Ann. Inst. Stat.
+    Math. 37 (1985) 541-544), the law as Pearson III components at the
+    largest rate b_max with positive weights.
 
-def _edge_digits(spec, g: float, order: int) -> int:
-    """Decimal digits lost to cancellation at gamma-direction offset g:
-    -log10 of a lower bound of the mixture CDF (order = total shape sa) or
-    density (order = sa - 1). Each component density b^a x^(a-1) e^(-b x)
-    / Gamma(a) is at least its copy with the largest rate in the
-    exponential; those copies convolve to prod b_i^a_i g^(sa-1)
-    e^(-b_max g) / Gamma(sa), and its integral bounds the CDF. A value far
-    below the smallest double needs no more than 340 digits to round to 0.
+    C = prod_j (|b_j|/b_max)^a_j is kept in log space. delta_0 = 1 and
+    k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
+    rho_j = 1 - |b_j|/b_max, positive terms only; the deltas are cached on
+    the spec and extended on demand. They are the coefficients of
+    prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
+    r = delta_(k+1)/delta_k < 1 the later weights sum to at most
+    C delta_k r/(1 - r). All the weights sum to 1.
     """
-    rates = [abs(t.b) for t in spec.terms]
-    log_lower = (
-        math.fsum(a * math.log(b) for a, b in zip(spec._shapes, rates))
-        - max(rates) * g + order * math.log(g) - math.lgamma(order + 1)
-    )
-    return min(340, max(0, math.ceil(-log_lower / math.log(10.0))))
-
-
-def _reg_lower_decimal(spec, g: float, prec: int) -> float:
-    """Sum_{i,k} Xi(i,k) P(k, |b_i| g) at one point g > 0, from the
-    exact-rational weights in Decimal arithmetic of `prec` digits."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        gd = Decimal(g)
-        total = Decimal(0)
-        for i, row in enumerate(spec._weights_frac):
-            u = Decimal(abs(spec.terms[i].b)) * gd
-            eu = (-u).exp()
-            # Q(k+1, u) = e^-u sum_{j<=k} u^j/j!; accumulate the inner
-            # polynomial against the cumulative weight rows.
-            pow_term = Decimal(1)
-            s_k = Decimal(1)
-            inner = Decimal(0)
-            for k, wf in enumerate(row):
-                if k > 0:
-                    pow_term = pow_term * u / k
-                    s_k += pow_term
-                inner += Decimal(wf.numerator) / Decimal(wf.denominator) * s_k
-            total += eu * inner
-        return float(1 - total)
-
-
-def _gamma_pdf_decimal(spec, g: float, prec: int) -> float:
-    """Sum_{i,k} Xi(i,k) |b_i| gammapdf(k, |b_i| g) at one point g > 0, in
-    Decimal arithmetic of `prec` digits."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        gd = Decimal(g)
-        total = Decimal(0)
-        for i, row in enumerate(spec._weights_frac):
-            b_abs = Decimal(abs(spec.terms[i].b))
-            u = b_abs * gd
-            eu = (-u).exp()
-            pow_term = Decimal(1)  # u^k / k!
-            inner = Decimal(0)
-            for k, wf in enumerate(row):
-                if k > 0:
-                    pow_term = pow_term * u / k
-                inner += Decimal(wf.numerator) / Decimal(wf.denominator) * pow_term
-            total += eu * b_abs * inner
-        return float(total)
+    b_max = spec._b_max
+    log_c = math.fsum(a * math.log(abs(t.b) / b_max)
+                      for a, t in zip(spec._shapes, spec.terms))
+    for k in itertools.count():
+        d = spec._deltas
+        if d.size < k + 2:
+            n = max(k + 2, 2 * d.size)
+            rho = np.array([b_max - abs(t.b) for t in spec.terms]) / b_max
+            i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
+            d = np.concatenate((d, np.empty(n - d.size)))
+            for j in range(spec._deltas.size, n):
+                d[j] = (i_gamma[:j] @ d[j - 1::-1]) / j
+            object.__setattr__(spec, "_deltas", d)
+        weight = math.exp(log_c + math.log(d[k])) if d[k] > 0.0 else 0.0
+        r = d[k + 1] / d[k] if d[k] > 0.0 else 0.0
+        tail = weight * r / (1.0 - r) if r < 1.0 else 1.0
+        yield spec.sa + k, weight, min(1.0, tail)
 
 
 def _cdf_component(k: int, b: float, u, out):
@@ -305,36 +264,70 @@ def _pdf_component(k: int, b: float, u, out):
     np.exp(math.log(b) + xlogy(k - 1.0, u) - u - math.lgamma(k), out=out)
 
 
-def _float_mixture(spec, g, component):
-    """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over a 1-d block of
-    points g, and the sum of the absolute terms.
-
-    The weighted components are accumulated one at a time by Knuth's
-    two-sum, with the rounding error of each addition carried apart, so
-    the result is the correctly rounded sum of the terms up to a few units
-    of eps^2 times their absolute sum, as math.fsum would give it.
-    """
-    total = np.zeros_like(g)
-    carry = np.zeros_like(g)
-    bound = np.zeros_like(g)
-    term, u, t, z = (np.empty_like(g) for _ in range(4))
+def _partial_fraction_terms(spec, g, component):
+    """Yield Xi(i,k) component(k, |b_i|, |b_i| g) for every (i, k) over a
+    1-d block of points g: weights of both signs."""
+    term, u = np.empty_like(g), np.empty_like(g)
     for i, row in enumerate(spec._weights):
         b = abs(spec.terms[i].b)
         np.multiply(g, b, out=u)
         for k, w in enumerate(row, start=1):
             component(k, b, u, term)
             term *= w
-            bound += np.abs(term, out=z)
-            # two-sum: with t = fl(total + term) and z = t - total, the
-            # rounding error of t is (total - (t - z)) + (term - z)
-            np.add(total, term, out=t)
-            np.subtract(t, total, out=z)
-            term -= z
-            np.subtract(t, z, out=z)
-            total -= z
-            total += term
-            carry += total
-            total, t = t, total
+            yield term
+
+
+def _series_terms(spec, g, component):
+    """Yield C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
+    over a 1-d block of points g. The components fall with k from some k
+    on (the CDF from k = 0, the density once sa + k >= u); from there the
+    terms after k sum to at most component_k times the weight bound of
+    _series. Once that is below _SERIES_TOL of a point's partial sum its
+    later terms are 0, so that its value does not depend on the others.
+    """
+    u = g * spec._b_max
+    comp, prev, term = np.empty_like(g), np.zeros_like(g), np.empty_like(g)
+    partial = np.zeros_like(g)
+    live = np.ones(g.shape, dtype=bool)
+    for shape, weight, tail in _series(spec):
+        component(shape, spec._b_max, u, comp)
+        np.multiply(comp, weight, out=term)
+        term *= live
+        partial += term
+        # a density that underflows before its peak does not fall yet
+        falling = (shape >= u) | ((comp <= prev) & (comp > 0.0))
+        live &= ~falling | (comp * tail > _SERIES_TOL * partial)
+        yield term
+        if tail == 0.0 or not live.any():
+            return
+        comp, prev = prev, comp
+
+
+def _float_mixture(g, terms):
+    """Sum of the term arrays that `terms` yields over a 1-d block of points
+    g, and the sum of their absolute values.
+
+    The terms are accumulated one at a time by Knuth's two-sum, with the
+    rounding error of each addition carried apart, so the result is the
+    correctly rounded sum of the terms up to a few units of eps^2 times
+    their absolute sum, as math.fsum would give it.
+    """
+    total = np.zeros_like(g)
+    carry = np.zeros_like(g)
+    bound = np.zeros_like(g)
+    t, z = np.empty_like(g), np.empty_like(g)
+    for term in terms:
+        bound += np.abs(term, out=z)
+        # two-sum: with t = fl(total + term) and z = t - total, the
+        # rounding error of t is (total - (t - z)) + (term - z)
+        np.add(total, term, out=t)
+        np.subtract(t, total, out=z)
+        term -= z
+        np.subtract(t, z, out=z)
+        total -= z
+        total += term
+        carry += total
+        total, t = t, total
     total += carry
     return total, bound
 
@@ -344,29 +337,29 @@ def _float_mixture(spec, g, component):
 _BLOCK = 1 << 14
 
 
-def _mixture(spec, g, component, decimal, order):
+def _mixture(spec, g, component):
     """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over an array of
     finite gamma-direction offsets g > 0, or g >= 0 for the CDF, which is 0
     at g = 0.
 
-    The float path sums block by block (_float_mixture). Points whose value
-    falls below _ROUNDING_BOUND times the absolute sum of their terms are
-    recomputed by `decimal` with the digits the cancellation costs. Above
-    _HP_WEIGHT_SCALE every point takes the Decimal path.
+    Each block of points is summed by _float_mixture over the partial
+    fractions up to _HP_WEIGHT_SCALE, and over Moschopoulos' series above
+    it and, in one call, at the points whose value falls below
+    _ROUNDING_BOUND times the absolute sum of their terms.
     """
-    base_prec = _hp_context_prec(spec._weight_scale)
     flat = g.reshape(-1)
-    if spec._weight_scale > _HP_WEIGHT_SCALE:
-        return np.array(
-            [decimal(spec, v, base_prec) if v > 0 else 0.0 for v in flat]
-        ).reshape(g.shape)
     out = np.empty_like(flat)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
-        total, bound = _float_mixture(spec, block, component)
-        for j in np.flatnonzero(total < _ROUNDING_BOUND * bound):
-            v = float(block[j])
-            total[j] = decimal(spec, v, base_prec + _edge_digits(spec, v, order))
+        if spec._weight_scale > _HP_WEIGHT_SCALE:
+            total, edge = np.empty_like(block), np.ones(block.shape, dtype=bool)
+        else:
+            terms = _partial_fraction_terms(spec, block, component)
+            total, bound = _float_mixture(block, terms)
+            edge = total < _ROUNDING_BOUND * bound
+        if edge.any():
+            near = block[edge]
+            total[edge], _ = _float_mixture(near, _series_terms(spec, near, component))
         out[start:start + _BLOCK] = total
     return out.reshape(g.shape)
 
@@ -449,7 +442,7 @@ def sum_pdf(spec: SumSpec, x):
     if spec.regime == EQUAL_RATES:
         return p3_pdf(spec.reduced, x)
     g = np.asarray(np.abs(x - spec.sm))
-    out = _mixture(spec, g, _pdf_component, _gamma_pdf_decimal, spec.sa - 1)
+    out = _mixture(spec, g, _pdf_component)
     # rounding may not push a density below 0
     np.maximum(out, 0.0, out=out)
     return out if out.ndim else float(out)
@@ -466,7 +459,7 @@ def sum_cdf(spec: SumSpec, x):
     np.maximum(g, 0.0, out=g)
     far = g == math.inf
     g[far] = 0.0
-    out = _mixture(spec, g, _cdf_component, _reg_lower_decimal, spec.sa)
+    out = _mixture(spec, g, _cdf_component)
     out[far] = 1.0
     # rounding may not push a CDF out of [0, 1]
     np.maximum(out, 0.0, out=out)
@@ -555,12 +548,15 @@ def logitsum_moment(spec: SumSpec, n: int,
         raise DomainError("logit-sum moments require positive rates on every component")
     if spec.regime == EQUAL_RATES:
         return ltp3_moment(spec.reduced, n, ctl)
-    if spec._weight_scale > _HP_WEIGHT_SCALE:
-        raise ConvergenceError(
-            f"logit-sum moment lost to cancellation: mixture weights reach "
-            f"{spec._weight_scale:.3g}, above {_HP_WEIGHT_SCALE:.0e}"
-        )
     sm = spec.sm
+    if spec._weight_scale > _HP_WEIGHT_SCALE:
+        # each logit moment lies in (0, 1], so the weight bound of _series
+        # bounds the remaining terms
+        terms = []
+        for shape, weight, tail in _series(spec):
+            terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n, ctl))
+            if tail <= _SERIES_TOL * math.fsum(terms):
+                return math.fsum(terms)
     return math.fsum(
         spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n, ctl)
         for i in range(spec.L)

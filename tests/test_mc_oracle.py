@@ -70,6 +70,10 @@ def test_empirical_statistics():
     assert se == pytest.approx(1.0 / math.sqrt(3.0))
     with pytest.raises(DomainError):
         empirical_cdf(np.array([]), 0.0)
+    # one point only: an array x, of the samples' length or another, is refused
+    for x in (np.array([0.0, 2.0, 5.0]), np.array([0.0, 2.0])):
+        with pytest.raises(DomainError):
+            empirical_cdf(samples, x)
     with pytest.raises(DomainError):
         empirical_moment(np.array([]), 1)
 
@@ -83,7 +87,7 @@ def test_ks_self_distance():
     assert ks_threshold(10_000) == pytest.approx(0.0163)
     # a CDF that is not vectorized returns the wrong shape: a library error
     with pytest.raises(DomainError):
-        ks_distance(samples, lambda x: empirical_cdf(samples, x))
+        ks_distance(samples, lambda x: float(np.mean(samples <= x[0])))
 
 
 def test_oracle_report():

@@ -1,5 +1,6 @@
 """Sum-machinery tests: regimes, mixture weights, densities, transforms."""
 
+import functools
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from p3family.errors import ConvergenceError, DomainError, MomentDivergenceError, SupportError
+from p3family.errors import DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf
 from p3family.sums import (
@@ -245,11 +246,10 @@ def test_mixture_cdf_and_pdf_nonnegative_near_support_edge():
         assert sum_pdf(spec, spec.sm + dx) >= 0.0
 
 
-def _moschopoulos(spec, g, density):
-    """CDF (or density) of the gamma-direction offset g of a sum of gammas by
-    Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
-    gamma mixture with positive weights, at 50 digits, independent of the
-    partial-fraction weights under test."""
+@functools.lru_cache(maxsize=None)
+def _moschopoulos_weights(spec):
+    """The largest rate, the scale C and the deltas of Moschopoulos' series
+    for `spec`, at 50 digits."""
     with mp.workdps(50):
         rates = [mp.mpf(abs(t.b)) for t in spec.terms]
         shapes = [int(round(t.a)) for t in spec.terms]
@@ -260,20 +260,30 @@ def _moschopoulos(spec, g, density):
             for k in range(1, 200)
         ]
         deltas = [mp.mpf(1)]
+        for k in range(1, 199):
+            deltas.append(
+                mp.fsum(i * gammas[i] * deltas[k - i] for i in range(1, k + 1)) / k
+            )
+    return top, scale, deltas
+
+
+def _moschopoulos(spec, g, density):
+    """CDF (or density) of the gamma-direction offset g of a sum of gammas by
+    Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
+    gamma mixture with positive weights, at 50 digits, independent of the
+    partial-fraction weights under test."""
+    top, scale, deltas = _moschopoulos_weights(spec)
+    with mp.workdps(50):
         total = mp.mpf(0)
         u = top * mp.mpf(g)
-        for k in range(199):
-            if k:
-                deltas.append(
-                    mp.fsum(i * gammas[i] * deltas[k - i] for i in range(1, k + 1)) / k
-                )
+        for k, delta in enumerate(deltas):
             shape = spec.sa + k
             if density:
-                term = deltas[k] * top * mp.exp(
+                term = delta * top * mp.exp(
                     (shape - 1) * mp.log(u) - u - mp.loggamma(shape)
                 )
             else:
-                term = deltas[k] * mp.gammainc(shape, 0, u, regularized=True)
+                term = delta * mp.gammainc(shape, 0, u, regularized=True)
             total += term
             if term < mp.mpf(10) ** -40 * total:
                 break
@@ -298,6 +308,39 @@ def test_mixture_near_support_edge_vs_moschopoulos():
         assert f == pytest.approx(_moschopoulos(spec, g, True), rel=1e-12)
 
 
+@pytest.mark.parametrize("L, a", [(8, 4), (16, 8)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_close_rate_mixtures_vs_moschopoulos(L, a, sign):
+    # rates 5% apart: weights of 1e30 and more, so every point sums the
+    # positive series; each term is shifted so that the sum centres on 0
+    rates = [1.0 + 0.05 * i for i in range(L)]
+    spec = SumSpec(tuple(P(float(a), sign * b, -sign * a / b) for b in rates))
+    assert spec._weight_scale > 1e6
+    mean = math.fsum(a / b for b in rates)
+    sd = math.sqrt(math.fsum(a / b ** 2 for b in rates))
+    x = spec.sm + sign * np.geomspace(1e-3 * mean, mean + 10.0 * sd, 16)
+    cdf, pdf = sum_cdf(spec, x), sum_pdf(spec, x)
+    g = sign * (x - spec.sm)  # the offsets the library sees
+    ref_pdf = [_moschopoulos(spec, v, True) for v in g]
+    ref_cdf = np.array([_moschopoulos(spec, v, False) for v in g])
+    # relative accuracy ends at the subnormals
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(pdf, ref_pdf, rtol=1e-12, atol=tiny)
+    if sign > 0:
+        np.testing.assert_allclose(cdf, ref_cdf, rtol=1e-12, atol=tiny)
+    else:
+        # the CDF is the complement 1 - F: near F = 1 the relative error
+        # of F becomes an absolute one
+        np.testing.assert_allclose(cdf, 1.0 - ref_cdf, rtol=1e-12, atol=1e-14)
+    # the transforms at the centre of the sum
+    y = math.exp(spec.sm + sign * mean)
+    density = _moschopoulos(spec, sign * (math.log(y) - spec.sm), True)
+    assert logsum_pdf(spec, y) == pytest.approx(density / y, rel=1e-12)
+    z = 1.0 / (1.0 + math.exp(-(spec.sm + sign * mean)))
+    density = _moschopoulos(spec, sign * (math.log(z / (1.0 - z)) - spec.sm), True)
+    assert logitsum_pdf(spec, z) == pytest.approx(density / (z * (1.0 - z)), rel=1e-12)
+
+
 def test_moments_with_huge_mixture_weights():
     # 16 shape-8 terms with rates 1 + 0.05 i: weights reach 1e118, so any
     # moment formed from them would cancel every digit
@@ -308,8 +351,16 @@ def test_moments_with_huge_mixture_weights():
     assert mean == pytest.approx(95.8467, rel=1e-6)
     assert sum_moment(spec, 1) == pytest.approx(mean, rel=1e-13)
     assert sum_moment(spec, 2) == pytest.approx(var + mean ** 2, rel=1e-13)
-    with pytest.raises(ConvergenceError):
-        logitsum_moment(spec, 1)
+    # logit moments sum Moschopoulos' positive weights: 16 exponentials
+    # with weights past 1e13, each shifted so that the sum centres on 0
+    centred = SumSpec(tuple(P(1.0, 1.0 + 0.05 * i, -1.0 / (1.0 + 0.05 * i)) for i in range(16)))
+    assert centred._weight_scale > 1e13
+    z = 1.0 / (1.0 + np.exp(-sample_sum(centred, 808, 300_000)))
+    for n in (1, 2):
+        value = logitsum_moment(centred, n)
+        assert 0.3 < value < 0.6
+        emp, se = empirical_moment(z, n)
+        assert abs(value - emp) < 3.0 * se
     # the log transform's moment is a product of the component moments
     shifted = SumSpec(tuple(P(8.0, 2.0 + 0.05 * i, 0.01 * i) for i in range(16)))
     expected = math.prod(

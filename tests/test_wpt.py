@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma
 
-from p3family.errors import ConvergenceError, DomainError, SupportError
+from p3family.errors import DomainError, SupportError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.mc import empirical_cdf, empirical_moment, sample_harvested
 from p3family.pearson3 import Pearson3Params
@@ -201,16 +201,33 @@ def test_far_link_concentrated_fading_moments_vs_quadrature():
             assert q_mean_miso(sc) == pytest.approx(7.0719281353e-5, rel=1e-10)
 
 
-def test_close_rate_moments_raise():
+def test_close_rate_moments():
     # b_hat 2e-4 apart: mixture weights near 2e19 would cancel every digit
-    # of the logit moments, so the moments refuse rather than return noise
-    sc = MisoScenario(MODEL, (link(10.0, 1.0), link(10.001, 1.0)))
+    # of partial-fraction logit moments; the positive series keeps them.
+    # Oracle: nested quadrature over the two branch gains, Gamma(3, 1) each.
+    branches = (link(10.0, 1.0), link(10.001, 1.0))
+    sc = MisoScenario(MODEL, branches)
     assert sc.regime == DISTINCT_RATES
     assert 0.0 <= q_cdf_miso(sc, MODEL.Ps / 10) <= 1.0
-    with pytest.raises(ConvergenceError):
-        q_mean_miso(sc)
-    with pytest.raises(ConvergenceError):
-        q_moment_miso(sc, 2)
+    g1, g2 = (br.loss * br.p for br in branches)
+    A, B = MODEL.A, MODEL.B
+
+    def fading_pdf(h):
+        return 0.5 * h * h * math.exp(-h)
+
+    def moment(n):
+        def q(h1, h2):
+            return (MODEL.span / (1.0 + math.exp(-A * (g1 * h1 + g2 * h2 - B))) - MODEL.c) ** n
+
+        def inner(h1):
+            return quad(lambda h2: q(h1, h2) * fading_pdf(h2), 0.0, math.inf,
+                        epsabs=0.0, epsrel=1e-11)[0]
+
+        return quad(lambda h1: inner(h1) * fading_pdf(h1), 0.0, math.inf,
+                    epsabs=0.0, epsrel=1e-11)[0]
+
+    assert q_mean_miso(sc) == pytest.approx(moment(1), rel=1e-9)
+    assert q_moment_miso(sc, 2) == pytest.approx(moment(2), rel=1e-9)
 
 
 def test_miso_regimes_and_reduction():
