@@ -1,18 +1,19 @@
 """The logit Pearson type III distribution: Z = 1 / (1 + exp(-X)).
 
 Support is (logistic(m), 1) for b > 0 and (0, logistic(m)) for b < 0.
-Moments for b > 0 come from an alternating series (with an incomplete
-gamma split when m < 0); the first and second moments also have closed
-forms in terms of the Lerch transcendent when m >= 0. Moments for b < 0
-are obtained by the exact reflection Z = 1 - Z' with Z' the mirrored
-(b > 0) variate. The logit gamma distribution is the b > 0, m = 0 special
+Moments of either sign of b come from one alternating series, split where
+X changes sign: Z^n is expanded in powers of e^(-X) on X > 0 and of e^X on
+X < 0, and each side is a truncated gamma integral. The first and second
+moments also have closed forms in terms of the Lerch transcendent when
+b > 0 and m >= 0. The logit gamma distribution is the b > 0, m = 0 special
 case.
 """
 
 import math
+from itertools import count
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import gammainc, gammaincc, xlogy
 
 from .errors import DomainError, SupportError
 from .pearson3 import Pearson3Params, p3_cdf
@@ -23,7 +24,6 @@ from .specfun import (
     lerch_phi,
     ln_gamma,
     neg_binom_coeff,
-    reg_lower_gamma,
 )
 
 __all__ = [
@@ -91,77 +91,59 @@ def ltp3_pdf(params: Pearson3Params, z):
     return out if out.ndim else float(out)
 
 
-def _moment_series_pos_shift(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
-    # b > 0, m >= 0: sum_l C(n+l-1, l) (-1)^l e^(-m l) (1 + l/b)^(-a)
-    a, b, m = params.a, params.b, params.m
-
-    def _terms():
-        l = 0
-        while True:
-            yield (
-                neg_binom_coeff(n, l)
-                * (-1.0) ** l
-                * math.exp(-m * l)
-                * (1.0 + l / b) ** (-a)
-            )
-            l += 1
-
-    return sum_alternating(_terms(), ctl)
-
-
-def _moment_series_neg_shift(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
-    # b > 0, m < 0: two-piece incomplete-gamma form, split at T = -m b.
-    # Written via the exponentially scaled truncated integrals: the exp
-    # factors of both pieces collapse to the l-independent e^(m b), so the
-    # terms never overflow however deep the series runs. For a positive
-    # lower rate s, e^(m b) e^(s T) = e^((n+l) m) exactly and the lower
-    # piece is e^((n+l) m) s^(-a) P(a, s T): one exponential, which stays
-    # finite where e^(s T) alone would overflow.
+def _moment_series(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
+    # E[Z^n] with X = m + G/b, G ~ Gamma(a, 1), split at X = 0, which is
+    # G = T = -m b. Z^n = sum_l C(n+l-1, l) (-1)^l e^(cX), with c = -l on
+    # X > 0 and c = n + l on X < 0. A side over [u, v] in G contributes
+    # e^(cm) / Gamma(a) int_u^v g^(a-1) e^(-s g) dg, s = 1 - c/b. [T, inf)
+    # is the side X > 0 for b > 0 and X < 0 for b < 0; [0, T] is the other.
     a, b, m = params.a, params.b, params.m
     T = -m * b
-    front = math.exp(m * b - ln_gamma(a))
+    positive, negative = count(0, -1), count(n)  # c for l = 0, 1, ...
+    upper, lower = (positive, negative) if b > 0 else (negative, positive)
+    if T <= 0:
+        # the whole support lies in [T, inf): e^(cm) s^(-a), one exp a term
+        terms = (neg_binom_coeff(n, l) * (-1.0) ** l * math.exp(c * m - a * math.log1p(-c / b))
+                 for l, c in enumerate(upper))
+        return sum_alternating(terms, ctl)
+    # e^(cm - sT) = e^(-T) for every c, so a piece is also e^(-T) T^a / Gamma(a)
+    # times the scaled integral over [0, 1] or [1, inf) at rate sT: the form
+    # used for s <= 0 and where e^(cm) s^(-a) P(a, sT) (or Q) underflows.
+    front = math.exp(a * math.log(T) - T - ln_gamma(a))
 
-    def _terms():
-        l = 0
-        while True:
-            s = 1.0 - (n + l) / b
-            if s > 0:
-                lower = math.exp((n + l) * m - a * math.log(s)) * reg_lower_gamma(a, s * T)
-            else:
-                lower = front * gamma_integral_lower_scaled(a, s, T)
-            upper = front * gamma_integral_upper_scaled(a, 1.0 + l / b, T)
-            yield neg_binom_coeff(n, l) * (-1.0) ** l * (lower + upper)
-            l += 1
+    def _piece(c, above):
+        s = 1.0 - c / b
+        sT = s * T
+        if s > 0:
+            # e^(cm) = e^(sT - T). Above T the second form lets the rounding
+            # of sT cancel against Q(a, sT), which falls like e^(-sT).
+            p = float(gammaincc(a, sT) if above else gammainc(a, sT))
+            if p > 0:
+                return math.exp((sT - T if above else c * m) - a * math.log(s) + math.log(p))
+        scaled = gamma_integral_upper_scaled if above else gamma_integral_lower_scaled
+        return front * scaled(a, sT, 1.0)
 
-    return sum_alternating(_terms(), ctl)
+    terms = (neg_binom_coeff(n, l) * (-1.0) ** l * (_piece(cl, False) + _piece(cu, True))
+             for l, cl, cu in zip(count(), lower, upper))
+    return sum_alternating(terms, ctl)
 
 
 def ltp3_moment(params: Pearson3Params, n: int,
                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Raw moment E[Z^n].
+    """Raw moment E[Z^n], for either sign of b.
 
-    For b > 0 this is the alternating series (m >= 0) or its split
-    incomplete-gamma form (m < 0). For b < 0 the mirror identity
-    Z = 1 - Z', with Z' logit-Pearson III of parameters (a, -b, -m), is
-    expanded binomially.
+    One alternating series of truncated gamma integrals, split where X
+    changes sign: Z^n is expanded in e^(-X) for X > 0 and in e^X for
+    X < 0. When the support of X lies on one side of 0 each term is a
+    single exponential; otherwise it is a lower and an upper incomplete
+    gamma piece.
     """
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
     if n == 0:
         return 1.0
-    if params.b < 0:
-        mirrored = Pearson3Params(params.a, -params.b, -params.m)
-        value = math.fsum(
-            math.comb(n, k) * (-1.0) ** k * ltp3_moment(mirrored, k, ctl)
-            for k in range(n + 1)
-        )
-    elif params.m >= 0:
-        value = _moment_series_pos_shift(params, n, ctl)
-    else:
-        value = _moment_series_neg_shift(params, n, ctl)
-    # Z lies in (0, 1): rounding in the series, or cancellation in the
-    # reflection, may not push E[Z^n] past it.
-    return min(max(value, 0.0), 1.0)
+    # Z lies in (0, 1): rounding in the series may not push E[Z^n] past it.
+    return min(max(_moment_series(params, n, ctl), 0.0), 1.0)
 
 
 def ltp3_mean_closed(params: Pearson3Params,

@@ -54,10 +54,10 @@ def reg_upper_gamma(a: float, x: float) -> float:
 def gamma_integral_lower(a: float, s: float, T: float) -> float:
     """Evaluate int_0^T x^(a-1) exp(-s x) dx for any real rate s.
 
-    For s > 0 this is s^(-a) * gamma_lower(a, s T); for s = 0 it is T^a / a;
-    for s < 0 it is exp(-s T) times the closed form of
-    `gamma_integral_lower_scaled`, combined in log space so that only an
-    integral beyond double range fails, with DomainError.
+    For s > 0 this is s^(-a) * gamma_lower(a, s T); for s <= 0, and where
+    P(a, s T) underflows, it is exp(-s T) times the closed form of
+    `gamma_integral_lower_scaled`. Either is combined in log space, so
+    that only an integral beyond double range fails, with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_lower requires a > 0, got a={a}")
@@ -65,23 +65,33 @@ def gamma_integral_lower(a: float, s: float, T: float) -> float:
         raise DomainError(f"gamma_integral_lower requires T >= 0, got T={T}")
     if T == 0.0:
         return 0.0
-    if s > 0:
-        return math.exp(math.lgamma(a) - a * math.log(s)) * float(_sp.gammainc(a, s * T))
-    if s == 0.0:
-        return T ** a / a
+    p = float(_sp.gammainc(a, s * T)) if s > 0 else 0.0
+    if p == 0.0:
+        # s <= 0, or P(a, s T) underflows
+        log_value = a * math.log(T) - math.log(a) - s * T + math.log(_kummer_m1(a, s * T))
+    else:
+        log_value = math.lgamma(a) - a * math.log(s) + math.log(p)
+    return _exp_in_range(log_value, "gamma_integral_lower", a, s, T)
+
+
+def _kummer_m1(a: float, x: float) -> float:
+    # M(1, a+1, x) is 1 to double precision for |x| <= 2^-54, where scipy's
+    # hyp1f1 returns nan for some x < 0 (below about 1e-238 at a = 10)
+    return 1.0 if abs(x) <= 2.0 ** -54 else float(_sp.hyp1f1(1.0, a + 1.0, x))
+
+
+def _exp_in_range(log_value: float, name: str, a: float, s: float, T: float) -> float:
     try:
-        return math.exp(a * math.log(T) - math.log(a) - s * T
-                        + math.log(_sp.hyp1f1(1.0, a + 1.0, s * T)))
+        return math.exp(log_value)
     except OverflowError:
-        raise DomainError(
-            f"gamma_integral_lower(a={a}, s={s}, T={T}) exceeds the double range"
-        ) from None
+        raise DomainError(f"{name}(a={a}, s={s}, T={T}) exceeds the double range") from None
 
 
 def gamma_integral_upper(a: float, s: float, T: float) -> float:
     """Evaluate int_T^inf x^(a-1) exp(-s x) dx = s^(-a) Gamma(a, s T).
 
-    Divergent unless s > 0.
+    Divergent unless s > 0. DomainError when Gamma(a) s^(-a) is beyond
+    double range.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_upper requires a > 0, got a={a}")
@@ -89,7 +99,8 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
         raise DomainError(f"gamma_integral_upper requires T >= 0, got T={T}")
     if s <= 0:
         raise DomainError(f"gamma_integral_upper diverges for s <= 0, got s={s}")
-    return math.exp(math.lgamma(a) - a * math.log(s)) * float(_sp.gammaincc(a, s * T))
+    return (_exp_in_range(math.lgamma(a) - a * math.log(s), "gamma_integral_upper", a, s, T)
+            * float(_sp.gammaincc(a, s * T)))
 
 
 # Beyond this value of s T the direct scaled upper integral hits double
@@ -97,22 +108,20 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
 _WATSON_CUTOFF = 600.0
 
 
-def _watson_tail(a: float, sT: float, T: float) -> float:
-    """Asymptotic value of exp(s T) * int_T^inf x^(a-1) exp(-s x) dx.
+def _log_watson_tail(a: float, sT: float, T: float) -> float:
+    """Log of the asymptotic value of exp(s T) * int_T^inf x^(a-1) exp(-s x) dx.
 
     Watson's lemma about the endpoint x = T: substituting x = T + t and
     expanding (T + t)^(a-1) gives T^(a-1)/s * sum_j prod_{i<=j}(a-i)/(sT)^j.
     Truncated at the smallest term; for sT >= _WATSON_CUTOFF the truncation
     error is far below double precision.
     """
-    s = sT / T
-    term = T ** (a - 1.0) / s
-    total = term
+    term = total = 1.0
     j = 1
     while True:
         nxt = term * (a - j) / sT
         if abs(nxt) >= abs(term) or abs(nxt) <= 1e-18 * abs(total):
-            return total + nxt
+            return (a - 1.0) * math.log(T) - math.log(sT / T) + math.log(total + nxt)
         total += nxt
         term = nxt
         j += 1
@@ -126,9 +135,9 @@ def gamma_integral_lower_scaled(a: float, s: float, T: float) -> float:
     the integral is (T^a / a) M(a, a+1, -s T) (DLMF 8.5.1), and Kummer's
     transformation (DLMF 13.2.39) absorbs the exp(s T). It stays
     O(T^(a-1)/|s|), so series over large negative rates stay inside double
-    range. For s > 0 the factors exp(s T), s^(-a), Gamma(a) and P(a, s T)
-    combine in log space, so that only a value beyond double range fails,
-    with DomainError.
+    range. Where T^a alone overflows it joins the other factors in log
+    space, as do exp(s T), s^(-a), Gamma(a) and P(a, s T) for s > 0, so
+    that only a value beyond double range fails, with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_lower_scaled requires a > 0, got a={a}")
@@ -140,20 +149,23 @@ def gamma_integral_lower_scaled(a: float, s: float, T: float) -> float:
     if p == 0.0:
         # s <= 0, or P(a, s T) underflows (s T far below a), where the
         # hypergeometric series converges fast
-        return T ** a / a * float(_sp.hyp1f1(1.0, a + 1.0, s * T))
-    try:
-        return math.exp(s * T + math.lgamma(a) - a * math.log(s) + math.log(p))
-    except OverflowError:
-        raise DomainError(
-            f"gamma_integral_lower_scaled(a={a}, s={s}, T={T}) exceeds the double range"
-        ) from None
+        m1 = _kummer_m1(a, s * T)
+        try:
+            return T ** a / a * m1  # within an ulp, and cheaper than the logs
+        except OverflowError:
+            log_value = a * math.log(T) - math.log(a) + math.log(m1)
+    else:
+        log_value = s * T + math.lgamma(a) - a * math.log(s) + math.log(p)
+    return _exp_in_range(log_value, "gamma_integral_lower_scaled", a, s, T)
 
 
 def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:
     """Evaluate exp(s T) * int_T^inf x^(a-1) exp(-s x) dx; requires s > 0.
 
     The unscaled integral decays like exp(-s T); the scaled form stays
-    O(T^(a-1)/s) for arbitrarily large rates.
+    O(T^(a-1)/s) for arbitrarily large rates. Beyond _WATSON_CUTOFF the
+    Watson tail is formed in log space, so that only a value beyond double
+    range fails, with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_upper_scaled requires a > 0, got a={a}")
@@ -164,7 +176,8 @@ def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:
     sT = s * T
     if sT < _WATSON_CUTOFF:
         return math.exp(sT) * gamma_integral_upper(a, s, T)
-    return _watson_tail(a, sT, T)
+    return _exp_in_range(_log_watson_tail(a, sT, T),
+                         "gamma_integral_upper_scaled", a, s, T)
 
 
 def lerch_phi(z: float, s: float, alpha: float,

@@ -5,14 +5,13 @@ by element, exactly what the points give one at a time.
 Along the way: CDFs lie in [0, 1] and do not decrease along sorted points,
 densities are >= 0, a scalar point gives a Python float, and a point
 outside the domain raises the library error that the scalar call raises.
-Hypothesis runs derandomized, so the suite stays deterministic.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -31,22 +30,8 @@ from p3family.sums import (
     xi0_recursive,
 )
 
-PROPERTY_SETTINGS = settings(
-    derandomize=True,
-    database=None,
-    deadline=None,
-    max_examples=60,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+from properties import PROPERTY_SETTINGS, members, signs
 
-signs = st.sampled_from((-1.0, 1.0))
-members = st.builds(
-    lambda a, sign, b, m: Pearson3Params(a, sign * b, m),
-    st.floats(0.3, 40.0),
-    signs,
-    st.floats(0.05, 60.0),
-    st.floats(-8.0, 8.0),
-)
 # Distinct rates at least 30% apart keep the mixture weights moderate.
 sums = st.builds(
     lambda shapes, sign, b1, r2, r3, ms: SumSpec(tuple(

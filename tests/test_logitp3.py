@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
 
 from p3family.errors import DomainError, SupportError
 from p3family.logitp3 import (
@@ -21,6 +23,8 @@ from p3family.logitp3 import (
 )
 from p3family.mc import empirical_moment
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf, p3_sample
+
+from properties import PROPERTY_SETTINGS, members
 
 
 def _logistic(x):
@@ -102,6 +106,10 @@ def test_moment_basics():
     assert ltp3_moment(p, 1) == pytest.approx(math.log(2.0), abs=1e-10)
     with pytest.raises(DomainError):
         ltp3_moment(p, -1)
+    # a shift of -1e-300 puts T = 1e-300 between the two pieces
+    assert ltp3_moment(Pearson3Params(10.0, 1.0, -1e-300), 1) == pytest.approx(
+        ltp3_moment(Pearson3Params(10.0, 1.0, 0.0), 1), rel=1e-15
+    )
 
 
 @pytest.mark.parametrize(
@@ -148,25 +156,89 @@ def test_moments_bounded():
     for params, n in ((Pearson3Params(40.0, 0.05, -1.0), 1),
                       (Pearson3Params(40.0, 0.3, -1.0), 2)):
         assert 0.0 < ltp3_moment(params, n) <= 1.0
-    # Tiny b < 0 moments, where the binomial reflection cancels: it once gave
-    # -1.1e-15 and 2.2e-16 here. Only the absolute error is bounded so far.
-    for params, n in ((Pearson3Params(40.0, -1.5, -1.0), 4),
-                      (Pearson3Params(10.0, -0.05, 0.0), 2)):
-        v = ltp3_moment(params, n)
-        assert 0.0 <= v <= 1.0
-        assert abs(v - _moment_by_gamma_quadrature(params, n)) <= 1e-15
+    # Tiny b < 0 moments, where a binomial reflection over b > 0 series
+    # cancels: it once gave -1.1e-15 and 2.2e-16 here. References: the
+    # one-sided series in mpmath.
+    for params, n, ref in ((Pearson3Params(40.0, -1.5, -1.0), 4, 4.910952298984793e-25),
+                           (Pearson3Params(10.0, -0.05, 0.0), 2, 7.19136763782913e-17)):
+        assert ltp3_moment(params, n) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-def _moment_by_gamma_quadrature(params, n):
-    # E[logistic(m + G/b)^n] over the gamma variable G of shape a, rate 1,
-    # cut where the gamma density has fallen below e^-100 of its peak
-    a, b, m = params.a, params.b, params.m
-    ref, _ = quad(
-        lambda g: expit(m + g / b) ** n
-        * math.exp((a - 1.0) * math.log(g) - g - math.lgamma(a)),
-        0.0, a + 20.0 * math.sqrt(a) + 100.0, points=[abs(b), 1.0, a], limit=300,
+def test_moment_with_overflowing_prefactors():
+    # T = -m b = 167.65 and a = 140: T^a alone is beyond double range. The
+    # sum of 16 shape-8 terms at rates 1 + 0.05i, centred on 0, needs such
+    # moments. Reference: 40-digit quadrature over the gamma variable.
+    assert ltp3_moment(Pearson3Params(140.0, 1.75, -95.8), 1) == pytest.approx(
+        0.015255064362163265, rel=1e-12
     )
-    return ref
+
+
+def _moment_reference(params, n):
+    """E[Z^n] at 20 digits without the library's series.
+
+    When T = -m b <= 0 the support lies on one side of X = 0 and the
+    reference is the one-sided series sum_l (-1)^l C(n+l-1, l) e^(cm)
+    (1 - c/b)^(-a), with c = -l (b > 0) or n + l (b < 0), summed by
+    mpmath. Otherwise it is quadrature over the gamma variable G, split at
+    T, with breakpoints around the tilted modes (a-1)/r of the two sides
+    (rates r = 1 and 1 - n/b) and past T in steps of |b|; a second
+    breakpoint set must agree with the first. mpmath stops on an absolute
+    tolerance, so the terms and the integrand are scaled to order 1 first.
+    """
+    with mp.workdps(20):
+        a, b, m = mp.mpf(params.a), mp.mpf(params.b), mp.mpf(params.m)
+        T = -m * b
+        if T <= 0:
+            def log_term(l):
+                c = -l if b > 0 else n + l
+                return mp.log(mp.binomial(n + l - 1, l)) + c * m - a * mp.log1p(-c / b)
+            first = log_term(0)
+            return float(mp.exp(first) * mp.nsum(
+                lambda l: (-1) ** l * mp.exp(log_term(l) - first), [0, mp.inf]))
+
+        def log_zn(g):
+            return -n * mp.log1p(mp.exp(-(m + g / b)))
+
+        def log_g_integrand(g):  # over g, without the 1/Gamma(a)
+            return log_zn(g) + (a - 1) * mp.log(g) - g
+
+        def log_u_integrand(u):  # over u = g^a, without the 1/(a Gamma(a))
+            return log_zn(u ** (1 / a)) - u ** (1 / a)
+
+        values = []
+        for steps in ((-6, -3, -1, 0, 1, 3, 6, 12, 24, 48),
+                      (-5, -2, -0.5, 0.5, 2, 4.5, 9, 18, 36)):
+            pts = {mp.mpf(1)} | {T + k * abs(b) for k in steps if k >= 0}
+            for rate in (mp.mpf(1), 1 - n / b):
+                if rate > 0:
+                    pts.update(max(a - 1, 0) / rate + k * mp.sqrt(a) / rate for k in steps)
+            pts = sorted(p for p in pts if p > 0)
+            if a <= 1:
+                # g = u^(1/a) on [0, 1] takes out the g^(a-1) singularity at 0
+                pieces = [(log_u_integrand, [0] + [p ** a for p in pts if p <= 1], 1 / a),
+                          (log_g_integrand, [p for p in pts if p >= 1] + [mp.inf], 1)]
+            else:
+                pieces = [(log_g_integrand, [0] + pts + [mp.inf], 1)]
+            total = 0
+            for log_h, nodes, weight in pieces:
+                scale = max(log_h(x) for x in nodes if x != mp.inf)
+                total += weight * mp.exp(scale) * mp.quad(lambda x: mp.exp(log_h(x) - scale), nodes)
+            values.append(total / mp.gamma(a))
+        assert abs(values[0] - values[1]) <= 1e-14 * abs(values[0])
+        return float(values[0])
+
+
+@PROPERTY_SETTINGS
+@given(params=members, n=st.integers(1, 4))
+def test_moment_property_vs_mpmath(params, n):
+    value = ltp3_moment(params, n)
+    assert value == pytest.approx(
+        _moment_reference(params, n), rel=1e-12 if n <= 2 else 1e-9, abs=1e-300
+    )
+    # Z lies in (0, 1), so E[Z^n] does not increase with n
+    moments = [ltp3_moment(params, k) for k in range(1, 5)]
+    assert all(0.0 <= v <= 1.0 for v in moments)
+    assert all(hi <= lo * (1.0 + 1e-9) for lo, hi in zip(moments, moments[1:]))
 
 
 def test_mean_closed():

@@ -131,6 +131,25 @@ def test_gamma_integral_lower_negative_rate_overflow():
         gamma_integral_lower(1.0, -1.0, 800.0)
     with pytest.raises(DomainError):
         gamma_integral_lower(40.0, -700.0 / 2.19, 2.19)
+    # T^a = 168^140 and T^(a-1) are beyond double range as prefactors, and so
+    # are these scaled integrals
+    with pytest.raises(DomainError):
+        gamma_integral_lower_scaled(140.0, -1.0, 168.0)
+    with pytest.raises(DomainError):
+        gamma_integral_lower_scaled(140.0, 1e-9, 168.0)
+    with pytest.raises(DomainError):
+        gamma_integral_upper_scaled(140.0, 4.0, 168.0)
+
+
+def test_gamma_integrals_large_shape():
+    # Gamma(300) overflows a double while int_0^0.5 x^299 e^(-x) dx does not
+    with mp.workdps(40):
+        ref = float(mp.quad(lambda x: x ** 299 * mp.e ** (-x), [0, 0.5]))
+    assert gamma_integral_lower(300.0, 1.0, 0.5) == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(DomainError):
+        gamma_integral_upper(300.0, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        gamma_integral_upper_scaled(300.0, 1.0, 0.5)
 
 
 def test_gamma_integral_lower_scaled_positive_rate():
@@ -154,6 +173,9 @@ def test_scaled_gamma_integrals_small_rates():
         math.exp(1.5) * gamma_integral_lower(2.0, 0.5, 3.0), rel=1e-13
     )
     assert gamma_integral_lower_scaled(2.0, 1.0, 0.0) == 0.0
+    # M(1, a+1, sT) is 1 here; scipy's hyp1f1 gives nan at such tiny sT < 0
+    assert gamma_integral_lower_scaled(10.0, -1e-300, 1.0) == pytest.approx(0.1, rel=1e-15)
+    assert gamma_integral_lower(10.0, -1e-300, 1.0) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_lerch_values():

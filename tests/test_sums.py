@@ -361,6 +361,12 @@ def test_moments_with_huge_mixture_weights():
         assert 0.3 < value < 0.6
         emp, se = empirical_moment(z, n)
         assert abs(value - emp) < 3.0 * se
+    # the same shape-8 terms, each shifted by -8/b_i so that the sum centres
+    # on 0: the series shapes 128 + k meet T = 168, where T^a overflows
+    centred = SumSpec(tuple(P(8.0, 1.0 + 0.05 * i, -8.0 / (1.0 + 0.05 * i)) for i in range(16)))
+    z = 1.0 / (1.0 + np.exp(-sample_sum(centred, 809, 400_000)))
+    emp, se = empirical_moment(z, 1)
+    assert abs(logitsum_moment(centred, 1) - emp) < 3.0 * se
     # the log transform's moment is a product of the component moments
     shifted = SumSpec(tuple(P(8.0, 2.0 + 0.05 * i, 0.01 * i) for i in range(16)))
     expected = math.prod(
