@@ -39,7 +39,6 @@ from .pearson3 import (
     p3_sample,
     p3_scale,
 )
-from .series import DEFAULT_CONTROL, SeriesControl
 from .specfun import (
     gamma_integral_lower,
     gamma_integral_upper,

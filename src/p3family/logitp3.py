@@ -1,6 +1,7 @@
 """The logit Pearson type III distribution: Z = 1 / (1 + exp(-X)).
 
 Support is (logistic(m), 1) for b > 0 and (0, logistic(m)) for b < 0.
+The density and CDF are `pearson3.evaluate` through the logit map `LOGIT`.
 Moments of either sign of b come from one alternating series, split where
 X changes sign: Z^n is expanded in powers of e^(-X) on X > 0 and of e^X on
 X < 0, and each side is a truncated gamma integral. The first and second
@@ -13,11 +14,11 @@ import math
 from itertools import count
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, xlogy
+from scipy.special import gammainc, gammaincc
 
-from .errors import DomainError, SupportError
-from .pearson3 import Pearson3Params, p3_cdf
-from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
+from .errors import DomainError
+from .pearson3 import Pearson3Params, Transform, evaluate
+from .series import sum_alternating
 from .specfun import (
     gamma_integral_lower_scaled,
     gamma_integral_upper_scaled,
@@ -54,44 +55,23 @@ def ltp3_support(params: Pearson3Params):
     return (0.0, mid)
 
 
-def _check_unit_interval(name: str, z):
-    bad = ~((0.0 < z) & (z < 1.0))
-    if bad.any():
-        raise DomainError(f"{name} requires z in (0, 1), got z={z[bad][0]}")
+# z = 1/(1 + e^-x): x - m = ln(z/(1-z)) - m, and dz/dx = z (1 - z)
+LOGIT = Transform((0.0, 1.0), lambda z, m: np.log(z / (1.0 - z)) - m, lambda z: z * (1.0 - z))
 
 
 def ltp3_cdf(params: Pearson3Params, z):
-    """CDF at z (a float or an array of them): the base CDF at logit(z);
-    saturates at the support edges."""
-    z = np.asarray(z, dtype=float)
-    _check_unit_interval("ltp3_cdf", z)
-    return p3_cdf(params, np.log(z / (1.0 - z)))
+    """CDF at z in (0, 1) (a float or an array of them): the base CDF at
+    logit(z); saturates at the support edges."""
+    return evaluate(params, LOGIT, z)
 
 
 def ltp3_pdf(params: Pearson3Params, z):
     """Density |b| e^(bm)/Gamma(a) (b(logit z - m))^(a-1) z^(-b-1) (1-z)^(b-1)
     at interior points z (a float or an array of them)."""
-    z = np.asarray(z, dtype=float)
-    _check_unit_interval("ltp3_pdf", z)
-    lo, hi = ltp3_support(params)
-    outside = ~((lo < z) & (z < hi))
-    if outside.any():
-        raise SupportError(
-            f"z={z[outside][0]} is outside the open support ({lo}, {hi}) of {params}"
-        )
-    u = params.b * (np.log(z / (1.0 - z)) - params.m)
-    out = np.exp(
-        math.log(abs(params.b))
-        + params.b * params.m
-        + xlogy(params.a - 1.0, u)
-        - (params.b + 1.0) * np.log(z)
-        + (params.b - 1.0) * np.log1p(-z)
-        - ln_gamma(params.a)
-    )
-    return out if out.ndim else float(out)
+    return evaluate(params, LOGIT, z, density=True)
 
 
-def _moment_series(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
+def _moment_series(params: Pearson3Params, n: int) -> float:
     # E[Z^n] with X = m + G/b, G ~ Gamma(a, 1), split at X = 0, which is
     # G = T = -m b. Z^n = sum_l C(n+l-1, l) (-1)^l e^(cX), with c = -l on
     # X > 0 and c = n + l on X < 0. A side over [u, v] in G contributes
@@ -105,7 +85,7 @@ def _moment_series(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
         # the whole support lies in [T, inf): e^(cm) s^(-a), one exp a term
         terms = (neg_binom_coeff(n, l) * (-1.0) ** l * math.exp(c * m - a * math.log1p(-c / b))
                  for l, c in enumerate(upper))
-        return sum_alternating(terms, ctl)
+        return sum_alternating(terms)
     # e^(cm - sT) = e^(-T) for every c, so a piece is also e^(-T) T^a / Gamma(a)
     # times the scaled integral over [0, 1] or [1, inf) at rate sT: the form
     # used for s <= 0 and where e^(cm) s^(-a) P(a, sT) (or Q) underflows.
@@ -125,11 +105,10 @@ def _moment_series(params: Pearson3Params, n: int, ctl: SeriesControl) -> float:
 
     terms = (neg_binom_coeff(n, l) * (-1.0) ** l * (_piece(cl, False) + _piece(cu, True))
              for l, cl, cu in zip(count(), lower, upper))
-    return sum_alternating(terms, ctl)
+    return sum_alternating(terms)
 
 
-def ltp3_moment(params: Pearson3Params, n: int,
-                ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def ltp3_moment(params: Pearson3Params, n: int) -> float:
     """Raw moment E[Z^n], for either sign of b.
 
     One alternating series of truncated gamma integrals, split where X
@@ -143,21 +122,19 @@ def ltp3_moment(params: Pearson3Params, n: int,
     if n == 0:
         return 1.0
     # Z lies in (0, 1): rounding in the series may not push E[Z^n] past it.
-    return min(max(_moment_series(params, n, ctl), 0.0), 1.0)
+    return min(max(_moment_series(params, n), 0.0), 1.0)
 
 
-def ltp3_mean_closed(params: Pearson3Params,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def ltp3_mean_closed(params: Pearson3Params) -> float:
     """Closed-form mean b^a * Phi(-e^(-m), a, b); requires b > 0 and m >= 0."""
     if params.b <= 0 or params.m < 0:
         raise DomainError(
             f"closed-form mean requires b > 0 and m >= 0, got b={params.b}, m={params.m}"
         )
-    return params.b ** params.a * lerch_phi(-math.exp(-params.m), params.a, params.b, ctl)
+    return params.b ** params.a * lerch_phi(-math.exp(-params.m), params.a, params.b)
 
 
-def ltp3_second_moment_closed(params: Pearson3Params,
-                              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def ltp3_second_moment_closed(params: Pearson3Params) -> float:
     """Closed-form second moment
     b^a (Phi(-e^(-m), a-1, b) - (b-1) Phi(-e^(-m), a, b)).
 
@@ -170,11 +147,11 @@ def ltp3_second_moment_closed(params: Pearson3Params,
             f"got b={params.b}, m={params.m}"
         )
     if params.a <= 1:
-        return ltp3_moment(params, 2, ctl)
+        return ltp3_moment(params, 2)
     z = -math.exp(-params.m)
     return params.b ** params.a * (
-        lerch_phi(z, params.a - 1.0, params.b, ctl)
-        - (params.b - 1.0) * lerch_phi(z, params.a, params.b, ctl)
+        lerch_phi(z, params.a - 1.0, params.b)
+        - (params.b - 1.0) * lerch_phi(z, params.a, params.b)
     )
 
 
@@ -190,11 +167,10 @@ def logit_gamma_pdf(a: float, b: float, z: float) -> float:
     return ltp3_pdf(Pearson3Params(a, b, 0.0), z)
 
 
-def logit_gamma_moment(a: float, b: float, n: int,
-                       ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def logit_gamma_moment(a: float, b: float, n: int) -> float:
     """Logit gamma raw moment."""
     _check_logit_gamma(a, b)
-    return ltp3_moment(Pearson3Params(a, b, 0.0), n, ctl)
+    return ltp3_moment(Pearson3Params(a, b, 0.0), n)
 
 
 def _check_logit_gamma(a: float, b: float):

@@ -1,6 +1,7 @@
 """The log Pearson type III distribution: Y = exp(X).
 
-Support is (e^m, inf) for b > 0 and (0, e^m) for b < 0. Moments require
+Support is (e^m, inf) for b > 0 and (0, e^m) for b < 0. The density and
+CDF are `pearson3.evaluate` through the log map `LOG`. Moments require
 b > n when b is positive; the formal-power-series characteristic function
 is valid only for b < 0.
 """
@@ -8,14 +9,15 @@ is valid only for b < 0.
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
-from .errors import DomainError, MomentDivergenceError, SupportError
-from .pearson3 import Pearson3Params, p3_cdf
-from .series import DEFAULT_CONTROL, SeriesControl, sum_series
-from .specfun import ln_gamma
+from .errors import DomainError, MomentDivergenceError
+from .pearson3 import Pearson3Params, Transform, evaluate
+from .series import sum_series
 
 __all__ = ["lp3_pdf", "lp3_cdf", "lp3_moment", "lp3_char_fn_series", "lp3_support"]
+
+# y = e^x: x - m = ln y - m, and dy/dx = y
+LOG = Transform((0.0, math.inf), lambda y, m: np.log(y) - m, lambda y: y)
 
 
 def lp3_support(params: Pearson3Params):
@@ -28,32 +30,12 @@ def lp3_support(params: Pearson3Params):
 def lp3_pdf(params: Pearson3Params, y):
     """Density |b| e^(b m) / Gamma(a) * (b (ln y - m))^(a-1) * y^(-b-1) at
     interior points y (a float or an array of them)."""
-    y = np.asarray(y, dtype=float)
-    lo, hi = lp3_support(params)
-    outside = ~((lo < y) & (y < hi))
-    if outside.any():
-        raise SupportError(
-            f"y={y[outside][0]} is outside the open support ({lo}, {hi}) of {params}"
-        )
-    log_y = np.log(y)
-    u = params.b * (log_y - params.m)
-    out = np.exp(
-        math.log(abs(params.b))
-        + params.b * params.m
-        + xlogy(params.a - 1.0, u)
-        - (params.b + 1.0) * log_y
-        - ln_gamma(params.a)
-    )
-    return out if out.ndim else float(out)
+    return evaluate(params, LOG, y, density=True)
 
 
 def lp3_cdf(params: Pearson3Params, y):
-    """CDF of Y = exp(X): the base CDF evaluated at ln y."""
-    y = np.asarray(y, dtype=float)
-    bad = y <= 0
-    if bad.any():
-        raise DomainError(f"lp3_cdf requires y > 0, got y={y[bad][0]}")
-    return p3_cdf(params, np.log(y))
+    """CDF of Y = exp(X) at y > 0 (a float or an array): the base CDF at ln y."""
+    return evaluate(params, LOG, y)
 
 
 def lp3_moment(params: Pearson3Params, n: int) -> float:
@@ -69,8 +51,7 @@ def lp3_moment(params: Pearson3Params, n: int) -> float:
     return math.exp(params.m * n) * (params.b / (params.b - n)) ** params.a
 
 
-def lp3_char_fn_series(params: Pearson3Params, t: float,
-                       ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def lp3_char_fn_series(params: Pearson3Params, t: float) -> complex:
     """Formal power series sum_n (j t)^n / n! * e^(m n) (b/(b-n))^a.
 
     Valid only for b < 0 (every moment exists there); term ratios vanish,
@@ -89,4 +70,4 @@ def lp3_char_fn_series(params: Pearson3Params, t: float,
             n += 1
             c *= 1j * t * math.exp(params.m) / n
 
-    return sum_series(_terms(), ctl)
+    return sum_series(_terms())

@@ -3,10 +3,16 @@
 A three-parameter generalization of the gamma distribution: shape ``a > 0``,
 inverse scale ``b != 0`` and shift ``m``. For ``b > 0`` the support is
 ``(m, inf)``; for ``b < 0`` it is ``(-inf, m)`` (a mirrored gamma).
+
+Every pdf and CDF of the library is one evaluator, `evaluate`: a law (this
+one, or a `sums.SumSpec` mixture of them) seen through a monotone
+`Transform` y(x), here the identity, in `logp3` and `logitp3` the log and
+logit maps, in `wpt` the harvested power.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, xlogy
@@ -50,35 +56,74 @@ class Pearson3Params:
         lo, hi = self.support()
         return lo < x < hi
 
+    def at_offsets(self, g, density=False):
+        """CDF, or with `density` the density, at offsets g = sign(b)(x - m)
+        into the support: g >= 0 for the CDF, 0 < g < inf for the density."""
+        u = abs(self.b) * g
+        if density:
+            return np.exp(math.log(abs(self.b)) + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a))
+        return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
+
+
+class Transform(NamedTuple):
+    """A monotone map y(x) of the variable x of a law, as `evaluate` uses it.
+
+    domain: the open interval (lo, hi) of the points y the map takes, an
+        infinite hi admitting y = inf; None for every point.
+    offset: offset(y, m) = x(y) - m, formed from y directly, so that it
+        keeps its digits near the support edge x = m.
+    slope: slope(y) = dy/dx, by which a density of x is divided; None for
+        the identity.
+    """
+
+    domain: tuple | None
+    offset: Callable
+    slope: Callable | None
+
+
+IDENTITY = Transform(None, lambda x, m: x - m, None)
+
+
+def evaluate(law, transform: Transform, y, density=False):
+    """CDF, or with `density` the density, of y(X) at points y (a float or
+    an array of them), where X follows `law`, a Pearson3Params or a
+    `sums.SumSpec`, and y(x) is `transform`.
+
+    Raises DomainError for a point outside the transform's domain and, for
+    a density, SupportError for a point outside or on the boundary of the
+    open support. A CDF saturates to 0/1 outside the support. A float gives
+    a float, an array the array of values.
+    """
+    y = np.asarray(y, dtype=float)
+    if transform.domain is not None:
+        lo, hi = transform.domain
+        inside = (y > lo) & (y < hi) if hi < math.inf else y > lo
+        if not inside.all():
+            raise DomainError(f"y={y[~inside][0]} is outside the domain ({lo}, {hi})")
+    lo, hi = law.support()
+    g = transform.offset(y, lo) if hi == math.inf else -transform.offset(y, hi)
+    if not density:
+        out = law.at_offsets(np.maximum(g, 0.0))
+    else:
+        inside = (g > 0.0) & (g < math.inf)
+        if not inside.all():
+            raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
+        out = law.at_offsets(g, density=True)
+        if transform.slope is not None:
+            out = out / transform.slope(y)
+    return out if out.ndim else float(out)
+
 
 def p3_pdf(params: Pearson3Params, x):
-    """Density at interior points x (a float or an array of them).
-
-    Raises SupportError if any point lies outside or on the boundary of the
-    open support, where the density is not defined. A scalar x gives a
-    float, an array the array of values.
-    """
-    x = np.asarray(x, dtype=float)
-    lo, hi = params.support()
-    outside = ~((lo < x) & (x < hi))
-    if outside.any():
-        raise SupportError(
-            f"x={x[outside][0]} is outside the open support {params.support()} of {params}"
-        )
-    u = params.b * (x - params.m)  # positive on both support branches
-    out = np.exp(
-        math.log(abs(params.b)) + xlogy(params.a - 1.0, u) - u - ln_gamma(params.a)
-    )
-    return out if out.ndim else float(out)
+    """Density at interior points x (a float or an array of them);
+    SupportError on or outside the open support."""
+    return evaluate(params, IDENTITY, x, density=True)
 
 
 def p3_cdf(params: Pearson3Params, x):
     """Distribution function at x (a float or an array of them); saturates
     to 0/1 outside the open support."""
-    x = np.asarray(x, dtype=float)
-    u = np.maximum(params.b * (x - params.m), 0.0)
-    out = gammainc(params.a, u) if params.b > 0 else gammaincc(params.a, u)
-    return out if out.ndim else float(out)
+    return evaluate(params, IDENTITY, x)
 
 
 def p3_moment(params: Pearson3Params, n: int) -> float:

@@ -10,11 +10,12 @@ Pochhammer symbols.
 """
 
 import math
+import sys
 
 from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
-from .series import DEFAULT_CONTROL, SeriesControl, sum_alternating
+from .series import sum_alternating
 
 __all__ = [
     "ln_gamma",
@@ -90,8 +91,10 @@ def _exp_in_range(log_value: float, name: str, a: float, s: float, T: float) -> 
 def gamma_integral_upper(a: float, s: float, T: float) -> float:
     """Evaluate int_T^inf x^(a-1) exp(-s x) dx = s^(-a) Gamma(a, s T).
 
-    Divergent unless s > 0. DomainError when Gamma(a) s^(-a) is beyond
-    double range.
+    Divergent unless s > 0. Formed in log space as ln Gamma(a) - a ln s +
+    ln Q(a, s T), and where Q is below the normal range (s T far above a)
+    as -s T plus the log of the Watson tail, so that only an integral
+    beyond double range fails, with DomainError.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_upper requires a > 0, got a={a}")
@@ -99,8 +102,13 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
         raise DomainError(f"gamma_integral_upper requires T >= 0, got T={T}")
     if s <= 0:
         raise DomainError(f"gamma_integral_upper diverges for s <= 0, got s={s}")
-    return (_exp_in_range(math.lgamma(a) - a * math.log(s), "gamma_integral_upper", a, s, T)
-            * float(_sp.gammaincc(a, s * T)))
+    sT = s * T
+    q = float(_sp.gammaincc(a, sT))
+    if q >= sys.float_info.min:
+        log_value = math.lgamma(a) - a * math.log(s) + math.log(q)
+    else:
+        log_value = _log_watson_tail(a, sT, T) - sT
+    return _exp_in_range(log_value, "gamma_integral_upper", a, s, T)
 
 
 # Beyond this value of s T the direct scaled upper integral hits double
@@ -180,8 +188,7 @@ def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:
                          "gamma_integral_upper_scaled", a, s, T)
 
 
-def lerch_phi(z: float, s: float, alpha: float,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def lerch_phi(z: float, s: float, alpha: float) -> float:
     """Lerch transcendent Phi(z, s, alpha) = sum_k z^k / (k + alpha)^s.
 
     Restricted to z in [-1, 0] (the alternating regime), s > 0, alpha > 0.
@@ -204,7 +211,7 @@ def lerch_phi(z: float, s: float, alpha: float,
             zk *= z
 
     try:
-        return sum_alternating(_terms(), ctl)
+        return sum_alternating(_terms())
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"lerch_phi(z={z}, s={s}, alpha={alpha}) failed to converge"

@@ -6,8 +6,9 @@ mixture of Pearson III densities whose weights come from the partial
 fraction expansion of the product of the component Laplace transforms;
 the weights are available both as a nested closed-form sum and through a
 numerically gentler recursion; where they cancel, Moschopoulos' series of
-positive weights takes over. The log and logit transforms of the sum
-reuse the same mixtures.
+positive weights takes over. `SumSpec.at_offsets` picks the reduced law
+or the mixture, so the densities and CDFs of the sum and of its log and
+logit transforms are `pearson3.evaluate` calls.
 
 Weights use the 1-based index convention of the mixture: ``i`` selects the
 component whose inverse scale is ``b_i`` and ``k`` in ``1..a_i`` its
@@ -23,11 +24,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammainc, xlogy
 
-from .errors import DomainError, SupportError
-from .logitp3 import ltp3_moment, ltp3_pdf, ltp3_support
-from .logp3 import lp3_moment, lp3_pdf, lp3_support
-from .pearson3 import Pearson3Params, p3_cdf, p3_moment, p3_pdf
-from .series import DEFAULT_CONTROL, SeriesControl
+from .errors import DomainError
+from .logitp3 import LOGIT, ltp3_moment
+from .logp3 import LOG, lp3_moment
+from .pearson3 import IDENTITY, Pearson3Params, evaluate, p3_moment
 
 __all__ = [
     "EQUAL_RATES",
@@ -157,6 +157,26 @@ class SumSpec:
 
     def rate(self, i: int) -> float:
         return self.terms[i - 1].b
+
+    def at_offsets(self, g, density=False):
+        """CDF, or with `density` the density, at offsets g = sign(b)(x - sm)
+        into the support (see `Pearson3Params.at_offsets`): the reduced
+        law's for equal rates, else the mixture's."""
+        if self.regime == EQUAL_RATES:
+            return self.reduced.at_offsets(g, density)
+        if density:
+            out = _mixture(self, g, _pdf_component)
+            # rounding may not push a density below 0
+            return np.maximum(out, 0.0, out=out)
+        g = np.array(g)  # a copy, so that the far points can be set to 0
+        far = g == math.inf
+        g[far] = 0.0
+        out = _mixture(self, g, _cdf_component)
+        out[far] = 1.0
+        # rounding may not push a CDF out of [0, 1]
+        np.maximum(out, 0.0, out=out)
+        np.minimum(out, 1.0, out=out)
+        return out if self.terms[0].b > 0 else np.subtract(1.0, out, out=out)
 
 
 def _check_indices(spec: SumSpec, i: int, k: int):
@@ -432,41 +452,13 @@ def xi_shifted(spec: SumSpec, i: int, k: int, l: int) -> float:
 
 def sum_pdf(spec: SumSpec, x):
     """Density of the sum at interior points x (a float or an array)."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = spec.support()
-    outside = ~((lo < x) & (x < hi))
-    if outside.any():
-        raise SupportError(
-            f"x={x[outside][0]} is outside the open support ({lo}, {hi}) of the sum"
-        )
-    if spec.regime == EQUAL_RATES:
-        return p3_pdf(spec.reduced, x)
-    g = np.asarray(np.abs(x - spec.sm))
-    out = _mixture(spec, g, _pdf_component)
-    # rounding may not push a density below 0
-    np.maximum(out, 0.0, out=out)
-    return out if out.ndim else float(out)
+    return evaluate(spec, IDENTITY, x, density=True)
 
 
 def sum_cdf(spec: SumSpec, x):
     """CDF of the sum at x (a float or an array); saturates outside the
     support."""
-    if spec.regime == EQUAL_RATES:
-        return p3_cdf(spec.reduced, x)
-    x = np.asarray(x, dtype=float)
-    # offset into the support in the gamma direction, 0 outside it
-    g = np.asarray(x - spec.sm if spec.terms[0].b > 0 else spec.sm - x)
-    np.maximum(g, 0.0, out=g)
-    far = g == math.inf
-    g[far] = 0.0
-    out = _mixture(spec, g, _cdf_component)
-    out[far] = 1.0
-    # rounding may not push a CDF out of [0, 1]
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, 1.0, out=out)
-    if spec.terms[0].b < 0:
-        np.subtract(1.0, out, out=out)
-    return out if out.ndim else float(out)
+    return evaluate(spec, IDENTITY, x)
 
 
 def sum_moment(spec: SumSpec, n: int) -> float:
@@ -485,25 +477,13 @@ def sum_moment(spec: SumSpec, n: int) -> float:
 
 
 def logsum_cdf(spec: SumSpec, y):
-    """CDF of exp(SX_L) at y (a float or an array)."""
-    y = np.asarray(y, dtype=float)
-    bad = y <= 0
-    if bad.any():
-        raise DomainError(f"logsum_cdf requires y > 0, got y={y[bad][0]}")
-    return sum_cdf(spec, np.log(y))
+    """CDF of exp(SX_L) at y > 0 (a float or an array)."""
+    return evaluate(spec, LOG, y)
 
 
 def logsum_pdf(spec: SumSpec, y):
     """Density of exp(SX_L) at interior points y (a float or an array)."""
-    if spec.regime == EQUAL_RATES:
-        return lp3_pdf(spec.reduced, y)
-    y = np.asarray(y, dtype=float)
-    lo, hi = lp3_support(Pearson3Params(1.0, spec.terms[0].b, spec.sm))
-    outside = ~((lo < y) & (y < hi))
-    if outside.any():
-        raise SupportError(f"y={y[outside][0]} is outside the open support ({lo}, {hi})")
-    out = sum_pdf(spec, np.log(y)) / y
-    return out if out.ndim else float(out)
+    return evaluate(spec, LOG, y, density=True)
 
 
 def logsum_moment(spec: SumSpec, n: int) -> float:
@@ -513,32 +493,16 @@ def logsum_moment(spec: SumSpec, n: int) -> float:
 
 
 def logitsum_cdf(spec: SumSpec, z):
-    """CDF of logistic(SX_L) at z (a float or an array)."""
-    z = np.asarray(z, dtype=float)
-    bad = ~((0.0 < z) & (z < 1.0))
-    if bad.any():
-        raise DomainError(f"logitsum_cdf requires z in (0, 1), got z={z[bad][0]}")
-    return sum_cdf(spec, np.log(z / (1.0 - z)))
+    """CDF of logistic(SX_L) at z in (0, 1) (a float or an array)."""
+    return evaluate(spec, LOGIT, z)
 
 
 def logitsum_pdf(spec: SumSpec, z):
     """Density of logistic(SX_L) at interior points z (a float or an array)."""
-    if spec.regime == EQUAL_RATES:
-        return ltp3_pdf(spec.reduced, z)
-    z = np.asarray(z, dtype=float)
-    bad = ~((0.0 < z) & (z < 1.0))
-    if bad.any():
-        raise DomainError(f"logitsum_pdf requires z in (0, 1), got z={z[bad][0]}")
-    lo, hi = ltp3_support(Pearson3Params(1.0, spec.terms[0].b, spec.sm))
-    outside = ~((lo < z) & (z < hi))
-    if outside.any():
-        raise SupportError(f"z={z[outside][0]} is outside the open support ({lo}, {hi})")
-    out = sum_pdf(spec, np.log(z / (1.0 - z))) / (z * (1.0 - z))
-    return out if out.ndim else float(out)
+    return evaluate(spec, LOGIT, z, density=True)
 
 
-def logitsum_moment(spec: SumSpec, n: int,
-                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def logitsum_moment(spec: SumSpec, n: int) -> float:
     """Raw moment E[logistic(SX_L)^n]; requires every b_i > 0."""
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
@@ -547,18 +511,18 @@ def logitsum_moment(spec: SumSpec, n: int,
     if spec.terms[0].b < 0:
         raise DomainError("logit-sum moments require positive rates on every component")
     if spec.regime == EQUAL_RATES:
-        return ltp3_moment(spec.reduced, n, ctl)
+        return ltp3_moment(spec.reduced, n)
     sm = spec.sm
     if spec._weight_scale > _HP_WEIGHT_SCALE:
         # each logit moment lies in (0, 1], so the weight bound of _series
         # bounds the remaining terms
         terms = []
         for shape, weight, tail in _series(spec):
-            terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n, ctl))
+            terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n))
             if tail <= _SERIES_TOL * math.fsum(terms):
                 return math.fsum(terms)
     return math.fsum(
-        spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n, ctl)
+        spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n)
         for i in range(spec.L)
         for k in range(spec._shapes[i])
     )

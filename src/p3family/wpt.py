@@ -10,9 +10,10 @@ Q = span Z - c of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B.
 Under gamma (Nakagami power) fading A r is gamma with inverse scale
 b_hat = b/(A l p), so X is Pearson III with shift -A B: one `pearson3`
 law when every branch shares b_hat, a `sums.SumSpec` when the b_hat are
-pairwise distinct. The harvested-power CDF and density are that law's
-at x = ln((q + c)/(Ps - q)); the moments expand binomially over its
-logit moments from `logitp3` or `sums`.
+pairwise distinct. The harvested-power CDF and density, for a float or
+an array of q, are `pearson3.evaluate` of that law through the map
+x -> q; the moments expand binomially over its logit moments from
+`logitp3` or `sums`.
 """
 
 import json
@@ -20,19 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log1p
 
-from .errors import DomainError, SupportError
+from .errors import DomainError
 from .logitp3 import ltp3_moment
-from .pearson3 import Pearson3Params, p3_cdf, p3_pdf
-from .series import DEFAULT_CONTROL, SeriesControl
-from .sums import (
-    DISTINCT_RATES,
-    EQUAL_RATES,
-    SumSpec,
-    logitsum_moment,
-    sum_cdf,
-    sum_pdf,
-)
+from .pearson3 import Pearson3Params, Transform, evaluate
+from .sums import DISTINCT_RATES, EQUAL_RATES, SumSpec, logitsum_moment
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -72,6 +66,7 @@ class EHModel:
             raise DomainError(
                 f"EH constants must be positive, got A={self.A}, B={self.B}, Ps={self.Ps}"
             )
+        object.__setattr__(self, "_harvest", _harvest_transform(self))
 
     @property
     def c(self) -> float:
@@ -186,6 +181,24 @@ class MisoScenario:
         return EQUAL_RATES if isinstance(self._law, Pearson3Params) else DISTINCT_RATES
 
 
+def _harvest_transform(model: EHModel) -> Transform:
+    """The map x -> q = span logistic(x) - c, from (-inf, inf) onto
+    (-c, Ps). Its offset x - m = log1p(q/c) - log1p(-q/Ps) + (-A B - m) is
+    formed from q directly: ln((q + c)/(Ps - q)) rounds -A B + q/c + q/Ps
+    onto -A B for q below about 1e-19 W. Points are first clipped into
+    [-c, Ps], whose ends map to x = -inf and inf, so that the CDF saturates.
+    """
+    c, ps, edge = model.c, model.Ps, -model.A * model.B
+
+    def offset(q, m):
+        q = np.minimum(np.maximum(q, -c), ps)
+        # scipy's log1p(-1) is -inf without a divide-by-zero warning
+        g = log1p(q / c) - log1p(q / -ps)
+        return g + (edge - m) if edge != m else g
+
+    return Transform(None, offset, lambda q: (q + c) * (ps - q) / (ps + c))
+
+
 def harvested_power_miso(scenario: MisoScenario, h2s) -> float:
     """Harvested power at realized per-branch power gains."""
     h2s = list(h2s)
@@ -201,54 +214,39 @@ def harvested_power_miso(scenario: MisoScenario, h2s) -> float:
     return float(scenario.model.harvest(r))
 
 
-def q_cdf_siso(model: EHModel, link: LinkBudget, q: float) -> float:
+def q_cdf_siso(model: EHModel, link: LinkBudget, q):
     """Harvested-power CDF for a single branch."""
     return q_cdf_miso(MisoScenario(model, (link,)), q)
 
 
-def q_pdf_siso(model: EHModel, link: LinkBudget, q: float) -> float:
+def q_pdf_siso(model: EHModel, link: LinkBudget, q):
     """Harvested-power density for a single branch; support (0, Ps)."""
     return q_pdf_miso(MisoScenario(model, (link,)), q)
 
 
-def q_moment_siso(model: EHModel, link: LinkBudget, n: int,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_moment_siso(model: EHModel, link: LinkBudget, n: int) -> float:
     """Raw moment E[Q^n] for a single branch."""
-    return q_moment_miso(MisoScenario(model, (link,)), n, ctl)
+    return q_moment_miso(MisoScenario(model, (link,)), n)
 
 
-def q_mean_siso(model: EHModel, link: LinkBudget,
-                ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_mean_siso(model: EHModel, link: LinkBudget) -> float:
     """Mean harvested power for a single branch."""
-    return q_mean_miso(MisoScenario(model, (link,)), ctl)
+    return q_mean_miso(MisoScenario(model, (link,)))
 
 
-def q_cdf_miso(scenario: MisoScenario, q: float) -> float:
-    """Harvested-power CDF for the aggregate of all branches."""
-    model = scenario.model
-    if q <= 0:
-        return 0.0
-    if q >= model.Ps:
-        return 1.0
-    cdf = p3_cdf if scenario.regime == EQUAL_RATES else sum_cdf
-    return cdf(scenario._law, math.log((q + model.c) / (model.Ps - q)))
+def q_cdf_miso(scenario: MisoScenario, q):
+    """Harvested-power CDF for the aggregate of all branches at q (a float
+    or an array); 0 up to q = 0 and 1 from q = Ps on."""
+    return evaluate(scenario._law, scenario.model._harvest, q)
 
 
-def q_pdf_miso(scenario: MisoScenario, q: float) -> float:
-    """Harvested-power density for the aggregate of all branches."""
-    model = scenario.model
-    if not (0.0 < q < model.Ps):
-        raise SupportError(
-            f"q={q} is outside the open support (0, {model.Ps}) of the harvested power"
-        )
-    pdf = p3_pdf if scenario.regime == EQUAL_RATES else sum_pdf
-    # dx/dq = 1/(q + c) + 1/(Ps - q) carries the density of X over to Q
-    gprime = 1.0 / (q + model.c) + 1.0 / (model.Ps - q)
-    return gprime * pdf(scenario._law, math.log((q + model.c) / (model.Ps - q)))
+def q_pdf_miso(scenario: MisoScenario, q):
+    """Harvested-power density for the aggregate of all branches at q in
+    (0, Ps) (a float or an array)."""
+    return evaluate(scenario._law, scenario.model._harvest, q, density=True)
 
 
-def q_moment_miso(scenario: MisoScenario, n: int,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_moment_miso(scenario: MisoScenario, n: int) -> float:
     """Raw moment E[Q^n] for the aggregate of all branches: the binomial
     expansion of Q = span Z - c over the logit moments E[Z^k]."""
     if n < 1:
@@ -257,15 +255,14 @@ def q_moment_miso(scenario: MisoScenario, n: int,
     z_moment = ltp3_moment if scenario.regime == EQUAL_RATES else logitsum_moment
     return math.fsum(
         math.comb(n, k) * model.span ** k * (-model.c) ** (n - k)
-        * z_moment(scenario._law, k, ctl)
+        * z_moment(scenario._law, k)
         for k in range(n + 1)
     )
 
 
-def q_mean_miso(scenario: MisoScenario,
-                ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_mean_miso(scenario: MisoScenario) -> float:
     """Mean harvested power for the aggregate of all branches."""
-    return q_moment_miso(scenario, 1, ctl)
+    return q_moment_miso(scenario, 1)
 
 
 def outage_probability(model: EHModel, target, q_t: float) -> float:

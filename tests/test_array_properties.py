@@ -1,6 +1,7 @@
 """Property tests of array evaluation: for every pdf and CDF of the plain,
-log and logit members and of the sums, an array of points gives, element
-by element, exactly what the points give one at a time.
+log and logit members, of the sums and of the harvested power, an array of
+points gives, element by element, exactly what the points give one at a
+time.
 
 Along the way: CDFs lie in [0, 1] and do not decrease along sorted points,
 densities are >= 0, a scalar point gives a Python float, and a point
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from p3family.cli import FIG_MODEL, beacon_field_scenario, equal_split_scenario
 from p3family.errors import DomainError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.logp3 import lp3_cdf, lp3_pdf
@@ -29,6 +31,7 @@ from p3family.sums import (
     sum_pdf,
     xi0_recursive,
 )
+from p3family.wpt import q_cdf_miso, q_pdf_miso
 
 from properties import PROPERTY_SETTINGS, members, signs
 
@@ -49,7 +52,13 @@ sums = st.builds(
 # lie outside it.
 offsets = st.lists(st.floats(-10.0, 100.0), min_size=1, max_size=12)
 
-CDFS = (p3_cdf, lp3_cdf, ltp3_cdf, sum_cdf, logsum_cdf, logitsum_cdf)
+PS = FIG_MODEL.Ps
+# Harvested power from 1 mW below 0 to 1 mW above the saturation level Ps,
+# with the support edges 0 and Ps themselves.
+powers = st.lists(st.one_of(st.sampled_from((0.0, PS)), st.floats(-1e-3, PS + 1e-3)),
+                  min_size=1, max_size=12)
+
+CDFS = (p3_cdf, lp3_cdf, ltp3_cdf, sum_cdf, logsum_cdf, logitsum_cdf, q_cdf_miso)
 
 
 def _points(x, transform):
@@ -115,3 +124,14 @@ def test_sum_array_equals_scalar(cdf, pdf, transform, spec, t):
     )
     for fn in (cdf, pdf):
         _check(fn, spec, points, 1e-14 * weights)
+
+
+@pytest.mark.parametrize("scenario", [
+    equal_split_scenario(1, 10.0),  # one Pearson III law
+    beacon_field_scenario(3, 2.0),  # a distinct-rate mixture
+], ids=["L1", "L3"])
+@PROPERTY_SETTINGS
+@given(q=powers)
+def test_harvest_array_equals_scalar(scenario, q):
+    for fn in (q_cdf_miso, q_pdf_miso):
+        _check(fn, scenario, np.array(q), 1e-12)

@@ -31,6 +31,10 @@ def test_pdf_values():
     # change-of-variables oracle: p3_pdf(ln y) / y
     p = Pearson3Params(2.0, 1.5, 0.3)
     assert lp3_pdf(p, 2.0) == pytest.approx(0.24524220445344477, rel=1e-12)
+    # a subnormal point: |b|/Gamma(a) (b ln y)^2 y^(-1/2), mpmath at 40 digits
+    assert lp3_pdf(Pearson3Params(3.0, -0.5, 0.0), 1e-310) == pytest.approx(
+        3.1844525526060927e159, rel=1e-13
+    )
 
 
 @pytest.mark.parametrize("params", GRID)

@@ -5,25 +5,7 @@ import math
 import pytest
 
 from p3family.errors import ConvergenceError
-from p3family.series import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    sum_alternating,
-    sum_series,
-)
-
-
-def test_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=1.5)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(ValueError):
-        SeriesControl(consecutive_small=0)
-    assert DEFAULT_CONTROL.rel_tol == 1e-12
-    assert DEFAULT_CONTROL.max_terms == 10_000
+from p3family.series import sum_alternating, sum_series
 
 
 def test_plain_sum_geometric():
@@ -54,7 +36,7 @@ def test_plain_sum_exhaustion_raises():
             yield 1.0
 
     with pytest.raises(ConvergenceError):
-        sum_series(terms(), SeriesControl(max_terms=50))
+        sum_series(terms())
 
 
 def test_alternating_ln2():
@@ -98,4 +80,4 @@ def test_alternating_exhaustion_raises():
             k += 1
 
     with pytest.raises(ConvergenceError):
-        sum_alternating(terms(), SeriesControl(max_terms=300))
+        sum_alternating(terms())

@@ -150,6 +150,11 @@ def test_gamma_integrals_large_shape():
         gamma_integral_upper(300.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         gamma_integral_upper_scaled(300.0, 1.0, 0.5)
+    # Gamma(300, 2000) = e^272.83... is in range although Gamma(300) is not
+    # and Q(300, 2000) underflows (mpmath: 272.83166307949249...)
+    assert gamma_integral_upper(300.0, 1.0, 2000.0) == pytest.approx(
+        math.exp(272.8316630794925), rel=1e-13
+    )
 
 
 def test_gamma_integral_lower_scaled_positive_rate():

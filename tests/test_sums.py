@@ -398,6 +398,10 @@ def test_logsum():
         assert logsum_pdf(HYPOEXP, y) == pytest.approx(
             sum_pdf(HYPOEXP, math.log(y)) / y, rel=1e-12
         )
+    # a subnormal point: 2 (y - y^2) / y for rates -1, -2, where the density of
+    # the sum at ln y is itself subnormal and 1/y overflows
+    neg = SumSpec((P(1.0, -1.0, 0.0), P(1.0, -2.0, 0.0)))
+    assert logsum_pdf(neg, 1e-310) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_logitsum():
