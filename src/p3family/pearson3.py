@@ -56,12 +56,15 @@ class Pearson3Params:
         lo, hi = self.support()
         return lo < x < hi
 
-    def at_offsets(self, g, density=False):
-        """CDF, or with `density` the density, at offsets g = sign(b)(x - m)
-        into the support: g >= 0 for the CDF, 0 < g < inf for the density."""
+    def at_offsets(self, g, density=False, slope=1.0):
+        """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
+        at offsets g = sign(b)(x - m) into the support: g >= 0 for the CDF,
+        0 < g < inf for the density. ln(slope) enters the exponent, so that
+        the density of y keeps its digits where that of X leaves double range."""
         u = abs(self.b) * g
         if density:
-            return np.exp(math.log(abs(self.b)) + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a))
+            return np.exp(math.log(abs(self.b)) + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a)
+                          - np.log(slope))
         return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
 
 
@@ -72,16 +75,16 @@ class Transform(NamedTuple):
         infinite hi admitting y = inf; None for every point.
     offset: offset(y, m) = x(y) - m, formed from y directly, so that it
         keeps its digits near the support edge x = m.
-    slope: slope(y) = dy/dx, by which a density of x is divided; None for
-        the identity.
+    slope: slope(y) = dy/dx, the Jacobian by which a density of x becomes
+        one of y.
     """
 
     domain: tuple | None
     offset: Callable
-    slope: Callable | None
+    slope: Callable
 
 
-IDENTITY = Transform(None, lambda x, m: x - m, None)
+IDENTITY = Transform(None, lambda x, m: x - m, lambda x: 1.0)
 
 
 def evaluate(law, transform: Transform, y, density=False):
@@ -108,9 +111,7 @@ def evaluate(law, transform: Transform, y, density=False):
         inside = (g > 0.0) & (g < math.inf)
         if not inside.all():
             raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
-        out = law.at_offsets(g, density=True)
-        if transform.slope is not None:
-            out = out / transform.slope(y)
+        out = law.at_offsets(g, density=True, slope=transform.slope(y))
     return out if out.ndim else float(out)
 
 

@@ -158,16 +158,15 @@ class SumSpec:
     def rate(self, i: int) -> float:
         return self.terms[i - 1].b
 
-    def at_offsets(self, g, density=False):
-        """CDF, or with `density` the density, at offsets g = sign(b)(x - sm)
-        into the support (see `Pearson3Params.at_offsets`): the reduced
-        law's for equal rates, else the mixture's."""
+    def at_offsets(self, g, density=False, slope=1.0):
+        """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
+        at offsets g = sign(b)(x - sm) into the support: the reduced law's
+        for equal rates, else the mixture's, divided by the slope."""
         if self.regime == EQUAL_RATES:
-            return self.reduced.at_offsets(g, density)
+            return self.reduced.at_offsets(g, density, slope)
         if density:
-            out = _mixture(self, g, _pdf_component)
             # rounding may not push a density below 0
-            return np.maximum(out, 0.0, out=out)
+            return np.maximum(_mixture(self, g, _pdf_component) / slope, 0.0)
         g = np.array(g)  # a copy, so that the far points can be set to 0
         far = g == math.inf
         g[far] = 0.0

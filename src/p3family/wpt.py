@@ -19,6 +19,7 @@ x -> q; the moments expand binomially over its logit moments from
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import log1p
@@ -66,7 +67,11 @@ class EHModel:
             raise DomainError(
                 f"EH constants must be positive, got A={self.A}, B={self.B}, Ps={self.Ps}"
             )
-        object.__setattr__(self, "_harvest", _harvest_transform(self))
+        # x -> q = span logistic(x) - c; module-level functions pickle
+        c, ps = self.c, self.Ps
+        harvest = Transform(None, partial(_harvest_offset, c, ps, -self.A * self.B),
+                            partial(_harvest_slope, c, ps))
+        object.__setattr__(self, "_harvest", harvest)
 
     @property
     def c(self) -> float:
@@ -181,22 +186,17 @@ class MisoScenario:
         return EQUAL_RATES if isinstance(self._law, Pearson3Params) else DISTINCT_RATES
 
 
-def _harvest_transform(model: EHModel) -> Transform:
-    """The map x -> q = span logistic(x) - c, from (-inf, inf) onto
-    (-c, Ps). Its offset x - m = log1p(q/c) - log1p(-q/Ps) + (-A B - m) is
-    formed from q directly: ln((q + c)/(Ps - q)) rounds -A B + q/c + q/Ps
-    onto -A B for q below about 1e-19 W. Points are first clipped into
-    [-c, Ps], whose ends map to x = -inf and inf, so that the CDF saturates.
-    """
-    c, ps, edge = model.c, model.Ps, -model.A * model.B
+def _harvest_offset(c, ps, edge, q, m):
+    # x - m = log1p(q/c) - log1p(-q/Ps) + (-A B - m) from q directly, as
+    # ln((q + c)/(Ps - q)) rounds -A B + q/c + q/Ps onto -A B below about
+    # 1e-19 W. q is clipped into [-c, Ps], mapped to x = -inf and inf.
+    q = np.minimum(np.maximum(q, -c), ps)
+    # scipy's log1p(-1) is -inf without a divide-by-zero warning
+    return log1p(q / c) - log1p(q / -ps) + (edge - m)
 
-    def offset(q, m):
-        q = np.minimum(np.maximum(q, -c), ps)
-        # scipy's log1p(-1) is -inf without a divide-by-zero warning
-        g = log1p(q / c) - log1p(q / -ps)
-        return g + (edge - m) if edge != m else g
 
-    return Transform(None, offset, lambda q: (q + c) * (ps - q) / (ps + c))
+def _harvest_slope(c, ps, q):
+    return (q + c) * (ps - q) / (ps + c)
 
 
 def harvested_power_miso(scenario: MisoScenario, h2s) -> float:
@@ -265,8 +265,9 @@ def q_mean_miso(scenario: MisoScenario) -> float:
     return q_moment_miso(scenario, 1)
 
 
-def outage_probability(model: EHModel, target, q_t: float) -> float:
-    """P(Q < q_t) for a LinkBudget or a MisoScenario target."""
+def outage_probability(model: EHModel, target, q_t):
+    """P(Q < q_t) for a LinkBudget or a MisoScenario target, at q_t (a
+    float or an array)."""
     if isinstance(target, MisoScenario):
         if target.model != model:
             raise DomainError("scenario carries a different EH model")

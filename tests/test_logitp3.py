@@ -66,6 +66,14 @@ def test_pdf_values_and_symmetry():
     assert ltp3_pdf(Pearson3Params(3.0, 1.5, 0.0), 0.8) == pytest.approx(
         2.533638940584265, rel=1e-12
     )
+    # b < -1 at a subnormal z, where the density of X = logit z underflows:
+    # mpmath at 50 digits
+    assert ltp3_pdf(Pearson3Params(1.0, -1.05, 0.0), 1e-310) == pytest.approx(
+        3.3203915431766927e-16, rel=1e-13, abs=0
+    )
+    assert ltp3_pdf(Pearson3Params(2.5, -1.3, 0.4), 1e-310) == pytest.approx(
+        1.6448264339005185e-89, rel=1e-13, abs=0
+    )
 
 
 @pytest.mark.parametrize("params", GRID)

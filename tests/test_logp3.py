@@ -35,6 +35,11 @@ def test_pdf_values():
     assert lp3_pdf(Pearson3Params(3.0, -0.5, 0.0), 1e-310) == pytest.approx(
         3.1844525526060927e159, rel=1e-13
     )
+    # b < -1 near y = 0: the density 1.05 y^0.05 of y is normal where that
+    # of X = ln y, 1.05 y^1.05, is subnormal or 0
+    p = Pearson3Params(1.0, -1.05, 0.0)
+    assert lp3_pdf(p, 1e-300) == pytest.approx(1.05e-15, rel=1e-13, abs=0)
+    assert lp3_pdf(p, 1e-310) == pytest.approx(3.3203915431766927e-16, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("params", GRID)

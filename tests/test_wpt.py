@@ -1,6 +1,7 @@
 """Harvested-power layer tests: transforms, closed forms, MC agreement."""
 
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -157,8 +158,8 @@ def test_cdf_and_pdf_near_zero_power(scenario):
     # was 15% off, and below about 1e-19 the density raised SupportError
     for q in (1e-25, 1e-19, 1e-17, 1e-12):
         cdf, pdf = _near_zero_reference(scenario, q)
-        assert q_cdf_miso(scenario, q) == pytest.approx(cdf, rel=1e-12)
-        assert q_pdf_miso(scenario, q) == pytest.approx(pdf, rel=1e-12)
+        assert q_cdf_miso(scenario, q) == pytest.approx(cdf, rel=1e-12, abs=0)
+        assert q_pdf_miso(scenario, q) == pytest.approx(pdf, rel=1e-12, abs=0)
 
 
 def test_pdf_normalization_and_cdf_derivative():
@@ -341,3 +342,13 @@ def test_scenario_json_round_trip():
     assert back.regime == sc.regime
     with pytest.raises(DomainError):
         scenario_from_json("{}")
+
+
+def test_scenario_pickle_round_trip():
+    # a scenario crosses process boundaries, e.g. to multiprocessing workers
+    for sc in (equal_split_scenario(2, 10.0), distinct_scenario(3)):
+        back = pickle.loads(pickle.dumps(sc))
+        assert back == sc
+        q = np.linspace(0.0, sc.model.Ps, 7)
+        np.testing.assert_array_equal(q_cdf_miso(back, q), q_cdf_miso(sc, q))
+        assert q_pdf_miso(back, 1e-4) == q_pdf_miso(sc, 1e-4)
