@@ -112,7 +112,7 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
 
 
 # Beyond this value of s T the direct scaled upper integral hits double
-# underflow and the Watson-lemma tail expansion takes over.
+# underflow and the Watson-lemma tail or Stirling's series takes over.
 _WATSON_CUTOFF = 600.0
 
 
@@ -121,8 +121,8 @@ def _log_watson_tail(a: float, sT: float, T: float) -> float:
 
     Watson's lemma about the endpoint x = T: substituting x = T + t and
     expanding (T + t)^(a-1) gives T^(a-1)/s * sum_j prod_{i<=j}(a-i)/(sT)^j.
-    Truncated at the smallest term; for sT >= _WATSON_CUTOFF the truncation
-    error is far below double precision.
+    Truncated at the smallest term; for sT >= _WATSON_CUTOFF and a < sT the
+    truncation error is far below double precision.
     """
     term = total = 1.0
     j = 1
@@ -171,9 +171,11 @@ def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:
     """Evaluate exp(s T) * int_T^inf x^(a-1) exp(-s x) dx; requires s > 0.
 
     The unscaled integral decays like exp(-s T); the scaled form stays
-    O(T^(a-1)/s) for arbitrarily large rates. Beyond _WATSON_CUTOFF the
-    Watson tail is formed in log space, so that only a value beyond double
-    range fails, with DomainError.
+    O(T^(a-1)/s) for arbitrarily large rates. Beyond _WATSON_CUTOFF it is
+    formed in log space, so that only a value beyond double range fails,
+    with DomainError: from the Watson tail for a < s T, else as
+    T^a Q(a, sT) Gamma(a) e^(sT) (sT)^(-a), whose last three factors
+    Stirling's series gives without cancelling their logs.
     """
     if a <= 0:
         raise DomainError(f"gamma_integral_upper_scaled requires a > 0, got a={a}")
@@ -184,8 +186,14 @@ def gamma_integral_upper_scaled(a: float, s: float, T: float) -> float:
     sT = s * T
     if sT < _WATSON_CUTOFF:
         return math.exp(sT) * gamma_integral_upper(a, s, T)
-    return _exp_in_range(_log_watson_tail(a, sT, T),
-                         "gamma_integral_upper_scaled", a, s, T)
+    if a < sT:  # where the tail's expansion in (a - j)/(sT) converges
+        log_value = _log_watson_tail(a, sT, T)
+    else:  # a >= 600, where these four terms of Stirling's series are exact
+        d, a2 = sT - a, a * a
+        log_value = (a * math.log(T) + math.log(_sp.gammaincc(a, sT)) + d - a * math.log1p(d / a)
+                     - 0.5 * math.log(a / (2.0 * math.pi))
+                     + (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * a2)) / a2) / a2) / a)
+    return _exp_in_range(log_value, "gamma_integral_upper_scaled", a, s, T)
 
 
 def lerch_phi(z: float, s: float, alpha: float) -> float:

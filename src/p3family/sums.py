@@ -5,16 +5,18 @@ density. With pairwise-distinct inverse scales the density is a finite
 mixture of Pearson III densities whose weights come from the partial
 fraction expansion of the product of the component Laplace transforms;
 the weights are available both as a nested closed-form sum and through a
-numerically gentler recursion; where they cancel, Moschopoulos' series of
-positive weights takes over. `SumSpec.at_offsets` picks the reduced law
-or the mixture, so the densities and CDFs of the sum and of its log and
-logit transforms are `pearson3.evaluate` calls.
+numerically gentler recursion, run on first use; where they cancel,
+Moschopoulos' series of positive weights takes over, summed in chunks of
+its index. `SumSpec.at_offsets` picks the reduced law or the mixture, so
+the densities and CDFs of the sum and of its log and logit transforms are
+`pearson3.evaluate` calls.
 
 Weights use the 1-based index convention of the mixture: ``i`` selects the
 component whose inverse scale is ``b_i`` and ``k`` in ``1..a_i`` its
 effective shape.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc, xlogy
+from scipy.special import gammainc, gammaincc, xlogy
 
 from .errors import DomainError
 from .logitp3 import LOGIT, ltp3_moment
@@ -68,7 +70,10 @@ class SumSpec:
     sign. Rates within ``snap_tol`` (relative) of each other are snapped to
     the equal-rate regime (flagged via ``snapped``); partially coincident
     rates are rejected, since the weight machinery covers only the
-    all-equal and all-distinct regimes.
+    all-equal and all-distinct regimes. With distinct rates the mixture
+    weights are exact rationals, computed on first use (`_weights`); a sum
+    whose log bound on them clears _HP_WEIGHT_SCALE is `_series_only`
+    without them.
     """
 
     terms: tuple
@@ -112,17 +117,21 @@ class SumSpec:
 
         object.__setattr__(self, "_shapes", tuple(int(round(t.a)) for t in terms))
         if self.regime == DISTINCT_RATES:
-            weights = [[float(v) for v in row] for row in _weights_recursive(self._shapes, bs)]
-            object.__setattr__(self, "_weights", weights)
-            object.__setattr__(
-                self, "_weight_scale", max(abs(v) for row in weights for v in row)
-            )
-            # Moschopoulos' series (_series): its rate and its first delta
+            # Moschopoulos' series (_series_chunk): its rate and its weights
             object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
-            object.__setattr__(self, "_deltas", np.ones(1))
-        else:
-            object.__setattr__(self, "_weights", None)
-            object.__setattr__(self, "_weight_scale", 0.0)
+            object.__setattr__(self, "_series_weights", np.empty(0))
+            object.__setattr__(self, "_series_only", (
+                self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
+            ) or self._weight_scale > _HP_WEIGHT_SCALE)
+
+    @functools.cached_property
+    def _weights(self):
+        rows = _weights_recursive(self._shapes, [t.b for t in self.terms])
+        return [[float(v) for v in row] for row in rows]
+
+    @functools.cached_property
+    def _weight_scale(self):
+        return max(abs(v) for row in self._weights for v in row)
 
     @property
     def L(self) -> int:
@@ -167,15 +176,25 @@ class SumSpec:
         if density:
             # rounding may not push a density below 0
             return np.maximum(_mixture(self, g, _pdf_component) / slope, 0.0)
+        positive = self.terms[0].b > 0
         g = np.array(g)  # a copy, so that the far points can be set to 0
         far = g == math.inf
         g[far] = 0.0
-        out = _mixture(self, g, _cdf_component)
-        out[far] = 1.0
+        if positive and not self._series_only:
+            out = _mixture(self, g, _cdf_component)
+        else:
+            # P below the mean offset and Q = 1 - P above it, so that each
+            # tail is summed directly, not formed as 1 minus a sum near 1
+            upper = g > math.fsum(t.a / abs(t.b) for t in self.terms)
+            out = np.empty_like(g)
+            for part, component in ((~upper, _cdf_component), (upper, _sf_component)):
+                if part.any():
+                    out[part] = _mixture(self, g[part], component)
+            np.subtract(1.0, out, out=out, where=upper if positive else ~upper)
+        out[far] = float(positive)
         # rounding may not push a CDF out of [0, 1]
         np.maximum(out, 0.0, out=out)
-        np.minimum(out, 1.0, out=out)
-        return out if self.terms[0].b > 0 else np.subtract(1.0, out, out=out)
+        return np.minimum(out, 1.0, out=out)
 
 
 def _check_indices(spec: SumSpec, i: int, k: int):
@@ -226,9 +245,21 @@ def _weights_recursive(shapes, bs):
     return weights
 
 
+def _log_weight_bound(shapes, bs):
+    """max_i ln |w(i, a_i)| <= ln max |w|: the base cases of the recursion,
+    prod_w |b_w|^a_w / |b_i|^a_i prod_(j!=i) |b_j - b_i|^(-a_j), in logs."""
+    a, b = np.array(shapes, dtype=float), np.array(bs)
+    gaps = np.abs(b[:, None] - b) + np.eye(b.size)
+    log_b = np.log(np.abs(b))
+    return float(np.max(a @ log_b - a * log_b - np.log(gaps) @ a))
+
+
 # Above this weight magnitude the partial fractions lose enough digits to
-# alternating-sign cancellation that the positive series takes over.
-_HP_WEIGHT_SCALE = 1e6
+# alternating-sign cancellation that the positive series takes over. Above
+# a total shape of _SMALL_SHAPE, where the exact weights take over 1 ms, a
+# log bound above _LOG_HP_SCALE (with a margin) decides it without them.
+_HP_WEIGHT_SCALE, _SMALL_SHAPE = 1e6, 12
+_LOG_HP_SCALE = math.log(_HP_WEIGHT_SCALE) + 1e-6
 
 # A partial-fraction value below 2^26 units of rounding of its absolute
 # terms, c eps sum |w_ik F_ik| with c = 2^26, is recomputed from the series:
@@ -241,46 +272,53 @@ _ROUNDING_BOUND = 2.0 ** 26 * np.finfo(float).eps
 # The series stops once its tail bound falls below this fraction of its sum.
 _SERIES_TOL = 2.0 ** -60
 
+# The series is summed in chunks of k: _CHUNK terms first, enough near the
+# support edge, then twice as many each time up to _CHUNK_MAX, and fewer
+# where its (points x k) grids would exceed _GRID values.
+_CHUNK, _CHUNK_MAX, _GRID = 8, 256, 1 << 14
 
-def _series(spec):
-    """Yield shape sa + k, weight C delta_k and a bound on the sum of the
-    later weights, k = 0, 1, ...: Moschopoulos' series (Ann. Inst. Stat.
-    Math. 37 (1985) 541-544), the law as Pearson III components at the
-    largest rate b_max with positive weights.
 
-    C = prod_j (|b_j|/b_max)^a_j is kept in log space. delta_0 = 1 and
+def _series_chunk(spec, k0, k1):
+    """Shapes sa + k, weights C delta_k and bounds on the sum of the later
+    weights, k0 <= k < k1: Moschopoulos' series (Ann. Inst. Stat. Math. 37
+    (1985) 541-544), the law as Pearson III components at the largest rate
+    b_max with positive weights.
+
+    C = prod_j (|b_j|/b_max)^a_j, a plain product, delta_0 = 1 and
     k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
-    rho_j = 1 - |b_j|/b_max, positive terms only; the deltas are cached on
-    the spec and extended on demand. They are the coefficients of
-    prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
-    r = delta_(k+1)/delta_k < 1 the later weights sum to at most
-    C delta_k r/(1 - r). All the weights sum to 1.
+    rho_j = 1 - |b_j|/b_max, positive terms only; the weights C delta_k,
+    by the same recursion from C, are cached on the spec and extended on
+    demand. The deltas are the coefficients of prod_j (1 - rho_j z)^(-a_j),
+    log-concave for shapes >= 1: once r = delta_(k+1)/delta_k < 1 the later
+    weights sum to at most C delta_k r/(1 - r). All the weights sum to 1.
     """
-    b_max = spec._b_max
-    log_c = math.fsum(a * math.log(abs(t.b) / b_max)
-                      for a, t in zip(spec._shapes, spec.terms))
-    for k in itertools.count():
-        d = spec._deltas
-        if d.size < k + 2:
-            n = max(k + 2, 2 * d.size)
-            rho = np.array([b_max - abs(t.b) for t in spec.terms]) / b_max
-            i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
-            d = np.concatenate((d, np.empty(n - d.size)))
-            for j in range(spec._deltas.size, n):
-                d[j] = (i_gamma[:j] @ d[j - 1::-1]) / j
-            object.__setattr__(spec, "_deltas", d)
-        weight = math.exp(log_c + math.log(d[k])) if d[k] > 0.0 else 0.0
-        r = d[k + 1] / d[k] if d[k] > 0.0 else 0.0
-        tail = weight * r / (1.0 - r) if r < 1.0 else 1.0
-        yield spec.sa + k, weight, min(1.0, tail)
+    w = spec._series_weights
+    if w.size <= k1:
+        n = max(k1 + 1, 2 * w.size)
+        rho = np.array([spec._b_max - abs(t.b) for t in spec.terms]) / spec._b_max
+        i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
+        w = np.concatenate((w, np.empty(n - w.size)))
+        w[0] = math.prod((abs(t.b) / spec._b_max) ** a for t, a in zip(spec.terms, spec._shapes))
+        for j in range(max(spec._series_weights.size, 1), n):
+            w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
+        object.__setattr__(spec, "_series_weights", w)
+    w, after = w[k0:k1], w[k0 + 1:k1 + 1]
+    r = np.divide(after, w, out=np.zeros_like(w), where=w > 0.0)
+    tail = np.divide(w * r, 1.0 - r, out=np.ones_like(w), where=r < 1.0)
+    return np.arange(spec.sa + k0, spec.sa + k1, dtype=float), w, np.minimum(tail, 1.0)
 
 
-def _cdf_component(k: int, b: float, u, out):
-    gammainc(k, u, out=out)
+def _cdf_component(k, b: float, u, out=None):
+    return gammainc(k, u, out=out)
 
 
-def _pdf_component(k: int, b: float, u, out):
-    np.exp(math.log(b) + xlogy(k - 1.0, u) - u - math.lgamma(k), out=out)
+def _sf_component(k, b: float, u, out=None):
+    return gammaincc(k, u, out=out)
+
+
+def _pdf_component(k, b: float, u, out=None):
+    log_gamma = np.array([math.lgamma(v) for v in k]) if np.ndim(k) else math.lgamma(k)
+    return np.exp(math.log(b) + xlogy(k - 1.0, u) - u - log_gamma, out=out)
 
 
 def _partial_fraction_terms(spec, g, component):
@@ -296,30 +334,39 @@ def _partial_fraction_terms(spec, g, component):
             yield term
 
 
-def _series_terms(spec, g, component):
-    """Yield C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
-    over a 1-d block of points g. The components fall with k from some k
-    on (the CDF from k = 0, the density once sa + k >= u); from there the
-    terms after k sum to at most component_k times the weight bound of
-    _series. Once that is below _SERIES_TOL of a point's partial sum its
-    later terms are 0, so that its value does not depend on the others.
+def _series_sum(spec, g, component):
+    """Sum of C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
+    at a 1-d array of points g, in chunks of k.
+
+    The components fall with k from some k on (P from k = 0, the density
+    once sa + k >= u), or rise to 1 and pass 1/2 there (Q); from there the
+    terms after k sum to at most component_k (twice it, for Q) times the
+    weight bound of _series_chunk. A point's value is
+    its running sum, which chunks do not change, at the first k where that
+    bound is below _SERIES_TOL of it: it does not depend on other points.
     """
-    u = g * spec._b_max
-    comp, prev, term = np.empty_like(g), np.zeros_like(g), np.empty_like(g)
-    partial = np.zeros_like(g)
-    live = np.ones(g.shape, dtype=bool)
-    for shape, weight, tail in _series(spec):
-        component(shape, spec._b_max, u, comp)
-        np.multiply(comp, weight, out=term)
-        term *= live
-        partial += term
+    u = g[:, None] * spec._b_max
+    partial, prev = np.zeros_like(u), np.zeros_like(u)
+    live = np.arange(u.size)
+    k, width = 0, _CHUNK // 2
+    while live.size:
+        width = max(1, min(2 * width, _CHUNK_MAX, _GRID // live.size))
+        shape, weight, tail = _series_chunk(spec, k, k + width)
+        v = u[live]
+        comp = component(shape, spec._b_max, v)
+        run = np.cumsum(np.concatenate((partial[live], comp * weight), axis=1), axis=1)
+        before = np.concatenate((prev[live], comp[:, :-1]), axis=1)
         # a density that underflows before its peak does not fall yet
-        falling = (shape >= u) | ((comp <= prev) & (comp > 0.0))
-        live &= ~falling | (comp * tail > _SERIES_TOL * partial)
-        yield term
-        if tail == 0.0 or not live.any():
-            return
-        comp, prev = prev, comp
+        falling = (shape >= v) | ((comp <= before) & (comp > 0.0))
+        on = (~falling | (comp * tail > _SERIES_TOL * run[:, 1:])) & (tail > 0.0)
+        np.logical_and.accumulate(on, axis=1, out=on)
+        # the term after the last live one is the last that counts
+        counted = np.minimum(on.sum(axis=1, keepdims=True) + 1, width)
+        partial[live] = np.take_along_axis(run, counted, axis=1)
+        prev[live] = comp[:, -1:]
+        live = live[on[:, -1]]
+        k += width
+    return partial[:, 0]
 
 
 def _float_mixture(g, terms):
@@ -362,23 +409,24 @@ def _mixture(spec, g, component):
     at g = 0.
 
     Each block of points is summed by _float_mixture over the partial
-    fractions up to _HP_WEIGHT_SCALE, and over Moschopoulos' series above
-    it and, in one call, at the points whose value falls below
-    _ROUNDING_BOUND times the absolute sum of their terms.
+    fractions, unless the spec is series-only, and over Moschopoulos'
+    series, in one call, at the points whose value falls below
+    _ROUNDING_BOUND times the absolute sum of their terms and at those
+    where some |b_i| g is subnormal, where scipy's gammainc(1, u) is u or 0.
     """
+    tiny = np.finfo(float).tiny / min(abs(t.b) for t in spec.terms)
     flat = g.reshape(-1)
     out = np.empty_like(flat)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
-        if spec._weight_scale > _HP_WEIGHT_SCALE:
+        if spec._series_only:
             total, edge = np.empty_like(block), np.ones(block.shape, dtype=bool)
         else:
             terms = _partial_fraction_terms(spec, block, component)
             total, bound = _float_mixture(block, terms)
-            edge = total < _ROUNDING_BOUND * bound
+            edge = (total < _ROUNDING_BOUND * bound) | (block < tiny)
         if edge.any():
-            near = block[edge]
-            total[edge], _ = _float_mixture(near, _series_terms(spec, near, component))
+            total[edge] = _series_sum(spec, block[edge], component)
         out[start:start + _BLOCK] = total
     return out.reshape(g.shape)
 
@@ -512,14 +560,15 @@ def logitsum_moment(spec: SumSpec, n: int) -> float:
     if spec.regime == EQUAL_RATES:
         return ltp3_moment(spec.reduced, n)
     sm = spec.sm
-    if spec._weight_scale > _HP_WEIGHT_SCALE:
-        # each logit moment lies in (0, 1], so the weight bound of _series
+    if spec._series_only:
+        # each logit moment lies in (0, 1], so the weight bound of the series
         # bounds the remaining terms
         terms = []
-        for shape, weight, tail in _series(spec):
-            terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n))
-            if tail <= _SERIES_TOL * math.fsum(terms):
-                return math.fsum(terms)
+        for k in itertools.count(0, _CHUNK):
+            for shape, weight, tail in zip(*_series_chunk(spec, k, k + _CHUNK)):
+                terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n))
+                if tail <= _SERIES_TOL * math.fsum(terms):
+                    return math.fsum(terms)
     return math.fsum(
         spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n)
         for i in range(spec.L)

@@ -48,6 +48,16 @@ sums = st.builds(
     st.floats(1.3, 3.0),
     st.tuples(*[st.floats(-2.0, 2.0)] * 3),
 )
+# Shape-4 terms with rates 5% apart: weights past 1e30, so every point sums
+# Moschopoulos' series.
+close_sums = st.builds(
+    lambda sign, b1, ms: SumSpec(tuple(
+        Pearson3Params(4.0, sign * b1 * (1.0 + 0.05 * i), m) for i, m in enumerate(ms)
+    )),
+    signs,
+    st.floats(0.05, 20.0),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 8),
+)
 # Offsets into the support in units of the gamma variable; negative ones
 # lie outside it.
 offsets = st.lists(st.floats(-10.0, 100.0), min_size=1, max_size=12)
@@ -124,6 +134,19 @@ def test_sum_array_equals_scalar(cdf, pdf, transform, spec, t):
     )
     for fn in (cdf, pdf):
         _check(fn, spec, points, 1e-14 * weights)
+
+
+@pytest.mark.parametrize("cdf, pdf, transform", [
+    (sum_cdf, sum_pdf, None),
+    (logsum_cdf, logsum_pdf, "log"),
+    (logitsum_cdf, logitsum_pdf, "logit"),
+])
+@PROPERTY_SETTINGS
+@given(spec=close_sums, t=offsets)
+def test_close_rate_sum_array_equals_scalar(cdf, pdf, transform, spec, t):
+    points = _points(spec.sm + np.array(t) / spec.terms[0].b, transform)
+    for fn in (cdf, pdf):
+        _check(fn, spec, points, 1e-14)
 
 
 @pytest.mark.parametrize("scenario", [

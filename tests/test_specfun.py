@@ -112,6 +112,16 @@ def test_scaled_gamma_integrals_vs_mpmath(a, sT):
     assert low == pytest.approx(ref_kummer, rel=1e-13)
 
 
+@pytest.mark.parametrize("a", [600.5, 620.0, 700.0])
+def test_scaled_upper_integral_with_shape_near_or_above_sT(a):
+    # Watson's tail is an expansion in (a - j)/(s T): with s T = 600 it gave
+    # 1.833e-158 at a = 700, where the integral is 1.305e-153
+    s, T = 1000.0, 0.6
+    with mp.workdps(40):
+        ref = float(mp.e ** (s * T) * mp.gammainc(a, s * T) / mp.mpf(s) ** a)
+    assert gamma_integral_upper_scaled(a, s, T) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 40.0])
 @pytest.mark.parametrize("sT", [1e-3, 1.0, 50.0, 300.0, 700.0])
 def test_gamma_integral_lower_negative_rate_vs_mpmath(a, sT):

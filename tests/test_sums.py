@@ -3,14 +3,16 @@
 import functools
 import json
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from p3family.errors import DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
+from p3family import sums
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf
 from p3family.sums import (
     DISTINCT_RATES,
@@ -178,17 +180,24 @@ def test_mixture_cdf_is_the_correctly_rounded_sum(spec):
     # The float mixture adds its weighted terms Xi(i,k) P(k, |b_i| g) with
     # two-sum, so it is their correctly rounded sum, as math.fsum gives it,
     # to within one ulp; plain accumulation is off by up to eps sum |terms|.
+    # For b < 0 the CDF is 1 - F up to the mean offset, and beyond it the
+    # sum of the terms Xi(i,k) Q(k, |b_i| g), so that it keeps relative
+    # accuracy.
     sign = math.copysign(1.0, spec.terms[0].b)
+    mean = math.fsum(t.a / abs(t.b) for t in spec.terms)
     xs = spec.sm + sign * np.linspace(0.5, 12.0, 200)
     for x, v in zip(xs, sum_cdf(spec, xs)):
         g = sign * (x - spec.sm)
-        ref = math.fsum(
-            xi0_recursive(spec, i, k) * gammainc(k, abs(spec.rate(i)) * g)
-            for i in range(1, spec.L + 1) for k in range(1, spec.shape(i) + 1)
-        )
-        ref = min(1.0, max(0.0, ref))
+
+        def mixture(component):
+            return math.fsum(
+                xi0_recursive(spec, i, k) * component(k, abs(spec.rate(i)) * g)
+                for i in range(1, spec.L + 1) for k in range(1, spec.shape(i) + 1)
+            )
+
+        ref = min(1.0, max(0.0, mixture(gammainc)))
         if sign < 0:
-            ref = 1.0 - ref
+            ref = 1.0 - ref if g <= mean else mixture(gammaincc)
         assert abs(v - ref) <= math.ulp(ref)
 
 
@@ -441,3 +450,86 @@ def test_json_round_trip():
         spec_from_json("{not json")
     with pytest.raises(DomainError):
         spec_from_json('{"no_terms": []}')
+
+
+def _close_rate_spec(L, seed):
+    """Shape L/2 terms with rates about 5% apart around L (L/2) / mu, as the
+    benchmark's sum_mixtures workload draws them."""
+    rng = random.Random(seed)
+    a = L // 2
+    base = L * a / rng.uniform(1.5, 3.0)
+    rates = [base * (1.0 + 0.05 * (i - (L - 1) / 2) + 0.01 * rng.uniform(-1.0, 1.0))
+             for i in range(L)]
+    rng.shuffle(rates)
+    return SumSpec(tuple(P(float(a), b, rng.uniform(-0.05, 0.05)) for b in rates))
+
+
+@pytest.mark.parametrize("L", [8, 12, 16])
+def test_close_rate_sums_need_no_exact_weights(L, monkeypatch):
+    # the log bound on the weights picks the series, so building and
+    # evaluating the sum runs no rational arithmetic
+    def refuse(shapes, bs):
+        raise AssertionError("the exact mixture weights were computed")
+
+    monkeypatch.setattr(sums, "_weights_recursive", refuse)
+    spec = _close_rate_spec(L, L)
+    assert spec._series_only
+    mean = math.fsum(t.a / t.b for t in spec.terms)
+    sd = math.sqrt(math.fsum(t.a / t.b ** 2 for t in spec.terms))
+    g = np.array([mean - 2.0 * sd, mean, mean + 2.0 * sd])
+    x = spec.sm + g
+    for cdf, pdf, y in ((sum_cdf, sum_pdf, x), (logsum_cdf, logsum_pdf, np.exp(x)),
+                        (logitsum_cdf, logitsum_pdf, 1.0 / (1.0 + np.exp(-x)))):
+        values, density = cdf(spec, y), pdf(spec, y)
+        assert np.all(np.diff(values) > 0.0) and np.all(density > 0.0)
+    assert 0.0 < logitsum_moment(spec, 1) < 1.0
+    for v, ref in zip(sum_cdf(spec, x), (_moschopoulos(spec, v, False) for v in g)):
+        assert v == pytest.approx(ref, rel=1e-12)
+    monkeypatch.undo()
+    # a weight asked for afterwards is the exact one, correctly rounded
+    assert xi0_recursive(spec, 1, 1) == float(sums._weights_recursive(
+        spec._shapes, [t.b for t in spec.terms])[0][0])
+
+
+@pytest.mark.parametrize("spec", [
+    HYPOEXP, MIXED_L3, NEG_L2,
+    SumSpec((P(3.0, 2.0, 0.0), P(3.0, 2.0 * (1 + 1e-5), 0.0))),
+    SumSpec((P(1.0, 1.0, 0.0), P(1.0, 1.001, 0.0))),
+    SumSpec(tuple(P(4.0, 1.0 + 0.05 * i) for i in range(8))),
+    SumSpec(tuple(P(8.0, -(1.0 + 0.05 * i)) for i in range(16))),
+    SumSpec(tuple(P(1.0, 1.0 + 0.05 * i, -1.0 / (1.0 + 0.05 * i)) for i in range(16))),
+    SumSpec(tuple(P(2.0, 1.0 + 0.3 * i) for i in range(7))),
+    SumSpec(tuple(P(3.0, 1.0 + 0.08 * i) for i in range(5))),
+    _close_rate_spec(8, 1), _close_rate_spec(12, 2), _close_rate_spec(16, 3),
+])
+def test_series_choice_matches_the_exact_weights(spec):
+    assert spec._series_only == (spec._weight_scale > sums._HP_WEIGHT_SCALE)
+
+
+def test_weights_asked_for_later_are_unchanged():
+    # the exact weights, computed on first use, round to the same floats
+    spec = SumSpec(tuple(P(4.0, 1.0 + 0.05 * i) for i in range(8)))
+    assert spec._series_only and "_weights" not in vars(spec)
+    assert [xi0_recursive(spec, i, k) for i, k in ((1, 4), (1, 1), (8, 4), (5, 2))] == [
+        6.218856714428704e+23, -1.0889783505191232e+30, 1.872300169367027e+23,
+        1.5733638509059195e+33]
+    assert spec._weight_scale == 3.7373770384189097e+34
+
+
+def test_series_tails_reach_0_and_1():
+    # the weights of the series sum to 1 only to rounding, so far in the
+    # tails the CDF comes from the smaller of F and 1 - F
+    spec = SumSpec(tuple(P(8.0, 1.0 + 0.05 * i) for i in range(16)))
+    assert sum_cdf(spec, 1e3) == 1.0 and sum_cdf(spec, 1e4) == 1.0
+    mirror = SumSpec(tuple(P(8.0, -(1.0 + 0.05 * i)) for i in range(16)))
+    assert 0.0 <= sum_cdf(mirror, -1e3) <= 1e-16
+    assert 0.0 <= sum_cdf(mirror, -1e4) <= 1e-16
+
+
+def test_negative_rate_left_tail_keeps_relative_accuracy():
+    # 1 - (the mixture CDF in the gamma direction) read 4.122307162e-9 at
+    # -20 and 0.0 at -40; the CDF is 2 e^x - e^(2x)
+    spec = SumSpec((P(1.0, -1.0), P(1.0, -2.0)))
+    for x in (-20.0, -40.0):
+        assert sum_cdf(spec, x) == pytest.approx(2.0 * math.exp(x) - math.exp(2.0 * x),
+                                                 rel=1e-12, abs=0)

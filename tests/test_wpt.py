@@ -162,6 +162,17 @@ def test_cdf_and_pdf_near_zero_power(scenario):
         assert q_pdf_miso(scenario, q) == pytest.approx(pdf, rel=1e-12, abs=0)
 
 
+def test_cdf_monotone_at_subnormal_offsets():
+    # scipy's gammainc(1, u) is u for some subnormal u and 0 for others, so
+    # the partial fractions read 5.73e-306 at q = 4e-312 and 0.0 at 1e-311
+    scenario = beacon_field_scenario(3, 2.0)
+    q = np.geomspace(5e-324, 1e-300, 2000)
+    cdf = q_cdf_miso(scenario, q)
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert np.all(cdf <= q_cdf_miso(scenario, 1e-300))
+    assert q_cdf_miso(scenario, 4e-312) <= q_cdf_miso(scenario, 1e-311)
+
+
 def test_pdf_normalization_and_cdf_derivative():
     total, _ = quad(lambda q: q_pdf_siso(MODEL, LINK, q), 0.0, MODEL.Ps, limit=300)
     assert total == pytest.approx(1.0, abs=1e-8)
