@@ -94,11 +94,31 @@ def _fmt_complex(v: complex) -> str:
     return f"{v.real:.12g}{v.imag:+.12g}j"
 
 
+def _answer(args, law, table, header):
+    """Print the moment of order --n, or the pdf or CDF at --at or as a CSV
+    over --sweep, of `law` from its (pdf, cdf, moment) `table`."""
+    pdf, cdf, moment = table
+    if args.quantity == "moment":
+        if args.n is None:
+            raise DomainError("moment queries need --n")
+        print(_fmt(moment(law, args.n)))
+        return 0
+    fn = pdf if args.quantity == "pdf" else cdf
+    if args.sweep is not None:
+        points = _parse_sweep(args.sweep)
+        _print_csv(sys.stdout, [header, "columns: point, value"],
+                   zip(points, fn(law, np.array(points))))
+        return 0
+    if args.at is None:
+        raise DomainError(f"{args.quantity} queries need --at or --sweep")
+    print(_fmt(fn(law, args.at)))
+    return 0
+
+
 def cmd_dist(args) -> int:
     if args.family == "logitgamma" and args.m != 0.0:
         raise DomainError("logit gamma requires m = 0")
     params = Pearson3Params(args.a, args.b, args.m)
-    pdf, cdf, moment = _dist_tables(args.family)
     if args.quantity == "charfn":
         if args.at is None:
             raise DomainError("charfn queries need --at (the argument t)")
@@ -111,26 +131,9 @@ def cmd_dist(args) -> int:
         raise DomainError(
             "charfn is available for p3, and for logp3 with b < 0 only"
         )
-    if args.quantity == "moment":
-        if args.n is None:
-            raise DomainError("moment queries need --n")
-        print(_fmt(moment(params, args.n)))
-        return 0
-    fn = pdf if args.quantity == "pdf" else cdf
-    if args.sweep is not None:
-        points = _parse_sweep(args.sweep)
-        _print_csv(
-            sys.stdout,
-            [f"p3family.{args.family} {args.quantity} a={_fmt(args.a)} "
-             f"b={_fmt(args.b)} m={_fmt(args.m)}",
-             "columns: point, value"],
-            zip(points, fn(params, np.array(points))),
-        )
-        return 0
-    if args.at is None:
-        raise DomainError(f"{args.quantity} queries need --at or --sweep")
-    print(_fmt(fn(params, args.at)))
-    return 0
+    return _answer(args, params, _dist_tables(args.family),
+                   f"p3family.{args.family} {args.quantity} a={_fmt(args.a)} "
+                   f"b={_fmt(args.b)} m={_fmt(args.m)}")
 
 
 # ----------------------------------------------------------------- sum
@@ -142,27 +145,9 @@ def cmd_sum(args) -> int:
         "log": (sums.logsum_pdf, sums.logsum_cdf, sums.logsum_moment),
         "logit": (sums.logitsum_pdf, sums.logitsum_cdf, sums.logitsum_moment),
     }
-    pdf, cdf, moment = table[args.transform]
-    if args.quantity == "moment":
-        if args.n is None:
-            raise DomainError("moment queries need --n")
-        print(_fmt(moment(spec, args.n)))
-        return 0
-    fn = pdf if args.quantity == "pdf" else cdf
-    if args.sweep is not None:
-        points = _parse_sweep(args.sweep)
-        _print_csv(
-            sys.stdout,
-            [f"p3family.sums {args.transform} {args.quantity} "
-             f"spec={os.path.basename(args.spec)} L={spec.L} regime={spec.regime}",
-             "columns: point, value"],
-            zip(points, fn(spec, np.array(points))),
-        )
-        return 0
-    if args.at is None:
-        raise DomainError(f"{args.quantity} queries need --at or --sweep")
-    print(_fmt(fn(spec, args.at)))
-    return 0
+    return _answer(args, spec, table[args.transform],
+                   f"p3family.sums {args.transform} {args.quantity} "
+                   f"spec={os.path.basename(args.spec)} L={spec.L} regime={spec.regime}")
 
 
 # ----------------------------------------------------------------- wpt
@@ -186,6 +171,13 @@ def _scenario_with(scenario, distance=None, power=None):
             )
         )
     return wpt.MisoScenario(scenario.model, tuple(branches))
+
+
+def _sweep(scenario, var, points, value):
+    """Yield (x, value(scenario with its `var`, distance or power, at x))
+    for each point x."""
+    for x in points:
+        yield x, value(_scenario_with(scenario, **{var: x}))
 
 
 def _wpt_value(scenario, quantity, args) -> float:
@@ -219,14 +211,7 @@ def cmd_wpt(args) -> int:
     if var not in ("distance", "power"):
         raise DomainError(f"sweep variable must be distance or power, got {var!r}")
     points = _parse_sweep(grid_text)
-    rows = []
-    for x in points:
-        sc = _scenario_with(
-            scenario,
-            distance=x if var == "distance" else None,
-            power=x if var == "power" else None,
-        )
-        rows.append((x, _wpt_value(sc, args.quantity, args)))
+    rows = list(_sweep(scenario, var, points, lambda sc: _wpt_value(sc, args.quantity, args)))
     _print_csv(
         sys.stdout,
         [f"scenario-hash: {_scenario_hash(scenario)}, seed: n/a",
@@ -286,38 +271,29 @@ def _figure_curves(fig_id):
                 zip(zs, fn(params, np.array(zs))),
             )
         return
-    if fig_id in ("fig3", "fig4"):
-        sweeps = FIG_D_GRID if fig_id == "fig3" else FIG_P_GRID
-        var = "distance" if fig_id == "fig3" else "power"
+    if fig_id in ("fig3", "fig4", "fig5", "fig6"):
+        # fig3 and fig5 sweep the distance of one beacon with L antennas,
+        # fig4 and fig6 the total power of L beacons
+        by_distance = fig_id in ("fig3", "fig5")
+        var, points = ("distance", FIG_D_GRID) if by_distance else ("power", FIG_P_GRID)
         for L in (1, 2, 3):
+            sc = equal_split_scenario(L, points[0]) if by_distance else beacon_field_scenario(L)
+            if fig_id in ("fig5", "fig6"):
+                yield (
+                    f"{fig_id}_L{L}.csv",
+                    [f"p3family.wpt q_mean_miso L={L}",
+                     f"columns: {var}, mean_harvested_W"],
+                    _sweep(sc, var, points, wpt.q_mean_miso),
+                )
+                continue
             for frac_name, frac in (("qt_ps_1_10", 0.1), ("qt_ps_1_20", 0.05)):
-                def rows(L=L, frac=frac):
-                    for x in sweeps:
-                        sc = (equal_split_scenario(L, x) if fig_id == "fig3"
-                              else beacon_field_scenario(L, x))
-                        yield (x, wpt.q_cdf_miso(sc, frac * FIG_MODEL.Ps))
+                qt = frac * FIG_MODEL.Ps
                 yield (
                     f"{fig_id}_L{L}_{frac_name}.csv",
-                    [f"p3family.wpt q_cdf_miso L={L} qt={_fmt(frac * FIG_MODEL.Ps)}",
+                    [f"p3family.wpt q_cdf_miso L={L} qt={_fmt(qt)}",
                      f"columns: {var}, outage"],
-                    rows(),
+                    _sweep(sc, var, points, functools.partial(wpt.q_cdf_miso, q=qt)),
                 )
-        return
-    if fig_id in ("fig5", "fig6"):
-        sweeps = FIG_D_GRID if fig_id == "fig5" else FIG_P_GRID
-        var = "distance" if fig_id == "fig5" else "power"
-        for L in (1, 2, 3):
-            def rows(L=L):
-                for x in sweeps:
-                    sc = (equal_split_scenario(L, x) if fig_id == "fig5"
-                          else beacon_field_scenario(L, x))
-                    yield (x, wpt.q_mean_miso(sc))
-            yield (
-                f"{fig_id}_L{L}.csv",
-                [f"p3family.wpt q_mean_miso L={L}",
-                 f"columns: {var}, mean_harvested_W"],
-                rows(),
-            )
         return
     raise DomainError(f"unknown figure id {fig_id!r}, expected fig1..fig6")
 

@@ -1,14 +1,15 @@
-"""Sums of independent Pearson type III variates with integer shapes.
+"""Sums of independent Pearson type III variates.
 
-A sum with a common inverse scale collapses to a single Pearson III
-density. With pairwise-distinct inverse scales the density is a finite
-mixture of Pearson III densities whose weights come from the partial
-fraction expansion of the product of the component Laplace transforms;
-the weights are available both as a nested closed-form sum and through a
-numerically gentler recursion, run on first use; where they cancel,
-Moschopoulos' series of positive weights takes over, summed in chunks of
-its index. `SumSpec.at_offsets` picks the reduced law or the mixture, so
-the densities and CDFs of the sum and of its log and logit transforms are
+A sum whose inverse scales agree (within relative _EQUAL_TOL) is one
+Pearson III law, `SumSpec.reduced`, for any positive shapes. A sum with
+pairwise-distinct inverse scales and integer shapes is a finite mixture of
+Pearson III densities whose weights come from the partial fraction
+expansion of the product of the component Laplace transforms; the weights
+are available both as a nested closed-form sum and through a numerically
+gentler recursion, run on first use; where they cancel, Moschopoulos'
+series of positive weights takes over, summed in chunks of its index.
+`SumSpec.at_offsets` picks the reduced law or the mixture, so the
+densities and CDFs of the sum and of its log and logit transforms are
 `pearson3.evaluate` calls.
 
 Weights use the 1-based index convention of the mixture: ``i`` selects the
@@ -66,20 +67,17 @@ def _rel_gap(x: float, y: float) -> float:
 class SumSpec:
     """Ordered component parameters of SX_L = X_1 + ... + X_L.
 
-    Shapes must be positive integers and the inverse scales must share one
-    sign. Rates within ``snap_tol`` (relative) of each other are snapped to
-    the equal-rate regime (flagged via ``snapped``); partially coincident
-    rates are rejected, since the weight machinery covers only the
-    all-equal and all-distinct regimes. With distinct rates the mixture
-    weights are exact rationals, computed on first use (`_weights`); a sum
-    whose log bound on them clears _HP_WEIGHT_SCALE is `_series_only`
-    without them.
+    The inverse scales must share one sign. When they all agree within
+    relative _EQUAL_TOL the sum is its `reduced` Pearson III law, formed at
+    build, and the shapes may be any positive numbers. Otherwise the rates
+    must be pairwise distinct and the shapes positive integers; partially
+    coincident rates are rejected. With distinct rates the mixture weights
+    are exact rationals, computed on first use (`_weights`); a sum whose log
+    bound on them clears _HP_WEIGHT_SCALE is `_series_only` without them.
     """
 
     terms: tuple
-    snap_tol: float = 1e-6
     regime: str = field(init=False)
-    snapped: bool = field(init=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -89,40 +87,36 @@ class SumSpec:
         for t in terms:
             if not isinstance(t, Pearson3Params):
                 raise DomainError(f"components must be Pearson3Params, got {t!r}")
-            if abs(t.a - round(t.a)) > 1e-9 or round(t.a) < 1:
-                raise DomainError(f"component shapes must be positive integers, got a={t.a}")
         signs = {t.b > 0 for t in terms}
         if len(signs) > 1:
             raise DomainError("component inverse scales must all share one sign")
 
         bs = [t.b for t in terms]
-        gaps = {
-            (i, j): _rel_gap(bs[i], bs[j])
-            for i in range(len(bs)) for j in range(i + 1, len(bs))
-        }
-        max_gap = max(gaps.values(), default=0.0)
-        if max_gap <= self.snap_tol:
+        if _rel_gap(max(bs), min(bs)) <= _EQUAL_TOL:
             object.__setattr__(self, "regime", EQUAL_RATES)
-            object.__setattr__(self, "snapped", max_gap > _EQUAL_TOL)
-        elif min(gaps.values()) <= self.snap_tol:
-            i, j = next(pair for pair, gap in gaps.items() if gap <= self.snap_tol)
-            raise DomainError(
-                f"mixed rates: components {i + 1} and {j + 1} have "
-                f"coincident inverse scales ({bs[i]}, {bs[j]}) while "
-                "others are distinct; only all-equal or all-distinct rates are supported"
-            )
-        else:
-            object.__setattr__(self, "regime", DISTINCT_RATES)
-            object.__setattr__(self, "snapped", False)
-
+            object.__setattr__(self, "_shapes", tuple(t.a for t in terms))
+            object.__setattr__(self, "_reduced", Pearson3Params(
+                math.fsum(self._shapes), math.fsum(bs) / len(bs), self.sm))
+            return
+        for t in terms:
+            if abs(t.a - round(t.a)) > 1e-9 or round(t.a) < 1:
+                raise DomainError(
+                    f"distinct-rate component shapes must be positive integers, got a={t.a}")
+        for i, j in itertools.combinations(range(len(bs)), 2):
+            if _rel_gap(bs[i], bs[j]) <= _EQUAL_TOL:
+                raise DomainError(
+                    f"mixed rates: components {i + 1} and {j + 1} have "
+                    f"coincident inverse scales ({bs[i]}, {bs[j]}) while "
+                    "others are distinct; only all-equal or all-distinct rates are supported"
+                )
+        object.__setattr__(self, "regime", DISTINCT_RATES)
         object.__setattr__(self, "_shapes", tuple(int(round(t.a)) for t in terms))
-        if self.regime == DISTINCT_RATES:
-            # Moschopoulos' series (_series_chunk): its rate and its weights
-            object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
-            object.__setattr__(self, "_series_weights", np.empty(0))
-            object.__setattr__(self, "_series_only", (
-                self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
-            ) or self._weight_scale > _HP_WEIGHT_SCALE)
+        # Moschopoulos' series (_series_chunk): its rate and its weights
+        object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
+        object.__setattr__(self, "_series_weights", np.empty(0))
+        object.__setattr__(self, "_series_only", (
+            self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
+        ) or self._weight_scale > _HP_WEIGHT_SCALE)
 
     @functools.cached_property
     def _weights(self):
@@ -138,7 +132,7 @@ class SumSpec:
         return len(self.terms)
 
     @property
-    def sa(self) -> int:
+    def sa(self):
         """Total shape, sum of the component shapes."""
         return sum(self._shapes)
 
@@ -152,8 +146,7 @@ class SumSpec:
         """Single-density parameters in the equal-rate regime."""
         if self.regime != EQUAL_RATES:
             raise DomainError("reduced parameters exist only in the equal-rate regime")
-        b = math.fsum(t.b for t in self.terms) / self.L
-        return Pearson3Params(float(self.sa), b, self.sm)
+        return self._reduced
 
     def support(self):
         """Open support of the sum."""
@@ -161,7 +154,7 @@ class SumSpec:
             return (self.sm, math.inf)
         return (-math.inf, self.sm)
 
-    def shape(self, i: int) -> int:
+    def shape(self, i: int):
         return self._shapes[i - 1]
 
     def rate(self, i: int) -> float:
@@ -172,7 +165,7 @@ class SumSpec:
         at offsets g = sign(b)(x - sm) into the support: the reduced law's
         for equal rates, else the mixture's, divided by the slope."""
         if self.regime == EQUAL_RATES:
-            return self.reduced.at_offsets(g, density, slope)
+            return self._reduced.at_offsets(g, density, slope)
         if density:
             # rounding may not push a density below 0
             return np.maximum(_mixture(self, g, _pdf_component) / slope, 0.0)
@@ -444,8 +437,6 @@ def xi0_closed(spec: SumSpec, i: int, k: int) -> float:
     nonincreasing index from a_i down to k, consuming one alien component
     per stage.
     """
-    if spec.regime == EQUAL_RATES and spec.L == 1:
-        return 1.0 if k == spec.shape(1) else 0.0
     _check_indices(spec, i, k)
     L = spec.L
     ai = spec.shape(i)
@@ -508,13 +499,18 @@ def sum_cdf(spec: SumSpec, x):
     return evaluate(spec, IDENTITY, x)
 
 
+def _addends(spec: SumSpec):
+    """The independent laws the sum adds: its reduced law for equal rates."""
+    return (spec._reduced,) if spec.regime == EQUAL_RATES else spec.terms
+
+
 def sum_moment(spec: SumSpec, n: int) -> float:
-    """Raw moment E[(X_1 + ... + X_L)^n], folding in one component at a
-    time by E[(S + X)^j] = sum_k C(j, k) E[S^k] E[X^(j-k)]."""
+    """Raw moment E[(X_1 + ... + X_L)^n], folding in one addend at a time
+    by E[(S + X)^j] = sum_k C(j, k) E[S^k] E[X^(j-k)]."""
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
     moments = [1.0] + [0.0] * n
-    for t in spec.terms:
+    for t in _addends(spec):
         own = [p3_moment(t, k) for k in range(n + 1)]
         moments = [
             math.fsum(math.comb(j, k) * moments[k] * own[j - k] for k in range(j + 1))
@@ -534,9 +530,9 @@ def logsum_pdf(spec: SumSpec, y):
 
 
 def logsum_moment(spec: SumSpec, n: int) -> float:
-    """Raw moment E[exp(SX_L)^n], the product of the component moments;
+    """Raw moment E[exp(SX_L)^n], the product of the addend moments;
     positive rates must all exceed n."""
-    return math.prod(lp3_moment(t, n) for t in spec.terms)
+    return math.prod(lp3_moment(t, n) for t in _addends(spec))
 
 
 def logitsum_cdf(spec: SumSpec, z):
@@ -577,10 +573,12 @@ def logitsum_moment(spec: SumSpec, n: int) -> float:
 
 
 def spec_to_json(spec: SumSpec) -> str:
-    """Serialize as {"terms": [{"a": int, "b": num, "m": num}, ...]}."""
-    return json.dumps(
-        {"terms": [{"a": int(round(t.a)), "b": t.b, "m": t.m} for t in spec.terms]}
-    )
+    """Serialize as {"terms": [{"a": num, "b": num, "m": num}, ...]}, an
+    integer shape as an int."""
+    return json.dumps({"terms": [
+        {"a": int(t.a) if float(t.a).is_integer() else t.a, "b": t.b, "m": t.m}
+        for t in spec.terms
+    ]})
 
 
 def spec_from_json(doc: str) -> SumSpec:

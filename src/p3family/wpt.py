@@ -8,12 +8,12 @@ which rises from 0 at r = 0 to the saturation level Ps. With
 c = Ps e^(-A B) and span = c (1 + e^(A B)) this is the affine map
 Q = span Z - c of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B.
 Under gamma (Nakagami power) fading A r is gamma with inverse scale
-b_hat = b/(A l p), so X is Pearson III with shift -A B: one `pearson3`
-law when every branch shares b_hat, a `sums.SumSpec` when the b_hat are
-pairwise distinct. The harvested-power CDF and density, for a float or
-an array of q, are `pearson3.evaluate` of that law through the map
-x -> q; the moments expand binomially over its logit moments from
-`logitp3` or `sums`.
+b_hat = b/(A l p), so X is the `sums.SumSpec` of the branch terms with
+shift -A B: one Pearson III law when every branch shares b_hat, a mixture
+when the b_hat are pairwise distinct. The harvested-power CDF and
+density, for a float or an array of q, are `pearson3.evaluate` of that
+law through the map x -> q; the moments expand binomially over its logit
+moments from `sums.logitsum_moment`.
 """
 
 import json
@@ -25,9 +25,8 @@ import numpy as np
 from scipy.special import log1p
 
 from .errors import DomainError
-from .logitp3 import ltp3_moment
 from .pearson3 import Pearson3Params, Transform, evaluate
-from .sums import DISTINCT_RATES, EQUAL_RATES, SumSpec, logitsum_moment
+from .sums import SumSpec, logitsum_moment
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -139,11 +138,11 @@ class MisoScenario:
     """A harvester fed by L independent branches.
 
     Construction builds the law of X = A r - A B for the aggregate received
-    power r. When every effective inverse scale b/(A l p) agrees within
-    relative 1e-9 it is one Pearson III of total shape (any positive fading
-    shapes); when the scales are pairwise distinct it is a `SumSpec`
-    mixture, which requires integer fading shapes. Partially coincident
-    scales are rejected.
+    power r: the `SumSpec` of one term per branch, of its fading shape and
+    effective inverse scale b/(A l p), the first term carrying the shift
+    -A B. So equal scales give one Pearson III law of the total shape (any
+    positive fading shapes), pairwise-distinct scales a mixture (integer
+    fading shapes), and partially coincident scales are rejected.
     """
 
     model: EHModel
@@ -157,25 +156,11 @@ class MisoScenario:
         for br in branches:
             if not isinstance(br, LinkBudget):
                 raise DomainError(f"branches must be LinkBudget values, got {br!r}")
-        bhats = [br.bhat(self.model) for br in branches]
         shift = -self.model.A * self.model.B
-        if (max(bhats) - min(bhats)) / max(bhats) <= 1e-9:
-            law = Pearson3Params(
-                math.fsum(br.fading.a for br in branches),
-                math.fsum(bhats) / len(bhats),
-                shift,
-            )
-        else:
-            # The first term carries the whole shift, so the sum's total
-            # shift is exactly -A B.
-            law = SumSpec(
-                tuple(
-                    Pearson3Params(br.fading.a, bh, shift if i == 0 else 0.0)
-                    for i, (br, bh) in enumerate(zip(branches, bhats))
-                ),
-                snap_tol=1e-9,
-            )
-        object.__setattr__(self, "_law", law)
+        object.__setattr__(self, "_law", SumSpec(tuple(
+            Pearson3Params(br.fading.a, br.bhat(self.model), shift if i == 0 else 0.0)
+            for i, br in enumerate(branches)
+        )))
 
     @property
     def L(self) -> int:
@@ -183,7 +168,7 @@ class MisoScenario:
 
     @property
     def regime(self) -> str:
-        return EQUAL_RATES if isinstance(self._law, Pearson3Params) else DISTINCT_RATES
+        return self._law.regime
 
 
 def _harvest_offset(c, ps, edge, q, m):
@@ -252,10 +237,9 @@ def q_moment_miso(scenario: MisoScenario, n: int) -> float:
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got n={n}")
     model = scenario.model
-    z_moment = ltp3_moment if scenario.regime == EQUAL_RATES else logitsum_moment
     return math.fsum(
         math.comb(n, k) * model.span ** k * (-model.c) ** (n - k)
-        * z_moment(scenario._law, k)
+        * logitsum_moment(scenario._law, k)
         for k in range(n + 1)
     )
 

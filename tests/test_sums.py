@@ -13,7 +13,9 @@ from scipy.special import gammainc, gammaincc
 from p3family.errors import DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
 from p3family import sums
-from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf
+from p3family.logitp3 import ltp3_moment, ltp3_pdf
+from p3family.logp3 import lp3_cdf, lp3_moment
+from p3family.pearson3 import Pearson3Params, p3_cdf, p3_moment, p3_pdf
 from p3family.sums import (
     DISTINCT_RATES,
     EQUAL_RATES,
@@ -45,7 +47,7 @@ def test_construction_rejections():
     with pytest.raises(DomainError):
         SumSpec(())
     with pytest.raises(DomainError):
-        SumSpec((P(1.5, 1.0, 0.0),))  # non-integer shape
+        SumSpec((P(1.5, 1.0, 0.0), P(1.0, 2.0, 0.0)))  # non-integer shape, distinct rates
     with pytest.raises(DomainError):
         SumSpec((P(1.0, 1.0, 0.0), P(1.0, -2.0, 0.0)))  # mixed signs
     with pytest.raises(DomainError) as exc:
@@ -56,14 +58,52 @@ def test_construction_rejections():
 def test_regime_classification():
     assert HYPOEXP.regime == DISTINCT_RATES
     eq = SumSpec((P(1.0, 2.0, 0.0), P(3.0, 2.0, 1.0)))
-    assert eq.regime == EQUAL_RATES and not eq.snapped
-    snapped = SumSpec((P(1.0, 1.0, 0.0), P(1.0, 1.0 + 1e-7, 0.0)))
-    assert snapped.regime == EQUAL_RATES and snapped.snapped
+    assert eq.regime == EQUAL_RATES
+    close = SumSpec((P(1.0, 1.0, 0.0), P(1.0, 1.0 + 1e-7, 0.0)))
+    assert close.regime == DISTINCT_RATES
     single = SumSpec((P(2.0, -1.0, 0.5),))
     assert single.regime == EQUAL_RATES and single.L == 1
     assert eq.reduced == P(4.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         HYPOEXP.reduced
+
+
+def test_equal_rates_with_non_integer_shapes_are_one_law():
+    # rates within 1e-9 (relative) are equal: the sum is one Pearson III law
+    # of the total shape at the mean rate, whatever the shapes
+    spec = SumSpec((P(1.5, 4.0, 0.25), P(0.7, 4.0 * (1 + 5e-10), -1.0), P(2.3, 4.0, 0.5)))
+    law = spec.reduced
+    assert spec.regime == EQUAL_RATES
+    assert law == P(math.fsum((1.5, 0.7, 2.3)), math.fsum(t.b for t in spec.terms) / 3, spec.sm)
+    x = spec.sm + np.array([1e-3, 0.5, 2.0, 6.0])
+    for mine, its in ((sum_pdf, p3_pdf), (sum_cdf, p3_cdf)):
+        np.testing.assert_array_equal(mine(spec, x), its(law, x))
+    np.testing.assert_array_equal(logsum_cdf(spec, np.exp(x)), lp3_cdf(law, np.exp(x)))
+    np.testing.assert_array_equal(logitsum_pdf(spec, 1 / (1 + np.exp(-x))),
+                                  ltp3_pdf(law, 1 / (1 + np.exp(-x))))
+    for n in (1, 2, 3):
+        assert sum_moment(spec, n) == p3_moment(law, n)
+        assert logsum_moment(spec, n) == lp3_moment(law, n)
+        assert logitsum_moment(spec, n) == ltp3_moment(law, n)
+    # no mixture weights exist, for one term or several
+    for s in (spec, SumSpec((P(1.5, 2.0, 0.0),))):
+        for weight in (xi0_closed, xi0_recursive):
+            with pytest.raises(DomainError):
+                weight(s, 1, 1)
+        with pytest.raises(DomainError):
+            xi_shifted(s, 1, 1, 1)
+
+
+def test_rates_a_millionth_apart_are_summed_exactly():
+    # rates 9e-7 apart are distinct: one law at their mean rate would be
+    # 8.9e-7 off at x = 0.05 (CDF) and 5.9e-6 off at x = 30 (pdf)
+    spec = SumSpec((P(1.0, 1.0, 0.0), P(3.0, 1.0 + 9e-7, 0.0)))
+    assert spec.regime == DISTINCT_RATES
+    x = np.array([0.05, 0.5, 2.0, 4.0, 10.0, 30.0])
+    np.testing.assert_allclose(sum_cdf(spec, x), [_moschopoulos(spec, v, False) for v in x],
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(sum_pdf(spec, x), [_moschopoulos(spec, v, True) for v in x],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_hypoexp_weights():
@@ -422,8 +462,6 @@ def test_logitsum():
         logitsum_cdf(HYPOEXP, 1.0)
     # equal-rate regime delegates to the reduced logit distribution
     eq = SumSpec((P(1.0, 2.0, 0.0), P(2.0, 2.0, 0.0)))
-    from p3family.logitp3 import ltp3_moment
-
     assert logitsum_moment(eq, 1) == pytest.approx(
         ltp3_moment(P(3.0, 2.0, 0.0), 1), rel=0
     )
@@ -446,6 +484,11 @@ def test_json_round_trip():
     back = spec_from_json(doc)
     assert back.terms == MIXED_L3.terms
     assert json.loads(doc)["terms"][0]["a"] == 2
+    # a non-integer shape is written as given, not rounded
+    single = SumSpec((P(2.5, 1.5, 0.25),))
+    doc = spec_to_json(single)
+    assert json.loads(doc)["terms"][0]["a"] == 2.5
+    assert spec_from_json(doc) == single
     with pytest.raises(DomainError):
         spec_from_json("{not json")
     with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from p3family.errors import DomainError, SupportError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.mc import empirical_cdf, empirical_moment, sample_harvested
 from p3family.pearson3 import Pearson3Params
-from p3family.sums import DISTINCT_RATES, EQUAL_RATES, SumSpec
+from p3family.sums import DISTINCT_RATES, EQUAL_RATES
 from p3family.wpt import (
     EHModel,
     LinkBudget,
@@ -142,11 +142,7 @@ def _near_zero_reference(scenario, q):
         q, c, ps = mp.mpf(q), mp.mpf(model.c), mp.mpf(model.Ps)
         g = mp.log1p(q / c) - mp.log1p(-q / ps)
         slope = 1 / (q + c) + 1 / (ps - q)
-        if isinstance(law, SumSpec):
-            return _moschopoulos(law, g, False), float(_moschopoulos(law, g, True) * slope)
-        u = law.b * g
-        pdf = law.b * mp.exp((law.a - 1) * mp.log(u) - u - mp.loggamma(law.a)) * slope
-        return float(mp.gammainc(law.a, 0, u, regularized=True)), float(pdf)
+        return _moschopoulos(law, g, False), float(_moschopoulos(law, g, True) * slope)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -288,6 +284,21 @@ def test_miso_regimes_and_reduction():
     assert q_pdf_miso(sc1, qt) == q_pdf_siso(MODEL, LINK, qt)
     assert q_mean_miso(sc1) == q_mean_siso(MODEL, LINK)
     assert q_moment_miso(sc1, 2) == q_moment_siso(MODEL, LINK, 2)
+
+
+def test_equal_scales_with_non_integer_fading_are_one_law():
+    # two identical Nakagami-1.5 branches share one scale: their harvested
+    # power is that of one branch of shape 3.0 at the same scale
+    sc = MisoScenario(MODEL, (link(10.0, 1.0, Pearson3Params(1.5, 1.0)),) * 2)
+    one = MisoScenario(MODEL, (link(10.0, 1.0, Pearson3Params(3.0, 1.0)),))
+    assert sc.regime == EQUAL_RATES
+    q = MODEL.Ps * np.array([1e-3, 0.05, 0.1, 0.5, 0.9])
+    np.testing.assert_array_equal(q_cdf_miso(sc, q), q_cdf_miso(one, q))
+    assert q_mean_miso(sc) == q_mean_miso(one)
+    # and that law is gamma(3) in A r, at the scale of one branch
+    scale = LINK.loss * 1.0 * MODEL.A
+    x = np.log((q + MODEL.c) / (MODEL.Ps - q)) + MODEL.A * MODEL.B
+    np.testing.assert_allclose(q_cdf_miso(sc, q), gamma.cdf(x, 3.0, scale=scale), rtol=1e-9)
 
 
 def test_miso_equal_regime_brackets_perturbed_distinct():
