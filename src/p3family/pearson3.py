@@ -56,6 +56,11 @@ class Pearson3Params:
         lo, hi = self.support()
         return lo < x < hi
 
+    @property
+    def mean_offset(self) -> float:
+        """Mean offset E|X - m| = a/|b| of X from the support edge."""
+        return self.a / abs(self.b)
+
     def at_offsets(self, g, density=False, slope=1.0):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - m) into the support: g >= 0 for the CDF,

@@ -1,14 +1,13 @@
-"""Infinite-series summation with a uniform truncation policy.
+"""Series summation and expectations against a law.
 
-Two evaluators are provided: plain truncation for series whose terms
-eventually decay monotonically, and an Euler-transform accelerator for
-alternating series, which also handles the conditionally convergent
-boundary cases. The Euler estimate is the repeated pairwise average of the
-last partial sums, taken as one dot product with cached binomial weights.
+`sum_series` sums a series whose terms eventually decay monotonically, by
+plain truncation. `expect` is the one rule for the moments that have no
+closed form: the integral of a function of the offset into the support
+against the positive density of a law, by fixed Gauss-Legendre panels in
+the log of the offset.
 """
 
 import math
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -17,16 +16,12 @@ from .errors import ConvergenceError
 
 _TINY = 1e-300
 
-# Truncation policy of every series: relative tolerance on the term (plain)
-# or on successive accelerated estimates (alternating), a cap on the terms
-# consumed, and the number of successive below-tolerance steps that stops.
+# Truncation policy of every series: relative tolerance on the term, a cap
+# on the terms consumed, and the number of successive below-tolerance terms
+# that stops.
 _REL_TOL = 1e-12
 _MAX_TERMS = 10_000
 _CONSECUTIVE_SMALL = 3
-# The alternating evaluator averages the last _WINDOW partial sums after
-# every _BLOCK terms.
-_BLOCK = 16
-_WINDOW = 256
 
 
 def sum_series(terms):
@@ -54,55 +49,78 @@ def sum_series(terms):
     return total
 
 
-@lru_cache(maxsize=None)
-def _euler_weights(n: int):
-    # Repeated pairwise averaging of n partial sums collapsed to a single
-    # value: the binomially weighted mean with weights C(n-1, k) / 2^(n-1).
-    return np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2.0 ** (n - 1)
+# The grid of `expect`, in t = ln g: steps of _STEP from _GRID_LOW below the
+# log of the mean offset (or from the least normal double) to _GRID_HIGH
+# above it, or above x = 0 where that lies further out. A unit step finds
+# peaks up to a shape of about 4000 before they underflow between grid
+# points.
+_STEP = 1.0
+_GRID_LOW, _GRID_HIGH = 720.0, 8.0
+_T_MIN = math.log(np.finfo(float).tiny)
+_SMALLEST = np.finfo(float).smallest_subnormal
+# The integral runs over the grid cells where the integrand is above
+# e^(-_BRACKET) of its largest grid value, and one cell beyond each end.
+_BRACKET = 40.0
+# Each cell is split into panels of at most _LOG_SPAN change in the log of
+# the integrand between its ends (a change beyond the bracket counting as
+# _BRACKET + _LOG_SPAN), and of at most _CURVE_SPAN widths of a peak, the
+# width 1/sqrt(curvature) read from the log of the integrand on the grid,
+# with the Gauss-Legendre rule of _NODES nodes on each panel.
+_LOG_SPAN, _CURVE_SPAN = 6.0, 2.0
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
+# The integrands bend at x = 0, where the logistic turns, over a width of
+# order 1 in x: panels also end at these distances from it in x.
+_BENDS = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 
 
-def sum_alternating(terms):
-    """Sum an alternating series with Euler-transform acceleration.
+def expect(law, h) -> float:
+    """E[h(g)] for the offset g = sign(b)(X - edge) of X from the support
+    edge of `law`, a `pearson3.Pearson3Params` or a `sums.SumSpec`.
 
-    `terms` yields the signed terms. Partial sums are accumulated in
-    blocks; after each block the averaging transform is applied and
-    the run stops once `_CONSECUTIVE_SMALL` successive estimates agree
-    to `_REL_TOL`. Handles conditionally convergent and Abel-summable
-    alternating series that plain truncation cannot.
+    `h` maps an array of offsets g > 0 to finite values >= 0. The integral
+    of h against the density that `law.at_offsets(g, density=True)` gives
+    is taken in t = ln g, where the integrand h(g) f(g) g has no g^(a-1)
+    singularity at the edge, over the bracket that a grid of fixed step in
+    t finds around `law.mean_offset`, by fixed Gauss-Legendre panels. A
+    positive integrand has no cancellation. Returns 0.0 where the
+    integrand underflows on the whole grid.
     """
-    it = iter(terms)
-    partials = []
-    total = 0.0
-    prev = None
-    small = 0
-    eps = 2.220446049250313e-16
-    while len(partials) < _MAX_TERMS:
-        produced = 0
-        for t in islice(it, _BLOCK):
-            total += t
-            partials.append(total)
-            produced += 1
-        if produced == 0:
-            # Finite series: the plain sum is exact.
-            return total
-        recent = np.asarray(partials[-_WINDOW:], dtype=float)
-        est = float(_euler_weights(recent.size) @ recent)
-        if prev is not None:
-            tol = _REL_TOL * max(abs(est), _TINY)
-            # Abel-summable series with growing terms (e.g. (-1)^l times a
-            # polynomial) stabilize to the roundoff floor of the averaged
-            # partial sums, not to an arbitrary relative tolerance; accept
-            # that floor while it is still far below the estimate.
-            floor = 64.0 * eps * float(np.abs(recent).max())
-            if floor <= 1e-8 * max(abs(est), _TINY):
-                tol = max(tol, floor)
-            if abs(est - prev) <= tol:
-                small += 1
-                if small >= _CONSECUTIVE_SMALL:
-                    return est
-            else:
-                small = 0
-        prev = est
-    raise ConvergenceError(
-        f"alternating series did not stabilize within {_MAX_TERMS} terms"
-    )
+    lo, hi = law.support()
+    bend = -lo if hi == math.inf else hi  # the offset of x = 0
+    centre = math.log(law.mean_offset)
+    top = max(centre, math.log(bend) if bend > 0.0 else -math.inf) + _GRID_HIGH
+    t = np.arange(max(centre - _GRID_LOW, _T_MIN), top + _STEP, _STEP)
+
+    def integrand(t):
+        g = np.exp(t)
+        return h(g) * law.at_offsets(g, density=True) * g
+
+    values = integrand(t)
+    peak = values.max()
+    if peak == 0.0:
+        return 0.0
+    inside = np.flatnonzero(values >= math.exp(-_BRACKET) * peak)
+    cells = slice(max(inside[0] - 1, 0), min(inside[-1] + 1, t.size - 1) + 1)
+    t = t[cells]
+    log_values = np.log(np.maximum(values[cells], _SMALLEST))
+    curve = np.zeros_like(log_values)
+    curve[1:-1] = np.abs(np.diff(log_values, 2))
+    change = np.minimum(np.abs(np.diff(log_values)), _BRACKET + _LOG_SPAN)
+    splits = np.ceil(np.maximum(change / _LOG_SPAN,
+                                np.sqrt(np.maximum(curve[:-1], curve[1:])) / _CURVE_SPAN))
+    splits = np.maximum(splits, 1.0).astype(int)
+    cell = np.repeat(np.arange(splits.size), splits)
+    part = np.arange(cell.size) - np.repeat(np.cumsum(splits) - splits, splits)
+    edges = np.append(t[cell] + _STEP * part / splits[cell], t[-1])
+    if bend > 0.0:
+        near = np.log(np.concatenate((bend - _BENDS[_BENDS < bend], [bend], bend + _BENDS)))
+        edges = np.union1d(edges, near[(near > t[0]) & (near < t[-1])])
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
+    total = float(half @ (integrand(nodes.ravel()).reshape(nodes.shape) @ _WEIGHTS))
+    if cells.start == 0 and values[1] > values[0]:
+        # A law of shape a below about 40/_GRID_LOW still carries weight at
+        # the bottom of the grid, where the integrand is c e^(k t) with
+        # k >= a: the rest of it is values[0] / k.
+        total += values[0] * _STEP / math.log(values[1] / values[0])
+    return total

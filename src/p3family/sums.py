@@ -160,6 +160,14 @@ class SumSpec:
     def rate(self, i: int) -> float:
         return self.terms[i - 1].b
 
+    @property
+    def mean_offset(self) -> float:
+        """Mean offset E|X - sm| of the sum from its support edge: the
+        reduced law's for equal rates, else sum a_i/|b_i|."""
+        if self.regime == EQUAL_RATES:
+            return self._reduced.mean_offset
+        return math.fsum(t.a / abs(t.b) for t in self.terms)
+
     def at_offsets(self, g, density=False, slope=1.0):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - sm) into the support: the reduced law's
@@ -178,7 +186,7 @@ class SumSpec:
         else:
             # P below the mean offset and Q = 1 - P above it, so that each
             # tail is summed directly, not formed as 1 minus a sum near 1
-            upper = g > math.fsum(t.a / abs(t.b) for t in self.terms)
+            upper = g > self.mean_offset
             out = np.empty_like(g)
             for part, component in ((~upper, _cdf_component), (upper, _sf_component)):
                 if part.any():
@@ -546,30 +554,14 @@ def logitsum_pdf(spec: SumSpec, z):
 
 
 def logitsum_moment(spec: SumSpec, n: int) -> float:
-    """Raw moment E[logistic(SX_L)^n]; requires every b_i > 0."""
-    if n < 0:
-        raise DomainError(f"moment order must be nonnegative, got n={n}")
-    if n == 0:
-        return 1.0
-    if spec.terms[0].b < 0:
+    """Raw moment E[logistic(SX_L)^n]; requires every b_i > 0.
+
+    `logitp3.ltp3_moment` of the sum's law: one positive integral against
+    its density, the reduced law's for equal rates, else the mixture's.
+    """
+    if n > 0 and spec.terms[0].b < 0:
         raise DomainError("logit-sum moments require positive rates on every component")
-    if spec.regime == EQUAL_RATES:
-        return ltp3_moment(spec.reduced, n)
-    sm = spec.sm
-    if spec._series_only:
-        # each logit moment lies in (0, 1], so the weight bound of the series
-        # bounds the remaining terms
-        terms = []
-        for k in itertools.count(0, _CHUNK):
-            for shape, weight, tail in zip(*_series_chunk(spec, k, k + _CHUNK)):
-                terms.append(weight * ltp3_moment(Pearson3Params(shape, spec._b_max, sm), n))
-                if tail <= _SERIES_TOL * math.fsum(terms):
-                    return math.fsum(terms)
-    return math.fsum(
-        spec._weights[i][k] * ltp3_moment(Pearson3Params(float(k + 1), spec.terms[i].b, sm), n)
-        for i in range(spec.L)
-        for k in range(spec._shapes[i])
-    )
+    return ltp3_moment(spec, n)
 
 
 def spec_to_json(spec: SumSpec) -> str:

@@ -12,8 +12,9 @@ b_hat = b/(A l p), so X is the `sums.SumSpec` of the branch terms with
 shift -A B: one Pearson III law when every branch shares b_hat, a mixture
 when the b_hat are pairwise distinct. The harvested-power CDF and
 density, for a float or an array of q, are `pearson3.evaluate` of that
-law through the map x -> q; the moments expand binomially over its logit
-moments from `sums.logitsum_moment`.
+law through the map x -> q. Its moments are one positive integral against
+that law, `series.expect`, of Q^n written as Ps (1 - e^(-A r))
+logistic(A r - A B), which does not cancel.
 """
 
 import json
@@ -22,11 +23,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import log1p
+from scipy.special import expit, log1p
 
 from .errors import DomainError
 from .pearson3 import Pearson3Params, Transform, evaluate
-from .sums import SumSpec, logitsum_moment
+from .series import expect
+from .sums import SumSpec
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -232,16 +234,19 @@ def q_pdf_miso(scenario: MisoScenario, q):
 
 
 def q_moment_miso(scenario: MisoScenario, n: int) -> float:
-    """Raw moment E[Q^n] for the aggregate of all branches: the binomial
-    expansion of Q = span Z - c over the logit moments E[Z^k]."""
+    """Raw moment E[Q^n] for the aggregate of all branches.
+
+    At the offset g = A r of the law from its edge -A B, the harvested power
+    is Q = Ps (1 - e^(-g)) logistic(g - A B), a product of positive factors
+    that does not cancel as g -> 0; E[Q^n] is `series.expect` of its n-th
+    power.
+    """
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got n={n}")
     model = scenario.model
-    return math.fsum(
-        math.comb(n, k) * model.span ** k * (-model.c) ** (n - k)
-        * logitsum_moment(scenario._law, k)
-        for k in range(n + 1)
-    )
+    threshold = model.A * model.B
+    return model.Ps ** n * expect(
+        scenario._law, lambda g: (-np.expm1(-g) * expit(g - threshold)) ** n)
 
 
 def q_mean_miso(scenario: MisoScenario) -> float:

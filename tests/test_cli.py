@@ -71,6 +71,14 @@ def test_dist_moment_and_charfn(capsys):
     assert out.strip() == "0.5+0.5j"
 
 
+def test_dist_high_order_logit_moment(capsys):
+    # an alternating series once exited 3 here ("did not stabilize")
+    code, out = run(capsys, "dist", "logitp3", "moment", "--a", "17.098",
+                    "--b", "5.051", "--m", "-5.670", "--n", "6")
+    assert code == 0
+    assert 0.0 < float(out) < 1.0
+
+
 def test_dist_sweep_csv(capsys):
     code, out = run(capsys, "dist", "p3", "cdf",
                     "--a", "1", "--b", "1", "--sweep", "0.5:2.5:0.5")

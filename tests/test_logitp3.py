@@ -114,7 +114,7 @@ def test_moment_basics():
     assert ltp3_moment(p, 1) == pytest.approx(math.log(2.0), abs=1e-10)
     with pytest.raises(DomainError):
         ltp3_moment(p, -1)
-    # a shift of -1e-300 puts T = 1e-300 between the two pieces
+    # a shift of -1e-300 puts x = 0 just inside the support
     assert ltp3_moment(Pearson3Params(10.0, 1.0, -1e-300), 1) == pytest.approx(
         ltp3_moment(Pearson3Params(10.0, 1.0, 0.0), 1), rel=1e-15
     )
@@ -182,7 +182,7 @@ def test_moment_with_overflowing_prefactors():
 
 
 def _moment_reference(params, n):
-    """E[Z^n] at 20 digits without the library's series.
+    """E[Z^n] at 20 digits without the library's code.
 
     When T = -m b <= 0 the support lies on one side of X = 0 and the
     reference is the one-sided series sum_l (-1)^l C(n+l-1, l) e^(cm)
@@ -237,16 +237,25 @@ def _moment_reference(params, n):
 
 
 @PROPERTY_SETTINGS
-@given(params=members, n=st.integers(1, 4))
+@given(params=members, n=st.integers(1, 6))
 def test_moment_property_vs_mpmath(params, n):
     value = ltp3_moment(params, n)
-    assert value == pytest.approx(
-        _moment_reference(params, n), rel=1e-12 if n <= 2 else 1e-9, abs=1e-300
-    )
+    assert value == pytest.approx(_moment_reference(params, n), rel=1e-12, abs=1e-300)
     # Z lies in (0, 1), so E[Z^n] does not increase with n
-    moments = [ltp3_moment(params, k) for k in range(1, 5)]
+    moments = [ltp3_moment(params, k) for k in range(1, 7)]
     assert all(0.0 <= v <= 1.0 for v in moments)
     assert all(hi <= lo * (1.0 + 1e-9) for lo, hi in zip(moments, moments[1:]))
+
+
+@pytest.mark.parametrize("params, n", [
+    # an alternating series raised ConvergenceError at these two
+    (Pearson3Params(17.098, 5.051, -5.670), 6),
+    (Pearson3Params(1.0, -1.0, 0.0), 5),
+    # and settled 1.2e-8 off at this one
+    (Pearson3Params(0.342, 1.907, 0.019), 5),
+])
+def test_high_order_moments_vs_mpmath(params, n):
+    assert ltp3_moment(params, n) == pytest.approx(_moment_reference(params, n), rel=1e-12)
 
 
 def test_mean_closed():
@@ -268,6 +277,24 @@ def test_mean_closed():
 def test_mean_closed_vs_series_grid(a, b, m):
     p = Pearson3Params(a, b, m)
     assert ltp3_mean_closed(p) == pytest.approx(ltp3_moment(p, 1), abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("b", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("m", [0.0, 0.5, 2.0])
+def test_closed_forms_vs_mpmath_lerch(a, b, m):
+    # independent of the library's integral: the paper's closed forms with
+    # Phi from mpmath (Phi(z, 0, b) = 1/(1 - z) at a = 1)
+    p = Pearson3Params(a, b, m)
+    with mp.workdps(30):
+        z = -mp.exp(-m)
+        # at z = -1, b = 0.5 mpmath returns Phi with an imaginary part of
+        # rounding size
+        phi = [mp.re(mp.lerchphi(z, s, b)) for s in (a, a - 1)]
+        mean = b ** a * phi[0]
+        second = b ** a * (phi[1] - (b - 1) * phi[0])
+    assert ltp3_mean_closed(p) == pytest.approx(float(mean), rel=1e-13)
+    assert ltp3_second_moment_closed(p) == pytest.approx(float(second), rel=1e-13)
 
 
 def test_second_moment_closed():

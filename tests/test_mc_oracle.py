@@ -189,7 +189,7 @@ ORACLE_MANIFEST = {
     "ltp3_cdf": "test_logitp3.py::test_change_of_variables_identity",
     "ltp3_pdf": "test_logitp3.py::test_change_of_variables_identity",
     "ltp3_moment": "test_logitp3.py::test_moment_vs_quadrature",
-    "ltp3_mean_closed": "test_logitp3.py::test_mean_closed_vs_series_grid",
+    "ltp3_mean_closed": "test_logitp3.py::test_closed_forms_vs_mpmath_lerch",
     "ltp3_second_moment_closed": "test_logitp3.py::test_second_moment_closed_vs_mc",
     "logit_gamma_cdf": "test_logitp3.py::test_logit_gamma_delegations",
     "logit_gamma_pdf": "test_logitp3.py::test_logit_gamma_delegations",

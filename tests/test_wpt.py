@@ -225,8 +225,9 @@ def test_siso_vs_mc():
 
 
 def test_far_link_concentrated_fading_moments_vs_quadrature():
-    # b_hat near 375 (a = 10) and 1500 (a = 40): the m < 0 moment series
-    # meets rates with s T near 784, beyond double range for e^(s T) alone
+    # b_hat near 375 (a = 10) and 1500 (a = 40): narrow laws far below the
+    # threshold A B, where a moment series once met rates with s T near 784,
+    # beyond double range for e^(s T) alone
     for a in (10.0, 40.0):
         lk = link(d=60.0, fading=Pearson3Params(a, a))
         sc = MisoScenario(MODEL, (lk,))
@@ -240,6 +241,29 @@ def test_far_link_concentrated_fading_moments_vs_quadrature():
             assert value == pytest.approx(ref, rel=1e-9)
         if a == 10.0:
             assert q_mean_miso(sc) == pytest.approx(7.0719281353e-5, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [320.0, 640.0, 1280.0])
+def test_far_link_moments_vs_mpmath(d):
+    # Far links harvest little: a binomial expansion of Q = span Z - c over
+    # the logit moments cancelled here, 2.1e-4 off at n = 3 and 1280 m.
+    # Oracle: 40-digit quadrature over the fading gain G ~ Gamma(3, 1) of the
+    # harvester formula itself.
+    sc = equal_split_scenario(1, d)
+    (br,) = sc.branches
+    a, b = br.fading.a, br.fading.b
+    with mp.workdps(40):
+        A, B, Ps = (mp.mpf(v) for v in (sc.model.A, sc.model.B, sc.model.Ps))
+        eab = mp.exp(A * B)
+
+        def q(G):
+            r = G * mp.mpf(br.loss) * br.p / b
+            return Ps * (1 + eab) / (eab * (1 + mp.exp(-A * (r - B)))) - Ps / eab
+
+        nodes = [0] + [a - 1 + k * mp.sqrt(a) for k in (-1, 0, 1, 3, 6, 12)] + [mp.inf]
+        for n in (2, 3):
+            ref = mp.quad(lambda G: q(G) ** n * G ** (a - 1) * mp.exp(-G), nodes) / mp.gamma(a)
+            assert q_moment_miso(sc, n) == pytest.approx(float(ref), rel=1e-12, abs=0)
 
 
 def test_close_rate_moments():
