@@ -6,7 +6,7 @@ Submodules:
   logitp3   the logistic transform Z = 1/(1 + exp(-X)) and logit gamma
   sums      sums of independent components and their mixture weights
   wpt       harvested power as an affine/logit map over pearson3/sums
-  specfun   log-gamma, Lerch transcendent, Pochhammer symbols
+  specfun   incomplete-gamma integrals, Lerch transcendent, Pochhammer symbols
   series    series truncation, and expectations against a law
   mc        seeded Monte Carlo and numeric-convolution oracles
   cli       command-line front end
@@ -39,7 +39,11 @@ from .pearson3 import (
     p3_sample,
     p3_scale,
 )
-from .specfun import lerch_phi
+from .specfun import (
+    gamma_integral_lower,
+    gamma_integral_upper,
+    lerch_phi,
+)
 from .sums import (
     DISTINCT_RATES,
     EQUAL_RATES,
