@@ -11,9 +11,9 @@ Run:  python3 demos/harvested_power_outage.py
 
 import math
 
-from p3family.cli import beacon_field_scenario, equal_split_scenario
 from p3family.mc import empirical_cdf, empirical_moment, sample_harvested
 from p3family.pearson3 import Pearson3Params
+from p3family.presets import beacon_field_scenario, equal_split_scenario
 from p3family.wpt import (
     EHModel,
     LinkBudget,

@@ -9,6 +9,7 @@ Submodules:
   specfun   incomplete-gamma integrals, Lerch transcendent, Pochhammer symbols
   series    series truncation, and expectations against a law
   mc        seeded Monte Carlo and numeric-convolution oracles
+  presets   the reference-figure constants and scenarios
   cli       command-line front end
 """
 

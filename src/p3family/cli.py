@@ -25,21 +25,18 @@ import numpy as np
 from . import logitp3, logp3, mc, pearson3, sums, wpt
 from .errors import ConvergenceError, DomainError
 from .pearson3 import Pearson3Params
+from .presets import (
+    FIG_AB_PAIRS,
+    FIG_D_GRID,
+    FIG_MODEL,
+    FIG_P_GRID,
+    beacon_field_scenario,
+    equal_split_scenario,
+)
 
 __all__ = ["main"]
 
 _MAX_SWEEP_POINTS = 10 ** 6
-
-# Reference-figure inputs: logistic harvester circuit constants, antenna
-# apertures and carrier, and the common gamma fading of every branch.
-FIG_MODEL = wpt.EHModel(A=150.0, B=0.014, Ps=0.024)
-FIG_FADING = Pearson3Params(3.0, 1.0, 0.0)
-FIG_AT, FIG_AR, FIG_FC = 0.5, 0.01, 2.4e9
-FIG_TOTAL_POWER = 2.0
-FIG_PB_DISTANCES = (12.0, 10.0, 8.0)
-FIG_D_GRID = [4.0 + i for i in range(17)]           # 4..20 m
-FIG_P_GRID = [0.5 + 0.25 * i for i in range(15)]    # 0.5..4 W
-FIG_AB_PAIRS = ((3.0, 1.5), (3.0, -1.5), (2.0, 1.5), (2.0, -1.5))
 
 
 def _fmt(x: float) -> str:
@@ -157,52 +154,42 @@ def _scenario_hash(scenario) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-def _scenario_with(scenario, distance=None, power=None):
-    """Scenario with every branch at the given distance and/or the given
-    total power split equally across branches."""
-    branches = []
-    for br in scenario.branches:
-        branches.append(
-            wpt.LinkBudget(
-                at=br.at, ar=br.ar, fc=br.fc,
-                d=br.d if distance is None else distance,
-                p=br.p if power is None else power / len(scenario.branches),
-                fading=br.fading,
-            )
-        )
-    return wpt.MisoScenario(scenario.model, tuple(branches))
-
-
-def _sweep(scenario, var, points, value):
-    """Yield (x, value(scenario with its `var`, distance or power, at x))
-    for each point x."""
+def _moment_sweep(scenario, var, points, moment):
+    """Yield (x, moment(scenario `at` its `var`, distance or power, x)) for
+    each point x: a moment is an integral against the law at x."""
     for x in points:
-        yield x, value(_scenario_with(scenario, **{var: x}))
+        yield x, moment(scenario.at(**{var: x}))
 
 
-def _wpt_value(scenario, quantity, args) -> float:
-    model = scenario.model
-    if quantity == "outage":
+def _wpt_moment(scenario, args) -> float:
+    if args.quantity == "mean":
+        return wpt.q_mean_miso(scenario)
+    if args.n is None:
+        raise DomainError("moment queries need --n")
+    return wpt.q_moment_miso(scenario, args.n)
+
+
+def _wpt_point(model, args):
+    """The harvested power q of an outage, cdf or pdf query, and whether it
+    asks for the density."""
+    if args.quantity == "outage":
         if args.qt_frac is None or not (0.0 < args.qt_frac < 1.0):
             raise DomainError("outage queries need --qt-frac in (0, 1)")
-        return wpt.q_cdf_miso(scenario, args.qt_frac * model.Ps)
-    if quantity == "mean":
-        return wpt.q_mean_miso(scenario)
-    if quantity == "moment":
-        if args.n is None:
-            raise DomainError("moment queries need --n")
-        return wpt.q_moment_miso(scenario, args.n)
+        return args.qt_frac * model.Ps, False
     if args.at is None:
-        raise DomainError(f"{quantity} queries need --at (harvested power, W)")
-    if quantity == "cdf":
-        return wpt.q_cdf_miso(scenario, args.at)
-    return wpt.q_pdf_miso(scenario, args.at)
+        raise DomainError(f"{args.quantity} queries need --at (harvested power, W)")
+    return args.at, args.quantity == "pdf"
 
 
 def cmd_wpt(args) -> int:
     scenario = wpt.scenario_from_json(_read_file(args.scenario))
+    moment = args.quantity in ("mean", "moment")
     if args.sweep is None:
-        print(_fmt(_wpt_value(scenario, args.quantity, args)))
+        if moment:
+            print(_fmt(_wpt_moment(scenario, args)))
+            return 0
+        q, density = _wpt_point(scenario.model, args)
+        print(_fmt(wpt.q_pdf_miso(scenario, q) if density else wpt.q_cdf_miso(scenario, q)))
         return 0
     try:
         var, grid_text = args.sweep.split(":", 1)
@@ -211,7 +198,12 @@ def cmd_wpt(args) -> int:
     if var not in ("distance", "power"):
         raise DomainError(f"sweep variable must be distance or power, got {var!r}")
     points = _parse_sweep(grid_text)
-    rows = list(_sweep(scenario, var, points, lambda sc: _wpt_value(sc, args.quantity, args)))
+    if moment:
+        rows = list(_moment_sweep(scenario, var, points,
+                                  functools.partial(_wpt_moment, args=args)))
+    else:
+        q, density = _wpt_point(scenario.model, args)
+        rows = zip(points, scenario.curve(var, points, q, density))
     _print_csv(
         sys.stdout,
         [f"scenario-hash: {_scenario_hash(scenario)}, seed: n/a",
@@ -223,25 +215,6 @@ def cmd_wpt(args) -> int:
 
 
 # -------------------------------------------------------------- figure
-
-def _fig_link(d, p):
-    return wpt.LinkBudget(FIG_AT, FIG_AR, FIG_FC, d, p, FIG_FADING)
-
-
-def equal_split_scenario(L: int, d: float, total_power: float = FIG_TOTAL_POWER):
-    """One power beacon with L antennas at distance d, power split equally."""
-    return wpt.MisoScenario(
-        FIG_MODEL, tuple(_fig_link(d, total_power / L) for _ in range(L))
-    )
-
-
-def beacon_field_scenario(L: int, total_power: float = FIG_TOTAL_POWER):
-    """L single-antenna power beacons at the staggered reference distances."""
-    return wpt.MisoScenario(
-        FIG_MODEL,
-        tuple(_fig_link(d, total_power / L) for d in FIG_PB_DISTANCES[:L]),
-    )
-
 
 def _write_curve(out_dir, name, headers, rows):
     path = os.path.join(out_dir, name)
@@ -283,7 +256,7 @@ def _figure_curves(fig_id):
                     f"{fig_id}_L{L}.csv",
                     [f"p3family.wpt q_mean_miso L={L}",
                      f"columns: {var}, mean_harvested_W"],
-                    _sweep(sc, var, points, wpt.q_mean_miso),
+                    _moment_sweep(sc, var, points, wpt.q_mean_miso),
                 )
                 continue
             for frac_name, frac in (("qt_ps_1_10", 0.1), ("qt_ps_1_20", 0.05)):
@@ -292,7 +265,7 @@ def _figure_curves(fig_id):
                     f"{fig_id}_L{L}_{frac_name}.csv",
                     [f"p3family.wpt q_cdf_miso L={L} qt={_fmt(qt)}",
                      f"columns: {var}, outage"],
-                    _sweep(sc, var, points, functools.partial(wpt.q_cdf_miso, q=qt)),
+                    zip(points, sc.curve(var, points, qt)),
                 )
         return
     raise DomainError(f"unknown figure id {fig_id!r}, expected fig1..fig6")
@@ -336,9 +309,9 @@ def _compare_scenario(args):
     else:
         raise DomainError("wpt comparisons need --scenario or --preset fig3..fig6")
     if args.d is not None:
-        sc = _scenario_with(sc, distance=args.d)
+        sc = sc.at(distance=args.d)
     if args.p is not None:
-        sc = _scenario_with(sc, power=args.p)
+        sc = sc.at(power=args.p)
     return sc
 
 

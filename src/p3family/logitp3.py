@@ -17,7 +17,6 @@ from scipy.special import expit
 from .errors import DomainError
 from .pearson3 import Pearson3Params, Transform, evaluate
 from .series import expect
-from .specfun import lerch_phi
 
 __all__ = [
     "ltp3_support",
@@ -80,18 +79,31 @@ def ltp3_moment(params: Pearson3Params, n: int) -> float:
     return min(expect(params, lambda g: expit(edge + sign * g) ** n), 1.0)
 
 
+def _lerch_scaled(params: Pearson3Params, s: float) -> float:
+    """b^s Phi(-e^(-m), s, b) = E[logistic(m + G/b)] for G ~ Gamma(s, 1),
+    the integral of DLMF 25.14.5 with the Lerch factor b^(-s) cancelled
+    against b^s, so that neither is formed: a value in (0, 1) where the two
+    leave double range apart."""
+    return expect(Pearson3Params(s, params.b, params.m), lambda g: expit(params.m + g))
+
+
 def ltp3_mean_closed(params: Pearson3Params) -> float:
-    """Closed-form mean b^a * Phi(-e^(-m), a, b); requires b > 0 and m >= 0."""
+    """Closed-form mean b^a * Phi(-e^(-m), a, b); requires b > 0 and m >= 0.
+
+    With b^a cancelled against the Lerch factor b^(-a) it is the integral
+    that `ltp3_moment` takes for n = 1.
+    """
     if params.b <= 0 or params.m < 0:
         raise DomainError(
             f"closed-form mean requires b > 0 and m >= 0, got b={params.b}, m={params.m}"
         )
-    return params.b ** params.a * lerch_phi(-math.exp(-params.m), params.a, params.b)
+    return min(_lerch_scaled(params, params.a), 1.0)
 
 
 def ltp3_second_moment_closed(params: Pearson3Params) -> float:
     """Closed-form second moment
-    b^a (Phi(-e^(-m), a-1, b) - (b-1) Phi(-e^(-m), a, b)).
+    b^a (Phi(-e^(-m), a-1, b) - (b-1) Phi(-e^(-m), a, b)), formed as
+    b E_(a-1) - (b-1) E_a with E_s = b^s Phi(-e^(-m), s, b).
 
     Requires b > 0 and m >= 0. For a <= 1 the Phi(., a-1, .) term leaves
     the Lerch evaluator's domain, so `ltp3_moment` is used instead.
@@ -103,11 +115,9 @@ def ltp3_second_moment_closed(params: Pearson3Params) -> float:
         )
     if params.a <= 1:
         return ltp3_moment(params, 2)
-    z = -math.exp(-params.m)
-    return params.b ** params.a * (
-        lerch_phi(z, params.a - 1.0, params.b)
-        - (params.b - 1.0) * lerch_phi(z, params.a, params.b)
-    )
+    b, a = params.b, params.a
+    second = b * _lerch_scaled(params, a - 1.0) - (b - 1.0) * _lerch_scaled(params, a)
+    return min(max(second, 0.0), 1.0)
 
 
 def logit_gamma_cdf(a: float, b: float, z: float) -> float:

@@ -61,14 +61,17 @@ class Pearson3Params:
         """Mean offset E|X - m| = a/|b| of X from the support edge."""
         return self.a / abs(self.b)
 
-    def at_offsets(self, g, density=False, slope=1.0):
+    def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - m) into the support: g >= 0 for the CDF,
         0 < g < inf for the density. ln(slope) enters the exponent, so that
-        the density of y keeps its digits where that of X leaves double range."""
-        u = abs(self.b) * g
+        the density of y keeps its digits where that of X leaves double range.
+        A `rate` (a float or an array broadcast against g) stands for |b|:
+        the law of X rescaled to that inverse scale."""
+        u = (abs(self.b) if rate is None else rate) * g
         if density:
-            return np.exp(math.log(abs(self.b)) + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a)
+            log_rate = math.log(abs(self.b)) if rate is None else np.log(rate)
+            return np.exp(log_rate + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a)
                           - np.log(slope))
         return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
 
@@ -92,7 +95,7 @@ class Transform(NamedTuple):
 IDENTITY = Transform(None, lambda x, m: x - m, lambda x: 1.0)
 
 
-def evaluate(law, transform: Transform, y, density=False):
+def evaluate(law, transform: Transform, y, density=False, rate=None):
     """CDF, or with `density` the density, of y(X) at points y (a float or
     an array of them), where X follows `law`, a Pearson3Params or a
     `sums.SumSpec`, and y(x) is `transform`.
@@ -100,7 +103,8 @@ def evaluate(law, transform: Transform, y, density=False):
     Raises DomainError for a point outside the transform's domain and, for
     a density, SupportError for a point outside or on the boundary of the
     open support. A CDF saturates to 0/1 outside the support. A float gives
-    a float, an array the array of values.
+    a float, an array the array of values. An array of rates, with a float
+    y, gives the values of the law rescaled to each (`law.at_offsets`).
     """
     y = np.asarray(y, dtype=float)
     if transform.domain is not None:
@@ -111,12 +115,12 @@ def evaluate(law, transform: Transform, y, density=False):
     lo, hi = law.support()
     g = transform.offset(y, lo) if hi == math.inf else -transform.offset(y, hi)
     if not density:
-        out = law.at_offsets(np.maximum(g, 0.0))
+        out = law.at_offsets(np.maximum(g, 0.0), rate=rate)
     else:
         inside = (g > 0.0) & (g < math.inf)
         if not inside.all():
             raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
-        out = law.at_offsets(g, density=True, slope=transform.slope(y))
+        out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
     return out if out.ndim else float(out)
 
 

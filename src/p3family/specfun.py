@@ -187,19 +187,24 @@ def lerch_phi(z: float, s: float, alpha: float) -> float:
     integral of DLMF 25.14.5, alpha^(-s) E[logistic(G/alpha - ln(-z))] for
     G ~ Gamma(s, 1): `series.expect` of the logistic against the Pearson
     III law of G/alpha - ln(-z), a positive integrand also at the
-    conditionally convergent endpoint z = -1.
+    conditionally convergent endpoint z = -1. DomainError where alpha^(-s)
+    exceeds the double range.
     """
     if not (-1.0 <= z <= 0.0):
         raise DomainError(f"lerch_phi requires z in [-1, 0], got z={z}")
     if s <= 0 or alpha <= 0:
         raise DomainError(f"lerch_phi requires s > 0 and alpha > 0, got s={s}, alpha={alpha}")
+    try:
+        scale = alpha ** (-s)
+    except OverflowError:
+        raise DomainError(f"lerch_phi(z={z}, s={s}, alpha={alpha}): alpha^(-s) "
+                          "exceeds the double range") from None
     if z == 0.0:
-        return alpha ** (-s)
+        return scale
     from .pearson3 import Pearson3Params  # pearson3 imports this module
 
     shift = -math.log(-z)
-    return alpha ** (-s) * expect(Pearson3Params(s, alpha, shift),
-                                  lambda g: _sp.expit(shift + g))
+    return scale * expect(Pearson3Params(s, alpha, shift), lambda g: _sp.expit(shift + g))
 
 
 def pochhammer(a: float, k: int) -> float:

@@ -74,6 +74,11 @@ class SumSpec:
     coincident rates are rejected. With distinct rates the mixture weights
     are exact rationals, computed on first use (`_weights`); a sum whose log
     bound on them clears _HP_WEIGHT_SCALE is `_series_only` without them.
+
+    Every cached weight, the partial fractions `_weights` as the series
+    weights `_series_weights` and their factor C, depends only on the ratios
+    of the rates. So these weights also serve the sum with every rate scaled
+    by one factor, which `at_offsets` evaluates given its mean rate.
     """
 
     terms: tuple
@@ -161,6 +166,12 @@ class SumSpec:
         return self.terms[i - 1].b
 
     @property
+    def mean_rate(self) -> float:
+        """Mean inverse scale sum |b_i| / L: the reduced law's |b| for
+        equal rates."""
+        return math.fsum(abs(t.b) for t in self.terms) / self.L
+
+    @property
     def mean_offset(self) -> float:
         """Mean offset E|X - sm| of the sum from its support edge: the
         reduced law's for equal rates, else sum a_i/|b_i|."""
@@ -168,12 +179,21 @@ class SumSpec:
             return self._reduced.mean_offset
         return math.fsum(t.a / abs(t.b) for t in self.terms)
 
-    def at_offsets(self, g, density=False, slope=1.0):
+    def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - sm) into the support: the reduced law's
-        for equal rates, else the mixture's, divided by the slope."""
+        for equal rates, else the mixture's, divided by the slope.
+
+        A `rate` (a float or an array broadcast against g) stands for
+        `mean_rate`: the sum with every rate scaled by s = rate/mean_rate,
+        whose CDF at g is this one's at s g and whose density there is s
+        times this one's, on the same weights.
+        """
         if self.regime == EQUAL_RATES:
-            return self._reduced.at_offsets(g, density, slope)
+            return self._reduced.at_offsets(g, density, slope, rate)
+        if rate is not None:
+            scale = rate / self.mean_rate
+            g, slope = scale * g, slope / scale
         if density:
             # rounding may not push a density below 0
             return np.maximum(_mixture(self, g, _pdf_component) / slope, 0.0)
@@ -289,7 +309,8 @@ def _series_chunk(spec, k0, k1):
     k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
     rho_j = 1 - |b_j|/b_max, positive terms only; the weights C delta_k,
     by the same recursion from C, are cached on the spec and extended on
-    demand. The deltas are the coefficients of prod_j (1 - rho_j z)^(-a_j),
+    demand. C and the deltas depend only on the rate ratios |b_j|/b_max,
+    so they serve the sum at every common rescaling of its rates. The deltas are the coefficients of prod_j (1 - rho_j z)^(-a_j),
     log-concave for shapes >= 1: once r = delta_(k+1)/delta_k < 1 the later
     weights sum to at most C delta_k r/(1 - r). All the weights sum to 1.
     """

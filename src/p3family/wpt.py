@@ -145,6 +145,13 @@ class MisoScenario:
     -A B. So equal scales give one Pearson III law of the total shape (any
     positive fading shapes), pairwise-distinct scales a mixture (integer
     fading shapes), and partially coincident scales are rejected.
+
+    `at` moves every branch to one distance or one total power; `curve`
+    gives the harvested-power CDF or density at one q over a sweep of such
+    moves. A power sweep, or a distance sweep of branches that share at, ar
+    and fc, scales every effective rate by one factor, so the law of the
+    first point, rescaled to each point's mean rate, serves the whole sweep
+    in one array evaluation; another distance sweep builds a law per point.
     """
 
     model: EHModel
@@ -171,6 +178,52 @@ class MisoScenario:
     @property
     def regime(self) -> str:
         return self._law.regime
+
+    def _branches_at(self, distance=None, power=None):
+        return tuple(
+            LinkBudget(at=br.at, ar=br.ar, fc=br.fc,
+                       d=br.d if distance is None else distance,
+                       p=br.p if power is None else power / self.L,
+                       fading=br.fading)
+            for br in self.branches
+        )
+
+    def at(self, distance=None, power=None):
+        """This scenario with every branch at `distance` and/or the total
+        `power` split equally across the branches."""
+        return MisoScenario(self.model, self._branches_at(distance, power))
+
+    def curve(self, var, points, q, density=False):
+        """CDF, or with `density` the density, of the harvested power at q
+        (a float) in the scenario `at` each of `points` of `var`, "distance"
+        or "power": an array with one value per point, each equal to what
+        `q_cdf_miso` or `q_pdf_miso` gives there, up to rounding at distinct
+        rates.
+
+        Each law is built once, at the first point it serves, and evaluated
+        over all of them in one call at their mean rates: one law for a
+        power sweep, or a distance sweep of branches that share at, ar and
+        fc, where the rates keep their ratios; else one law per point.
+        """
+        if var not in ("distance", "power"):
+            raise DomainError(f"sweep variable must be distance or power, got {var!r}")
+        if np.ndim(q):
+            raise DomainError("a curve is taken at one harvested power q, not an array")
+        moved = [self._branches_at(**{var: x}) for x in points]
+        # each point's mean rate as `SumSpec.mean_rate` forms it, so that a
+        # law evaluated at its own point is evaluated as `q_cdf_miso` does
+        rates = np.array([math.fsum(br.bhat(self.model) for br in branches) / self.L
+                          for branches in moved])
+        one_law = var == "power" or len({(br.at, br.ar, br.fc) for br in self.branches}) == 1
+        starts = list(range(len(moved)))
+        if one_law:
+            starts = starts[:1]
+        out = np.empty(len(moved))
+        for start, stop in zip(starts, starts[1:] + [len(moved)]):
+            law = MisoScenario(self.model, moved[start])._law
+            out[start:stop] = evaluate(law, self.model._harvest, q, density,
+                                       rate=rates[start:stop])
+        return out
 
 
 def _harvest_offset(c, ps, edge, q, m):

@@ -12,13 +12,6 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from p3family.cli import (
-    FIG_D_GRID,
-    FIG_MODEL,
-    FIG_P_GRID,
-    beacon_field_scenario,
-    equal_split_scenario,
-)
 from p3family.logitp3 import (
     ltp3_cdf,
     ltp3_mean_closed,
@@ -36,6 +29,13 @@ from p3family.mc import (
     sample_harvested,
 )
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf, p3_sample
+from p3family.presets import (
+    FIG_D_GRID,
+    FIG_MODEL,
+    FIG_P_GRID,
+    beacon_field_scenario,
+    equal_split_scenario,
+)
 from p3family.sums import (
     SumSpec,
     logitsum_pdf,

@@ -16,11 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from p3family.cli import FIG_MODEL, beacon_field_scenario, equal_split_scenario
 from p3family.errors import DomainError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.logp3 import lp3_cdf, lp3_pdf
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf
+from p3family.presets import FIG_MODEL, beacon_field_scenario, equal_split_scenario
 from p3family.sums import (
     SumSpec,
     logitsum_cdf,

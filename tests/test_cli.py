@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from p3family.cli import main
@@ -187,6 +188,79 @@ def test_wpt_errors(capsys, scenario_file):
     # bad sweep variable
     assert run(capsys, "wpt", "--scenario", scenario_file,
                "--quantity", "mean", "--sweep", "speed:1:2:1")[0] == 2
+    for quantity in ("outage", "cdf", "pdf"):
+        # a sweep without --qt-frac or --at, and one of a bad variable
+        assert run(capsys, "wpt", "--scenario", scenario_file,
+                   "--quantity", quantity, "--sweep", "distance:4:8:1")[0] == 2
+        assert run(capsys, "wpt", "--scenario", scenario_file, "--quantity", quantity,
+                   "--qt-frac", "0.1", "--at", "0.004", "--sweep", "speed:1:2:1")[0] == 2
+
+
+@pytest.fixture
+def apertures_file(tmp_path):
+    # two branches of different apertures and carriers: their effective
+    # rates change ratio with distance
+    doc = {
+        "model": {"A": 150.0, "B": 0.014, "Ps": 0.024},
+        "branches": [
+            {"at": 0.5, "ar": 0.01, "fc": 2.4e9, "d": 10.0, "p": 1.0,
+             "fading": {"a": 3.0, "b": 1.0}},
+            {"at": 0.2, "ar": 0.02, "fc": 0.9e9, "d": 6.0, "p": 1.0,
+             "fading": {"a": 2.0, "b": 1.0}},
+        ],
+    }
+    path = tmp_path / "apertures.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("quantity, query", [
+    ("outage", ("--qt-frac", "0.1")),
+    ("cdf", ("--at", "0.004")),
+    ("pdf", ("--at", "0.004")),
+])
+def test_wpt_sweep_rows_match_point_queries(capsys, tmp_path, scenario_file, apertures_file,
+                                            quantity, query):
+    from p3family.wpt import scenario_from_json, scenario_to_json
+
+    for path, sweep in ((scenario_file, "distance:4:8:1"), (scenario_file, "power:0.5:3:0.5"),
+                        (apertures_file, "distance:3:12:1.5")):
+        code, out = run(capsys, "wpt", "--scenario", path, "--quantity", quantity, *query,
+                        "--sweep", sweep)
+        assert code == 0
+        rows = [l for l in out.strip().split("\n") if not l.startswith("#")]
+        var, lo, hi, step = sweep.split(":")
+        sc = scenario_from_json(open(path).read())
+        points = np.arange(float(lo), float(hi) + 1e-9, float(step))
+        assert len(rows) == len(points)
+        for x, row in zip(points, rows):
+            point_file = tmp_path / "point.json"
+            point_file.write_text(scenario_to_json(sc.at(**{var: float(x)})))
+            code, value = run(capsys, "wpt", "--scenario", str(point_file),
+                              "--quantity", quantity, *query)
+            assert code == 0
+            assert row == f"{float(x):.12g},{value.strip()}"
+
+
+def test_figure_curves_build_one_law_each(capsys, tmp_path, monkeypatch):
+    # a curve's law is built once, at its first point, not at every point
+    from p3family.sums import SumSpec
+
+    builds = []
+    build = SumSpec.__post_init__
+
+    def counted(spec):
+        builds.append(spec)
+        build(spec)
+
+    monkeypatch.setattr(SumSpec, "__post_init__", counted)
+    for fig in ("fig3", "fig4"):
+        builds.clear()
+        code, out = run(capsys, "figure", "--id", fig, "--out", str(tmp_path / fig))
+        assert code == 0
+        curves = out.strip().split("\n")
+        assert len(curves) == 6
+        assert 0 < len(builds) <= 2 * len(curves)
 
 
 # -------------------------------------------------------------- figure

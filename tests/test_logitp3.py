@@ -279,6 +279,20 @@ def test_mean_closed_vs_series_grid(a, b, m):
     assert ltp3_mean_closed(p) == pytest.approx(ltp3_moment(p, 1), abs=1e-9)
 
 
+@pytest.mark.parametrize("params", [
+    Pearson3Params(200.0, 1e-3, 1.0),   # b^a underflows, Phi overflows
+    Pearson3Params(200.0, 100.0, 0.0),  # b^a overflows, Phi underflows
+])
+def test_closed_forms_where_lerch_factors_leave_double_range(params):
+    # b^a cancels against the Lerch factor b^(-a), so the mean is the moment
+    # integral, where forming b^a raised OverflowError; the second moment
+    # b E_(a-1) - (b-1) E_a cancels about b-fold
+    mean, second = ltp3_mean_closed(params), ltp3_second_moment_closed(params)
+    assert 0.0 < mean <= 1.0 and 0.0 < second <= 1.0
+    assert mean == ltp3_moment(params, 1)
+    assert second == pytest.approx(ltp3_moment(params, 2), rel=1e-10)
+
+
 @pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("b", [0.5, 1.5, 3.0])
 @pytest.mark.parametrize("m", [0.0, 0.5, 2.0])

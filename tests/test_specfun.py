@@ -183,6 +183,11 @@ def test_lerch_values():
         lerch_phi(0.5, 1.0, 1.0)
     with pytest.raises(DomainError):
         lerch_phi(-0.5, -1.0, 1.0)
+    # alpha^(-s) = 1e600 is beyond double range; it raised OverflowError
+    with pytest.raises(DomainError):
+        lerch_phi(-0.5, 200.0, 1e-3)
+    with pytest.raises(DomainError):
+        lerch_phi(0.0, 200.0, 1e-3)
 
 
 @pytest.mark.parametrize("z", [-0.3, -0.9])

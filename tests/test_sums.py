@@ -316,13 +316,16 @@ def _moschopoulos_weights(spec):
     return top, scale, deltas
 
 
-def _moschopoulos(spec, g, density):
+def _moschopoulos(spec, g, density, weights=None):
     """CDF (or density) of the gamma-direction offset g of a sum of gammas by
     Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
     gamma mixture with positive weights, at 50 digits, independent of the
-    partial-fraction weights under test."""
-    top, scale, deltas = _moschopoulos_weights(spec)
+    partial-fraction weights under test. C and the deltas depend only on the
+    rate ratios: `weights`, the `_moschopoulos_weights` of a sum with the
+    same ratios, stand in for this one's."""
+    _, scale, deltas = weights or _moschopoulos_weights(spec)
     with mp.workdps(50):
+        top = mp.mpf(max(abs(t.b) for t in spec.terms))
         total = mp.mpf(0)
         u = top * mp.mpf(g)
         for k, delta in enumerate(deltas):

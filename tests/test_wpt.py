@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,11 +10,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma
 
-from p3family.cli import beacon_field_scenario, equal_split_scenario
 from p3family.errors import DomainError, SupportError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
 from p3family.mc import empirical_cdf, empirical_moment, sample_harvested
 from p3family.pearson3 import Pearson3Params
+from p3family.presets import (
+    FIG_D_GRID,
+    FIG_P_GRID,
+    beacon_field_scenario,
+    equal_split_scenario,
+)
 from p3family.sums import DISTINCT_RATES, EQUAL_RATES
 from p3family.wpt import (
     EHModel,
@@ -35,7 +41,7 @@ from p3family.wpt import (
     scenario_to_json,
 )
 
-from test_sums import _moschopoulos
+from test_sums import _moschopoulos, _moschopoulos_weights
 
 MODEL = EHModel(150.0, 0.014, 0.024)
 FADING = Pearson3Params(3.0, 1.0, 0.0)
@@ -398,3 +404,78 @@ def test_scenario_pickle_round_trip():
         q = np.linspace(0.0, sc.model.Ps, 7)
         np.testing.assert_array_equal(q_cdf_miso(back, q), q_cdf_miso(sc, q))
         assert q_pdf_miso(back, 1e-4) == q_pdf_miso(sc, 1e-4)
+
+
+# ------------------------------------------------- one law per curve
+
+FIG_THRESHOLDS = (MODEL.Ps / 10, MODEL.Ps / 20)
+
+
+def _per_point(scenario, var, points, q, density=False):
+    value = q_pdf_miso if density else q_cdf_miso
+    return np.array([value(scenario.at(**{var: x}), q) for x in points])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_fig3_curve_equals_per_point(L):
+    # equal rates: the law of the first distance, at each point's mean rate,
+    # forms the same gamma argument as a law built there
+    sc = equal_split_scenario(L, FIG_D_GRID[0])
+    for qt in FIG_THRESHOLDS:
+        for density in (False, True):
+            np.testing.assert_array_equal(sc.curve("distance", FIG_D_GRID, qt, density),
+                                          _per_point(sc, "distance", FIG_D_GRID, qt, density))
+
+
+def test_fig4_curves_vs_series():
+    # the rescaled law moves the partial-fraction rounding noise, which is
+    # the error of both: 1.48e-8 at worst, against the 50-digit series
+    for L in (2, 3):
+        sc = beacon_field_scenario(L)
+        weights = _moschopoulos_weights(sc._law)
+        for qt in FIG_THRESHOLDS:
+            with mp.workdps(50):
+                g = mp.log1p(mp.mpf(qt) / MODEL.c) - mp.log1p(-mp.mpf(qt) / MODEL.Ps)
+            ref = [_moschopoulos(sc.at(power=p)._law, g, False, weights) for p in FIG_P_GRID]
+            np.testing.assert_allclose(sc.curve("power", FIG_P_GRID, qt), ref,
+                                       rtol=2e-8, atol=0.0)
+            np.testing.assert_allclose(_per_point(sc, "power", FIG_P_GRID, qt), ref,
+                                       rtol=2e-8, atol=0.0)
+
+
+def test_distance_curve_with_distinct_apertures_equals_per_point():
+    # distinct apertures change the rate ratios with distance: a law per point
+    branches = (LinkBudget(0.5, 0.01, 2.4e9, 10.0, 1.0, FADING),
+                LinkBudget(0.2, 0.02, 0.9e9, 6.0, 1.0, FADING))
+    sc = MisoScenario(MODEL, branches)
+    points = [3.0, 5.5, 8.0, 12.0]
+    assert {sc.at(distance=d).regime for d in points} == {DISTINCT_RATES}
+    for density in (False, True):
+        np.testing.assert_array_equal(sc.curve("distance", points, MODEL.Ps / 10, density),
+                                      _per_point(sc, "distance", points, MODEL.Ps / 10, density))
+
+
+def test_pdf_curve_and_support():
+    points = [0.5, 1.0, 2.5, 4.0]
+    sc = equal_split_scenario(3, 10.0)
+    for q in (1e-19, MODEL.Ps / 20, MODEL.Ps / 2):
+        np.testing.assert_allclose(sc.curve("power", points, q, density=True),
+                                   _per_point(sc, "power", points, q, density=True),
+                                   rtol=1e-13, atol=0.0)
+    for sc in (sc, distinct_scenario(3)):
+        for q in (0.0, -1e-3, MODEL.Ps, 2 * MODEL.Ps):
+            with pytest.raises(SupportError) as per_point:
+                q_pdf_miso(sc.at(power=points[0]), q)
+            with pytest.raises(SupportError, match=re.escape(str(per_point.value))):
+                sc.curve("power", points, q, density=True)
+        # the CDF saturates there, as at each point
+        np.testing.assert_array_equal(sc.curve("power", points, 2 * MODEL.Ps), 1.0)
+        np.testing.assert_array_equal(sc.curve("power", points, -1e-3), 0.0)
+
+
+def test_curve_rejects_other_variables_and_arrays_of_q():
+    with pytest.raises(DomainError):
+        distinct_scenario(2).curve("speed", [1.0, 2.0], MODEL.Ps / 10)
+    # an array of q the length of the sweep would pair each q with one point
+    with pytest.raises(DomainError):
+        distinct_scenario(2).curve("power", [1.0, 2.0], np.array([1e-3, 2e-3]))
