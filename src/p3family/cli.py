@@ -7,8 +7,13 @@ Verbs:
   figure   write the reference figure curves as CSV files
   compare  analytic-vs-Monte-Carlo check, emitting an OracleReport JSON
 
-All outputs are deterministic for fixed inputs and seeds. Scalars print
-with 12 significant digits; sweeps print CSV with '#' metadata headers.
+All outputs are deterministic for fixed inputs and seeds. Every number
+prints as "%.12g" (12 significant digits). A sweep prints CSV: its
+metadata lines first, each starting with "# ", then one "point,value" row
+of two "%.12g" numbers per point, in sweep order. Negative values,
+exponent notation included, may be given as separate arguments
+(--m -1e-05, --sweep -0.5:1:0.5): no option starts with "-" and a digit
+or ".", so such a token is always a value.
 Exit codes: 0 success, 2 argument or domain error, 3 convergence error,
 4 oracle-comparison failure.
 """
@@ -18,6 +23,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,10 +43,12 @@ from .presets import (
 __all__ = ["main"]
 
 _MAX_SWEEP_POINTS = 10 ** 6
+_NUM = "%.12g"
+_ROW = f"{_NUM},{_NUM}\n"
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return _NUM % x
 
 
 def _parse_sweep(text: str):
@@ -57,10 +65,11 @@ def _parse_sweep(text: str):
 
 
 def _print_csv(out, headers, rows):
-    for h in headers:
-        print(f"# {h}", file=out)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row), file=out)
+    """Write the "# " headers, then one "%.12g,%.12g" line per (point,
+    value) row. The body is streamed, one C-level format per row, and
+    never joined into one string: a sweep may have 10^6 points."""
+    out.write("".join(f"# {h}\n" for h in headers))
+    out.writelines(map(_ROW.__mod__, rows))
 
 
 def _read_file(path: str) -> str:
@@ -388,8 +397,20 @@ def cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with "-" and a digit or "." as a
+    value: no option of this CLI starts that way. argparse's own
+    negative-number pattern has no exponent and no ":", so it would read
+    the -1e-05 of `--m -1e-05` as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="p3family",
         description="Pearson type III family, sums, and harvested-power statistics.",
     )
@@ -455,8 +476,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

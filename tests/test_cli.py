@@ -1,12 +1,19 @@
-"""Command-line interface tests, driven in-process through main()."""
+"""Command-line interface tests, driven in-process through main(), and
+one run of the module in a child process for the real stdout path."""
 
+import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from p3family.cli import main
+import p3family
+from p3family.cli import _build_parser, _print_csv, main
 from p3family.logitp3 import ltp3_cdf
 from p3family.pearson3 import Pearson3Params
 from p3family.sums import SumSpec, spec_to_json, sum_cdf
@@ -111,6 +118,20 @@ def test_dist_errors(capsys):
     # malformed sweep
     assert run(capsys, "dist", "p3", "cdf", "--a", "1", "--b", "1",
                "--sweep", "2:1:0.5")[0] == 2
+
+
+def test_negative_values_as_separate_arguments(capsys):
+    base = ("dist", "logp3", "cdf", "--a", "2", "--b", "3")
+    joined = run(capsys, *base, "--m=-1e-05", "--at", "1.0")
+    assert joined[0] == 0
+    assert run(capsys, *base, "--m", "-1e-05", "--at", "1.0") == joined
+    code, out = run(capsys, "dist", "p3", "cdf", "--a", "1", "--b", "1",
+                    "--m", "-1", "--sweep", "-0.5:1:0.5")
+    assert code == 0
+    assert [l.split(",")[0] for l in out.splitlines()[2:]] == ["-0.5", "0", "0.5", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--bogus", "1", "--at", "1.0"])
+    assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------- sum
@@ -399,3 +420,68 @@ def test_convergence_exit_code(capsys, monkeypatch, scenario_file):
     monkeypatch.setattr(cli.wpt, "q_mean_miso", boom)
     assert run(capsys, "wpt", "--scenario", scenario_file,
                "--quantity", "mean")[0] == 3
+
+
+# ------------------------------------------------------ output, parsing
+
+def test_print_csv_bytes(tmp_path):
+    rows = [
+        (math.nan, math.inf),
+        (-math.inf, -0.0),
+        (5e-324, 1e300),
+        (0.1 + 0.2, 2.99999999999951),  # the second rounds up at the 12th digit
+        (1.23456789012567, -2.5e-7),
+        (7, np.float64(1.0) / 3.0),
+    ]
+    expected = (
+        "# p3family.test header\n"
+        "# columns: point, value\n"
+        "nan,inf\n"
+        "-inf,-0\n"
+        "4.94065645841e-324,1e+300\n"
+        "0.3,3\n"
+        "1.23456789013,-2.5e-07\n"
+        "7,0.333333333333\n"
+    )
+    headers = ["p3family.test header", "columns: point, value"]
+    text = io.StringIO()
+    _print_csv(text, headers, iter(rows))
+    assert text.getvalue() == expected
+    path = tmp_path / "curve.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        _print_csv(fh, headers, iter(rows))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    assert _build_parser() is _build_parser()
+    base = ("dist", "p3", "cdf", "--a", "2", "--b", "1", "--at", "1")
+    with_m = run(capsys, *base, "--m", "0.5")
+    without_m = run(capsys, *base)
+    assert without_m == run(capsys, *base, "--m", "0") != with_m
+    assert float(without_m[1]) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-11)
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(capsys, "figure", "--id", "fig1", "--out", str(first), "--gnuplot")[0] == 0
+    assert run(capsys, "figure", "--id", "fig1", "--out", str(second))[0] == 0
+    assert (first / "fig1.gp").exists()
+    assert not list(second.glob("*.gp"))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "p3", "cdf", "--a"])
+    assert exc.value.code == 2
+    assert run(capsys, *base) == without_m
+
+
+def test_stdout_pipe_matches_in_process(capsys):
+    argv = ["dist", "logitp3", "cdf", "--a", "3", "--b", "1.5", "--m", "-1e-05",
+            "--sweep", "0.05:0.95:0.05"]
+    code, expected = run(capsys, *argv)
+    assert code == 0
+    src = str(pathlib.Path(p3family.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-m", "p3family.cli", *argv],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=60, check=False)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == expected.encode()
