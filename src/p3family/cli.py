@@ -61,7 +61,7 @@ def _parse_sweep(text: str):
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     if count > _MAX_SWEEP_POINTS:
         raise DomainError(f"sweep has {count} points, limit is {_MAX_SWEEP_POINTS}")
-    return [lo + step * i for i in range(count)]
+    return lo + step * np.arange(count)
 
 
 def _print_csv(out, headers, rows):
@@ -113,7 +113,7 @@ def _answer(args, law, table, header):
     if args.sweep is not None:
         points = _parse_sweep(args.sweep)
         _print_csv(sys.stdout, [header, "columns: point, value"],
-                   zip(points, fn(law, np.array(points))))
+                   zip(points, fn(law, points)))
         return 0
     if args.at is None:
         raise DomainError(f"{args.quantity} queries need --at or --sweep")

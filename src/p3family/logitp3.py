@@ -4,9 +4,10 @@ Support is (logistic(m), 1) for b > 0 and (0, logistic(m)) for b < 0.
 The density and CDF are `pearson3.evaluate` through the logit map `LOGIT`.
 Moments of either sign of b are one positive integral of logistic(X)^n
 against the law, `series.expect`, which takes a `sums.SumSpec` mixture as
-well. The first and second moments also have closed forms in terms of the
-Lerch transcendent when b > 0 and m >= 0. The logit gamma distribution is
-the b > 0, m = 0 special case.
+well. The paper's closed forms of the first and second moments in terms of
+the Lerch transcendent (b > 0, m >= 0) keep their names and domain, and
+take that same integral. The logit gamma distribution is the b > 0, m = 0
+special case.
 """
 
 import math
@@ -79,14 +80,6 @@ def ltp3_moment(params: Pearson3Params, n: int) -> float:
     return min(expect(params, lambda g: expit(edge + sign * g) ** n), 1.0)
 
 
-def _lerch_scaled(params: Pearson3Params, s: float) -> float:
-    """b^s Phi(-e^(-m), s, b) = E[logistic(m + G/b)] for G ~ Gamma(s, 1),
-    the integral of DLMF 25.14.5 with the Lerch factor b^(-s) cancelled
-    against b^s, so that neither is formed: a value in (0, 1) where the two
-    leave double range apart."""
-    return expect(Pearson3Params(s, params.b, params.m), lambda g: expit(params.m + g))
-
-
 def ltp3_mean_closed(params: Pearson3Params) -> float:
     """Closed-form mean b^a * Phi(-e^(-m), a, b); requires b > 0 and m >= 0.
 
@@ -97,27 +90,24 @@ def ltp3_mean_closed(params: Pearson3Params) -> float:
         raise DomainError(
             f"closed-form mean requires b > 0 and m >= 0, got b={params.b}, m={params.m}"
         )
-    return min(_lerch_scaled(params, params.a), 1.0)
+    return ltp3_moment(params, 1)
 
 
 def ltp3_second_moment_closed(params: Pearson3Params) -> float:
     """Closed-form second moment
-    b^a (Phi(-e^(-m), a-1, b) - (b-1) Phi(-e^(-m), a, b)), formed as
-    b E_(a-1) - (b-1) E_a with E_s = b^s Phi(-e^(-m), s, b).
+    b^a (Phi(-e^(-m), a-1, b) - (b-1) Phi(-e^(-m), a, b)); requires b > 0
+    and m >= 0.
 
-    Requires b > 0 and m >= 0. For a <= 1 the Phi(., a-1, .) term leaves
-    the Lerch evaluator's domain, so `ltp3_moment` is used instead.
+    It is E[logistic(X)^2], the integral that `ltp3_moment` takes for
+    n = 2: a positive integrand, where the difference of the two Lerch
+    terms would cancel about b-fold.
     """
     if params.b <= 0 or params.m < 0:
         raise DomainError(
             f"closed-form second moment requires b > 0 and m >= 0, "
             f"got b={params.b}, m={params.m}"
         )
-    if params.a <= 1:
-        return ltp3_moment(params, 2)
-    b, a = params.b, params.a
-    second = b * _lerch_scaled(params, a - 1.0) - (b - 1.0) * _lerch_scaled(params, a)
-    return min(max(second, 0.0), 1.0)
+    return ltp3_moment(params, 2)
 
 
 def logit_gamma_cdf(a: float, b: float, z: float) -> float:

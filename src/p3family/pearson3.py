@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, xlogy
+from scipy.special import gammainc, gammaincc, poch, xlogy
 
 from .errors import DomainError, SupportError
-from .specfun import ln_gamma, pochhammer
 
 __all__ = [
     "Pearson3Params",
@@ -71,7 +70,7 @@ class Pearson3Params:
         u = (abs(self.b) if rate is None else rate) * g
         if density:
             log_rate = math.log(abs(self.b)) if rate is None else np.log(rate)
-            return np.exp(log_rate + xlogy(self.a - 1.0, u) - u - ln_gamma(self.a)
+            return np.exp(log_rate + xlogy(self.a - 1.0, u) - u - math.lgamma(self.a)
                           - np.log(slope))
         return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
 
@@ -141,7 +140,7 @@ def p3_moment(params: Pearson3Params, n: int) -> float:
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
     return math.fsum(
-        math.comb(n, k) * params.m ** (n - k) * pochhammer(params.a, k) / params.b ** k
+        math.comb(n, k) * params.m ** (n - k) * float(poch(params.a, k)) / params.b ** k
         for k in range(n + 1)
     )
 

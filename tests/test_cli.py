@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import p3family
-from p3family.cli import _build_parser, _print_csv, main
+from p3family.cli import _build_parser, _parse_sweep, _print_csv, main
 from p3family.logitp3 import ltp3_cdf
 from p3family.pearson3 import Pearson3Params
 from p3family.sums import SumSpec, spec_to_json, sum_cdf
@@ -98,6 +98,10 @@ def test_dist_sweep_csv(capsys):
     assert len(data) == 5
     x, v = (float(t) for t in data[1].split(","))
     assert x == 1.0 and v == pytest.approx(1.0 - math.exp(-1.0), rel=1e-11)
+    # the points are one float64 array, each lo + step * i
+    points = _parse_sweep("-0.5:1:0.3")
+    assert points.dtype == np.float64
+    assert points.tolist() == [-0.5 + 0.3 * i for i in range(6)]
 
 
 def test_dist_errors(capsys):

@@ -284,9 +284,8 @@ def test_mean_closed_vs_series_grid(a, b, m):
     Pearson3Params(200.0, 100.0, 0.0),  # b^a overflows, Phi underflows
 ])
 def test_closed_forms_where_lerch_factors_leave_double_range(params):
-    # b^a cancels against the Lerch factor b^(-a), so the mean is the moment
-    # integral, where forming b^a raised OverflowError; the second moment
-    # b E_(a-1) - (b-1) E_a cancels about b-fold
+    # b^a and the Lerch factor b^(-a) leave double range apart: each closed
+    # form is the moment integral, with the two cancelled
     mean, second = ltp3_mean_closed(params), ltp3_second_moment_closed(params)
     assert 0.0 < mean <= 1.0 and 0.0 < second <= 1.0
     assert mean == ltp3_moment(params, 1)
@@ -316,13 +315,30 @@ def test_second_moment_closed():
     closed = ltp3_second_moment_closed(p)
     assert closed == pytest.approx(ltp3_moment(p, 2), abs=1e-9)
     assert closed >= ltp3_mean_closed(p) ** 2  # variance nonnegativity
-    # a <= 1 falls back to the series
+    # a <= 1, where the Lerch term Phi(., a-1, .) has s <= 0
     p1 = Pearson3Params(1.0, 1.5, 0.0)
     assert ltp3_second_moment_closed(p1) == pytest.approx(
         ltp3_moment(p1, 2), abs=1e-12
     )
     with pytest.raises(DomainError):
         ltp3_second_moment_closed(Pearson3Params(2.0, -1.0, 0.0))
+
+
+@pytest.mark.parametrize("params", [
+    Pearson3Params(200.0, 200.0, 0.0),
+    Pearson3Params(200.0, 100.0, 0.0),
+])
+def test_second_moment_closed_vs_quadrature_large_rate(params):
+    # b E_(a-1) - (b-1) E_a, with E_s = b^s Phi(-e^(-m), s, b), cancels about
+    # b-fold at these rates. Reference: 40-digit quadrature of
+    # logistic(m + G/b)^2 for G ~ Gamma(a, 1); mpmath's b^s Phi reads 0 here.
+    a, b, m = params.a, params.b, params.m
+    with mp.workdps(40):
+        def f(g):
+            return (1 + mp.exp(-m - g / b)) ** -2 * g ** (a - 1) * mp.exp(-g) / mp.gamma(a)
+        sd = mp.sqrt(a)
+        ref = mp.quad(f, [0, a - 12 * sd, a - 4 * sd, a, a + 4 * sd, a + 12 * sd, mp.inf])
+    assert ltp3_second_moment_closed(params) == pytest.approx(float(ref), rel=0, abs=1e-13)
 
 
 def test_second_moment_closed_vs_mc():

@@ -10,6 +10,7 @@ import pytest
 import p3family.logitp3
 import p3family.logp3
 import p3family.pearson3
+import p3family.specfun
 import p3family.sums
 import p3family.wpt
 from p3family.errors import DomainError
@@ -150,9 +151,9 @@ def test_convolution_incompatible_grids():
 
 # ---------------------------------------------------------------------------
 # Oracle-coverage manifest: every analytic operation exported by the five
-# distribution modules must be wired to at least one oracle comparison in
-# this suite. Types, constants, serialization helpers, and support
-# descriptors are structural and carry no numbers to cross-check.
+# distribution modules and by `specfun` must be wired to at least one oracle
+# comparison in this suite. Types, constants, serialization helpers, and
+# support descriptors are structural and carry no numbers to cross-check.
 # ---------------------------------------------------------------------------
 
 STRUCTURAL = {
@@ -220,6 +221,8 @@ ORACLE_MANIFEST = {
     "q_moment_miso": "test_wpt.py::test_miso_vs_mc",
     "q_mean_miso": "test_wpt.py::test_miso_vs_mc",
     "outage_probability": "test_wpt.py::test_outage_probability_dispatch",
+    # specfun
+    "lerch_phi": "test_specfun.py::test_lerch_vs_mpmath_grid",
 }
 
 
@@ -230,6 +233,7 @@ def test_every_analytic_op_has_an_oracle():
         p3family.logitp3,
         p3family.sums,
         p3family.wpt,
+        p3family.specfun,
     )
     required = set()
     for mod in modules:
