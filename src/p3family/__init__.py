@@ -6,7 +6,7 @@ Submodules:
   logitp3   the logistic transform Z = 1/(1 + exp(-X)) and logit gamma
   sums      sums of independent components and their mixture weights
   wpt       harvested power as an affine/logit map over pearson3/sums
-  specfun   the Lerch transcendent, as an expectation against a law
+  specfun   truncated incomplete-gamma integrals, Lerch transcendent
   series    series truncation, and expectations against a law
   mc        seeded Monte Carlo and numeric-convolution oracles
   presets   the reference-figure constants and scenarios
@@ -40,7 +40,11 @@ from .pearson3 import (
     p3_sample,
     p3_scale,
 )
-from .specfun import lerch_phi
+from .specfun import (
+    gamma_integral_lower,
+    gamma_integral_upper,
+    lerch_phi,
+)
 from .sums import (
     DISTINCT_RATES,
     EQUAL_RATES,

@@ -222,6 +222,10 @@ ORACLE_MANIFEST = {
     "q_mean_miso": "test_wpt.py::test_miso_vs_mc",
     "outage_probability": "test_wpt.py::test_outage_probability_dispatch",
     # specfun
+    "gamma_integral_lower": "test_specfun.py::test_gamma_integral_lower_vs_quadrature",
+    "gamma_integral_upper": "test_specfun.py::test_gamma_integral_split_identity",
+    "gamma_integral_lower_scaled": "test_specfun.py::test_scaled_gamma_integrals_vs_mpmath",
+    "gamma_integral_upper_scaled": "test_specfun.py::test_scaled_gamma_integrals_vs_mpmath",
     "lerch_phi": "test_specfun.py::test_lerch_vs_mpmath_grid",
 }
 
