@@ -163,19 +163,13 @@ def _scenario_hash(scenario) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-def _moment_sweep(scenario, var, points, moment):
-    """Yield (x, moment(scenario `at` its `var`, distance or power, x)) for
-    each point x: a moment is an integral against the law at x."""
-    for x in points:
-        yield x, moment(scenario.at(**{var: x}))
-
-
-def _wpt_moment(scenario, args) -> float:
+def _wpt_order(args) -> int:
+    """The moment order of a mean or moment query."""
     if args.quantity == "mean":
-        return wpt.q_mean_miso(scenario)
+        return 1
     if args.n is None:
         raise DomainError("moment queries need --n")
-    return wpt.q_moment_miso(scenario, args.n)
+    return args.n
 
 
 def _wpt_point(model, args):
@@ -195,7 +189,8 @@ def cmd_wpt(args) -> int:
     moment = args.quantity in ("mean", "moment")
     if args.sweep is None:
         if moment:
-            print(_fmt(_wpt_moment(scenario, args)))
+            print(_fmt(wpt.q_mean_miso(scenario) if args.quantity == "mean"
+                       else wpt.q_moment_miso(scenario, _wpt_order(args))))
             return 0
         q, density = _wpt_point(scenario.model, args)
         print(_fmt(wpt.q_pdf_miso(scenario, q) if density else wpt.q_cdf_miso(scenario, q)))
@@ -208,8 +203,7 @@ def cmd_wpt(args) -> int:
         raise DomainError(f"sweep variable must be distance or power, got {var!r}")
     points = _parse_sweep(grid_text)
     if moment:
-        rows = list(_moment_sweep(scenario, var, points,
-                                  functools.partial(_wpt_moment, args=args)))
+        rows = zip(points, scenario.moments(var, points, _wpt_order(args)))
     else:
         q, density = _wpt_point(scenario.model, args)
         rows = zip(points, scenario.curve(var, points, q, density))
@@ -265,7 +259,7 @@ def _figure_curves(fig_id):
                     f"{fig_id}_L{L}.csv",
                     [f"p3family.wpt q_mean_miso L={L}",
                      f"columns: {var}, mean_harvested_W"],
-                    _moment_sweep(sc, var, points, wpt.q_mean_miso),
+                    zip(points, sc.moments(var, points, 1)),
                 )
                 continue
             for frac_name, frac in (("qt_ps_1_10", 0.1), ("qt_ps_1_20", 0.05)):

@@ -55,10 +55,10 @@ class Pearson3Params:
         lo, hi = self.support()
         return lo < x < hi
 
-    @property
-    def mean_offset(self) -> float:
-        """Mean offset E|X - m| = a/|b| of X from the support edge."""
-        return self.a / abs(self.b)
+    def mean_offset(self, rate=None) -> float:
+        """Mean offset E|X - m| = a/|b| of X from the support edge; a/rate
+        for the law rescaled to inverse scale `rate` (`at_offsets`)."""
+        return self.a / (abs(self.b) if rate is None else rate)
 
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
@@ -66,13 +66,22 @@ class Pearson3Params:
         0 < g < inf for the density. ln(slope) enters the exponent, so that
         the density of y keeps its digits where that of X leaves double range.
         A `rate` (a float or an array broadcast against g) stands for |b|:
-        the law of X rescaled to that inverse scale."""
+        the law of X rescaled to that inverse scale, whose density is that
+        of the law built at it to the last bit."""
         u = (abs(self.b) if rate is None else rate) * g
         if density:
-            log_rate = math.log(abs(self.b)) if rate is None else np.log(rate)
+            log_rate = math.log(abs(self.b)) if rate is None else _log(rate)
             return np.exp(log_rate + xlogy(self.a - 1.0, u) - u - math.lgamma(self.a)
                           - np.log(slope))
         return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
+
+
+def _log(x):
+    """math.log of each distinct value of the array x. numpy's vector log
+    may round a value apart from it, and a law rescaled to a rate is to have
+    the density of the law built at that rate."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([math.log(v) for v in values.tolist()])[where].reshape(np.shape(x))
 
 
 class Transform(NamedTuple):

@@ -8,7 +8,7 @@ the log of the offset.
 """
 
 import math
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -28,25 +28,25 @@ def sum_series(terms):
     """Sum an iterable of (real or complex) terms by plain truncation.
 
     Stops once `_CONSECUTIVE_SMALL` successive terms are below `_REL_TOL`
-    relative to the running partial sum.
+    relative to the running partial sum. Where the terms run out, or reach
+    `_MAX_TERMS`, before that, raises ConvergenceError naming the terms
+    consumed, the last partial sum and the last term.
     """
     total = 0.0
-    small = 0
-    exhausted = True
-    for t in islice(terms, _MAX_TERMS):
+    small = count = 0
+    t = None
+    for count, t in enumerate(islice(terms, _MAX_TERMS), start=1):
         total = total + t
         if abs(t) <= _REL_TOL * max(abs(total), _TINY):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
-                exhausted = False
-                break
+                return total
         else:
             small = 0
-    if exhausted:
-        raise ConvergenceError(
-            f"series did not converge within {_MAX_TERMS} terms"
-        )
-    return total
+    raise ConvergenceError(
+        f"series did not converge: {count} terms consumed (at most {_MAX_TERMS}), "
+        f"last partial sum {total!r}, last term {t!r}"
+    )
 
 
 # The grid of `expect`, in t = ln g: steps of _STEP from _GRID_LOW below the
@@ -71,9 +71,12 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
 # The integrands bend at x = 0, where the logistic turns, over a width of
 # order 1 in x: panels also end at these distances from it in x.
 _BENDS = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+# Rates per batch of `expect`: each adds about 55 kB to the batch's arrays,
+# and the time per rate stops falling at a few dozen.
+_RATES = 64
 
 
-def expect(law, h) -> float:
+def expect(law, h, rate=None):
     """E[h(g)] for the offset g = sign(b)(X - edge) of X from the support
     edge of `law`, a `pearson3.Pearson3Params` or a `sums.SumSpec`.
 
@@ -81,28 +84,67 @@ def expect(law, h) -> float:
     of h against the density that `law.at_offsets(g, density=True)` gives
     is taken in t = ln g, where the integrand h(g) f(g) g has no g^(a-1)
     singularity at the edge, over the bracket that a grid of fixed step in
-    t finds around `law.mean_offset`, by fixed Gauss-Legendre panels. A
+    t finds around `law.mean_offset()`, by fixed Gauss-Legendre panels. A
     positive integrand has no cancellation. Returns 0.0 where the
     integrand underflows on the whole grid.
+
+    An array of rates gives an array of one expectation per rate, each for
+    the law rescaled to that rate as `law.at_offsets(..., rate=)` does: the
+    density is evaluated in one call over all their grids and one over all
+    their nodes, for each batch of _RATES rates. A float rate, or None for
+    the law itself, gives a float.
     """
+    if np.size(rate) > _RATES:
+        rates = np.ravel(rate)
+        return np.concatenate([expect(law, h, rates[i:i + _RATES])
+                               for i in range(0, rates.size, _RATES)])
     lo, hi = law.support()
     bend = -lo if hi == math.inf else hi  # the offset of x = 0
-    centre = math.log(law.mean_offset)
-    top = max(centre, math.log(bend) if bend > 0.0 else -math.inf) + _GRID_HIGH
-    t = np.arange(max(centre - _GRID_LOW, _T_MIN), top + _STEP, _STEP)
+    log_bend, near = -math.inf, np.empty(0)
+    if bend > 0.0:
+        log_bend = math.log(bend)
+        near = np.log(np.concatenate((bend - _BENDS[_BENDS < bend], [bend], bend + _BENDS)))
+    batch = [None] if rate is None else np.ravel(rate).tolist()
 
-    def integrand(t):
-        g = np.exp(t)
-        return h(g) * law.at_offsets(g, density=True) * g
+    def integrand(pieces):
+        # h f g at t = ln g for each rate's array of t, in one call
+        sizes = [u.size for u in pieces]
+        g = np.exp(np.concatenate(pieces))
+        rates = None if rate is None else np.repeat(batch, sizes)
+        out = h(g) * law.at_offsets(g, density=True, rate=rates) * g
+        return [out[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
-    values = integrand(t)
-    peak = values.max()
-    if peak == 0.0:
-        return 0.0
-    inside = np.flatnonzero(values >= math.exp(-_BRACKET) * peak)
-    cells = slice(max(inside[0] - 1, 0), min(inside[-1] + 1, t.size - 1) + 1)
-    t = t[cells]
-    log_values = np.log(np.maximum(values[cells], _SMALLEST))
+    grids = []
+    for r in batch:
+        centre = math.log(law.mean_offset(r))
+        top = max(centre, log_bend) + _GRID_HIGH
+        grids.append(np.arange(max(centre - _GRID_LOW, _T_MIN), top + _STEP, _STEP))
+    panels, tails = [], []
+    for t, v in zip(grids, integrand(grids)):
+        peak = v.max()
+        if peak == 0.0:  # no panels: the value is 0.0
+            panels.append((np.empty(0), np.empty((0, _NODES.size))))
+            tails.append(0.0)
+            continue
+        inside = np.flatnonzero(v >= math.exp(-_BRACKET) * peak)
+        cells = slice(max(inside[0] - 1, 0), min(inside[-1] + 1, t.size - 1) + 1)
+        panels.append(_panels(t[cells], v[cells], near))
+        # A law of shape a below about 40/_GRID_LOW still carries weight at
+        # the bottom of the grid, where the integrand is c e^(k t) with
+        # k >= a: the rest of it is v[0] / k.
+        low = cells.start == 0 and v[1] > v[0]
+        tails.append(v[0] * _STEP / math.log(v[1] / v[0]) if low else 0.0)
+    nodes = integrand([n.ravel() for _, n in panels])
+    out = [half @ (f.reshape(n.shape) @ _WEIGHTS) + tail
+           for (half, n), f, tail in zip(panels, nodes, tails)]
+    return float(out[0]) if rate is None or np.ndim(rate) == 0 else np.array(out)
+
+
+def _panels(t, values, near):
+    """Half-widths and Gauss-Legendre nodes, a row per panel, of the panels
+    that split the grid cells of t, with integrand `values` there, and end
+    at the points `near` inside them."""
+    log_values = np.log(np.maximum(values, _SMALLEST))
     curve = np.zeros_like(log_values)
     curve[1:-1] = np.abs(np.diff(log_values, 2))
     change = np.minimum(np.abs(np.diff(log_values)), _BRACKET + _LOG_SPAN)
@@ -112,15 +154,7 @@ def expect(law, h) -> float:
     cell = np.repeat(np.arange(splits.size), splits)
     part = np.arange(cell.size) - np.repeat(np.cumsum(splits) - splits, splits)
     edges = np.append(t[cell] + _STEP * part / splits[cell], t[-1])
-    if bend > 0.0:
-        near = np.log(np.concatenate((bend - _BENDS[_BENDS < bend], [bend], bend + _BENDS)))
+    if near.size:
         edges = np.union1d(edges, near[(near > t[0]) & (near < t[-1])])
     half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
-    total = float(half @ (integrand(nodes.ravel()).reshape(nodes.shape) @ _WEIGHTS))
-    if cells.start == 0 and values[1] > values[0]:
-        # A law of shape a below about 40/_GRID_LOW still carries weight at
-        # the bottom of the grid, where the integrand is c e^(k t) with
-        # k >= a: the rest of it is values[0] / k.
-        total += values[0] * _STEP / math.log(values[1] / values[0])
-    return total
+    return half, (edges[:-1] + half)[:, None] + half[:, None] * _NODES

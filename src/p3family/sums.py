@@ -171,13 +171,14 @@ class SumSpec:
         equal rates."""
         return math.fsum(abs(t.b) for t in self.terms) / self.L
 
-    @property
-    def mean_offset(self) -> float:
+    def mean_offset(self, rate=None) -> float:
         """Mean offset E|X - sm| of the sum from its support edge: the
-        reduced law's for equal rates, else sum a_i/|b_i|."""
+        reduced law's for equal rates, else sum a_i/|b_i|; for the sum
+        rescaled to mean rate `rate` (`at_offsets`), that of its law."""
         if self.regime == EQUAL_RATES:
-            return self._reduced.mean_offset
-        return math.fsum(t.a / abs(t.b) for t in self.terms)
+            return self._reduced.mean_offset(rate)
+        offset = math.fsum(t.a / abs(t.b) for t in self.terms)
+        return offset if rate is None else offset * (self.mean_rate / rate)
 
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
@@ -206,7 +207,7 @@ class SumSpec:
         else:
             # P below the mean offset and Q = 1 - P above it, so that each
             # tail is summed directly, not formed as 1 minus a sum near 1
-            upper = g > self.mean_offset
+            upper = g > self.mean_offset()
             out = np.empty_like(g)
             for part, component in ((~upper, _cdf_component), (upper, _sf_component)):
                 if part.any():

@@ -147,11 +147,13 @@ class MisoScenario:
     fading shapes), and partially coincident scales are rejected.
 
     `at` moves every branch to one distance or one total power; `curve`
-    gives the harvested-power CDF or density at one q over a sweep of such
-    moves. A power sweep, or a distance sweep of branches that share at, ar
-    and fc, scales every effective rate by one factor, so the law of the
-    first point, rescaled to each point's mean rate, serves the whole sweep
-    in one array evaluation; another distance sweep builds a law per point.
+    gives the harvested-power CDF or density at one q, and `moments` the
+    raw moment E[Q^n], over a sweep of such moves. A power sweep, or a
+    distance sweep of branches that share at, ar and fc, scales every
+    effective rate by one factor, so the law of the first point, rescaled
+    to each point's mean rate, serves the whole sweep: one array evaluation
+    for a curve, one batched integral for the moments. Another distance
+    sweep builds a law per point.
     """
 
     model: EHModel
@@ -198,20 +200,37 @@ class MisoScenario:
         (a float) in the scenario `at` each of `points` of `var`, "distance"
         or "power": an array with one value per point, each equal to what
         `q_cdf_miso` or `q_pdf_miso` gives there, up to rounding at distinct
-        rates.
+        rates. Each law evaluates all the points it serves in one call."""
+        if np.ndim(q):
+            raise DomainError("a curve is taken at one harvested power q, not an array")
+        return self._per_law(var, points, lambda law, rates: evaluate(
+            law, self.model._harvest, q, density, rate=rates))
 
-        Each law is built once, at the first point it serves, and evaluated
-        over all of them in one call at their mean rates: one law for a
+    def moments(self, var, points, n):
+        """Raw moments E[Q^n] of the harvested power in the scenario `at`
+        each of `points` of `var`, "distance" or "power": an array with one
+        value per point, each equal to what `q_moment_miso` gives there, up
+        to rounding at distinct rates. Each law integrates all the points
+        it serves in one `series.expect` call."""
+        if n < 1:
+            raise DomainError(f"moment order must be >= 1, got n={n}")
+        h = _q_power(self.model, n)
+        return self.model.Ps ** n * self._per_law(
+            var, points, lambda law, rates: expect(law, h, rate=rates))
+
+    def _per_law(self, var, points, value):
+        """value(law, rates) of each law of the sweep of `var` over `points`
+        at the mean rates of the points it serves, as one array.
+
+        Each law is built once, at the first point it serves: one law for a
         power sweep, or a distance sweep of branches that share at, ar and
         fc, where the rates keep their ratios; else one law per point.
         """
         if var not in ("distance", "power"):
             raise DomainError(f"sweep variable must be distance or power, got {var!r}")
-        if np.ndim(q):
-            raise DomainError("a curve is taken at one harvested power q, not an array")
         moved = [self._branches_at(**{var: x}) for x in points]
         # each point's mean rate as `SumSpec.mean_rate` forms it, so that a
-        # law evaluated at its own point is evaluated as `q_cdf_miso` does
+        # law evaluated at its own point gives what the per-point functions do
         rates = np.array([math.fsum(br.bhat(self.model) for br in branches) / self.L
                           for branches in moved])
         one_law = var == "power" or len({(br.at, br.ar, br.fc) for br in self.branches}) == 1
@@ -221,8 +240,7 @@ class MisoScenario:
         out = np.empty(len(moved))
         for start, stop in zip(starts, starts[1:] + [len(moved)]):
             law = MisoScenario(self.model, moved[start])._law
-            out[start:stop] = evaluate(law, self.model._harvest, q, density,
-                                       rate=rates[start:stop])
+            out[start:stop] = value(law, rates[start:stop])
         return out
 
 
@@ -296,10 +314,13 @@ def q_moment_miso(scenario: MisoScenario, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got n={n}")
-    model = scenario.model
+    return scenario.model.Ps ** n * expect(scenario._law, _q_power(scenario.model, n))
+
+
+def _q_power(model, n):
+    """(Q/Ps)^n as a function of the offset g = A r of the law from its edge."""
     threshold = model.A * model.B
-    return model.Ps ** n * expect(
-        scenario._law, lambda g: (-np.expm1(-g) * expit(g - threshold)) ** n)
+    return lambda g: (-np.expm1(-g) * expit(g - threshold)) ** n
 
 
 def q_mean_miso(scenario: MisoScenario) -> float:

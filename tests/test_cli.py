@@ -243,6 +243,8 @@ def apertures_file(tmp_path):
     ("outage", ("--qt-frac", "0.1")),
     ("cdf", ("--at", "0.004")),
     ("pdf", ("--at", "0.004")),
+    ("mean", ()),
+    ("moment", ("--n", "2")),
 ])
 def test_wpt_sweep_rows_match_point_queries(capsys, tmp_path, scenario_file, apertures_file,
                                             quantity, query):
@@ -279,12 +281,12 @@ def test_figure_curves_build_one_law_each(capsys, tmp_path, monkeypatch):
         build(spec)
 
     monkeypatch.setattr(SumSpec, "__post_init__", counted)
-    for fig in ("fig3", "fig4"):
+    for fig, count in (("fig3", 6), ("fig4", 6), ("fig5", 3), ("fig6", 3)):
         builds.clear()
         code, out = run(capsys, "figure", "--id", fig, "--out", str(tmp_path / fig))
         assert code == 0
         curves = out.strip().split("\n")
-        assert len(curves) == 6
+        assert len(curves) == count
         assert 0 < len(builds) <= 2 * len(curves)
 
 

@@ -1,11 +1,16 @@
-"""Truncation policy tests."""
+"""Truncation policy and `expect` tests."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from scipy.special import expit
 
 from p3family.errors import ConvergenceError
-from p3family.series import sum_series
+from p3family.pearson3 import Pearson3Params
+from p3family.series import _RATES, expect, sum_series
+from p3family.sums import SumSpec
 
 
 def test_plain_sum_geometric():
@@ -37,3 +42,73 @@ def test_plain_sum_exhaustion_raises():
 
     with pytest.raises(ConvergenceError):
         sum_series(terms())
+
+
+def test_exhaustion_message_names_terms_sum_and_last_term():
+    with pytest.raises(ConvergenceError,
+                       match=r"10000 terms consumed .*last partial sum 10000\.0, last term 1\.0"):
+        sum_series(itertools.repeat(1.0))
+    # a finite iterable that runs out before the tolerance is reached
+    with pytest.raises(ConvergenceError,
+                       match=r"2 terms consumed .*last partial sum 3\.0, last term 2\.0"):
+        sum_series([1.0, 2.0])
+
+
+@pytest.mark.parametrize("a, b", [(0.02, 1.0), (0.02, -3.0), (0.7, 2.5), (3.0, 1.5),
+                                  (40.0, -0.5)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_expect_power_against_member(a, b, n):
+    # E[g^n] = (a)_n / |b|^n; at a = 0.02 and n = 0 the integrand is still
+    # large at the bottom of the grid, where the tail term below it counts
+    value = expect(Pearson3Params(a, b, 0.3), lambda g: g ** n)
+    assert value == pytest.approx(math.prod(a + k for k in range(n)) / abs(b) ** n, rel=1e-13)
+
+
+def test_expect_mean_against_distinct_rate_sum():
+    terms = (Pearson3Params(1.0, 0.7, 0.2), Pearson3Params(2.0, 1.9), Pearson3Params(3.0, 4.2))
+    value = expect(SumSpec(terms), lambda g: g)
+    assert value == pytest.approx(math.fsum(t.a / t.b for t in terms), rel=1e-13)
+
+
+@pytest.mark.parametrize("law", [
+    Pearson3Params(2.5, -1.3, 0.4),
+    SumSpec((Pearson3Params(1.0, 1.0, -0.3), Pearson3Params(2.0, 2.5), Pearson3Params(1.0, 4.0))),
+])
+@pytest.mark.parametrize("rates", [
+    np.array([0.05, 0.3, 1.0, 2.7, 11.0, 300.0]),
+    np.geomspace(0.05, 300.0, 2 * _RATES + 7),  # more than one batch
+])
+def test_expect_rates_are_one_call_per_rate(law, rates):
+    def h(g):
+        return expit(g - 0.7) ** 2
+
+    batch = expect(law, h, rate=rates)
+    assert isinstance(batch, np.ndarray) and batch.shape == rates.shape
+    assert batch.tolist() == [expect(law, h, rate=r) for r in rates]
+    assert isinstance(expect(law, h, rate=1.0), float)
+
+
+def test_expect_rate_is_the_law_built_at_it():
+    # a member rescaled to a rate is the member of that inverse scale, to the
+    # last bit: the centre of the grid and the density agree
+    def h(g):
+        return g / (1.0 + g)
+
+    # numpy's vector log rounds the last two rates apart from math.log on
+    # hosts where it has a SIMD log of its own
+    rates = [0.2, 1.3, 3.3, 7.1, 1.9039388996106583, 3.910591516091283]
+    batch = expect(Pearson3Params(2.5, 1.3, -0.4), h, rate=rates)
+    assert batch.tolist() == [expect(Pearson3Params(2.5, r, -0.4), h) for r in rates]
+
+
+def test_expect_underflowing_rate_is_zero_in_a_batch():
+    # h vanishes below g = 10^6 / 745 and the density of shape 2 at rate 1
+    # has underflowed long before that; at rate 1e-4 both overlap
+    def h(g):
+        return np.exp(-1e6 / np.maximum(g, 1.0))
+
+    law = Pearson3Params(2.0, 1.0)
+    assert expect(law, h) == 0.0
+    batch = expect(law, h, rate=[1e-4, 1.0, 1e-4])
+    assert batch[1] == 0.0
+    assert batch[0] == batch[2] == expect(law, h, rate=1e-4) > 0.0

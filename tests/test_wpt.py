@@ -479,3 +479,49 @@ def test_curve_rejects_other_variables_and_arrays_of_q():
     # an array of q the length of the sweep would pair each q with one point
     with pytest.raises(DomainError):
         distinct_scenario(2).curve("power", [1.0, 2.0], np.array([1e-3, 2e-3]))
+
+
+# ---------------------------------------------- one law per moment curve
+
+def _moments_per_point(scenario, var, points, n):
+    return np.array([q_moment_miso(scenario.at(**{var: x}), n) for x in points])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_fig5_moments_equal_per_point(L):
+    # equal rates: one law for the curve, rescaled to each point's mean rate,
+    # integrates on the grid and with the density of a law built there
+    sc = equal_split_scenario(L, FIG_D_GRID[0])
+    for n in (1, 2):
+        np.testing.assert_array_equal(sc.moments("distance", FIG_D_GRID, n),
+                                      _moments_per_point(sc, "distance", FIG_D_GRID, n))
+
+
+def test_distance_moments_with_distinct_apertures_equal_per_point():
+    branches = (LinkBudget(0.5, 0.01, 2.4e9, 10.0, 1.0, FADING),
+                LinkBudget(0.2, 0.02, 0.9e9, 6.0, 1.0, FADING))
+    sc = MisoScenario(MODEL, branches)
+    points = [3.0, 5.5, 8.0, 12.0]
+    for n in (1, 2):
+        np.testing.assert_array_equal(sc.moments("distance", points, n),
+                                      _moments_per_point(sc, "distance", points, n))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_fig6_moments_near_per_point(L):
+    # distinct rates: the rescaled mixture rounds apart from a law built at
+    # each point, by at most 1.4e-13 here
+    sc = beacon_field_scenario(L)
+    assert sc.regime == DISTINCT_RATES
+    for n in (1, 2):
+        np.testing.assert_allclose(sc.moments("power", FIG_P_GRID, n),
+                                   _moments_per_point(sc, "power", FIG_P_GRID, n),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_moments_reject_other_variables_and_orders():
+    with pytest.raises(DomainError):
+        distinct_scenario(2).moments("speed", [1.0, 2.0], 1)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            distinct_scenario(2).moments("power", [1.0, 2.0], n)
