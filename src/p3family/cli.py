@@ -45,6 +45,7 @@ __all__ = ["main"]
 _MAX_SWEEP_POINTS = 10 ** 6
 _NUM = "%.12g"
 _ROW = f"{_NUM},{_NUM}\n"
+_CSV_ROWS = 1024  # rows formatted by one % call
 
 
 def _fmt(x: float) -> str:
@@ -64,12 +65,17 @@ def _parse_sweep(text: str):
     return lo + step * np.arange(count)
 
 
-def _print_csv(out, headers, rows):
-    """Write the "# " headers, then one "%.12g,%.12g" line per (point,
-    value) row. The body is streamed, one C-level format per row, and
-    never joined into one string: a sweep may have 10^6 points."""
+def _print_csv(out, headers, points, values):
+    """Write the "# " headers, then one "%.12g,%.12g" line per point and
+    its value, from two sequences of numbers of one length. The body is
+    written _CSV_ROWS rows at a time, each block one C-level % format of
+    its interleaved points and values as Python floats, and never joined
+    into one string: a sweep may have 10^6 points."""
     out.write("".join(f"# {h}\n" for h in headers))
-    out.writelines(map(_ROW.__mod__, rows))
+    points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    for i in range(0, points.size, _CSV_ROWS):
+        block = np.column_stack((points[i:i + _CSV_ROWS], values[i:i + _CSV_ROWS]))
+        out.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_file(path: str) -> str:
@@ -112,8 +118,7 @@ def _answer(args, law, table, header):
     fn = pdf if args.quantity == "pdf" else cdf
     if args.sweep is not None:
         points = _parse_sweep(args.sweep)
-        _print_csv(sys.stdout, [header, "columns: point, value"],
-                   zip(points, fn(law, points)))
+        _print_csv(sys.stdout, [header, "columns: point, value"], points, fn(law, points))
         return 0
     if args.at is None:
         raise DomainError(f"{args.quantity} queries need --at or --sweep")
@@ -203,31 +208,31 @@ def cmd_wpt(args) -> int:
         raise DomainError(f"sweep variable must be distance or power, got {var!r}")
     points = _parse_sweep(grid_text)
     if moment:
-        rows = zip(points, scenario.moments(var, points, _wpt_order(args)))
+        values = scenario.moments(var, points, _wpt_order(args))
     else:
         q, density = _wpt_point(scenario.model, args)
-        rows = zip(points, scenario.curve(var, points, q, density))
+        values = scenario.curve(var, points, q, density)
     _print_csv(
         sys.stdout,
         [f"scenario-hash: {_scenario_hash(scenario)}, seed: n/a",
          f"p3family.wpt {args.quantity} sweep={var} L={scenario.L}",
          f"columns: {var}, value"],
-        rows,
+        points, values,
     )
     return 0
 
 
 # -------------------------------------------------------------- figure
 
-def _write_curve(out_dir, name, headers, rows):
+def _write_curve(out_dir, name, headers, points, values):
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        _print_csv(fh, headers, rows)
+        _print_csv(fh, headers, points, values)
     return path
 
 
 def _figure_curves(fig_id):
-    """Yield (file name, provenance headers, row iterable) per curve."""
+    """Yield (file name, provenance headers, points, values) per curve."""
     if fig_id in ("fig1", "fig2"):
         quantity = "cdf" if fig_id == "fig1" else "pdf"
         fn = logitp3.ltp3_cdf if fig_id == "fig1" else logitp3.ltp3_pdf
@@ -235,16 +240,16 @@ def _figure_curves(fig_id):
             params = Pearson3Params(a, b, 0.0)
             lo, hi = (0.5, 1.0) if b > 0 else (0.0, 0.5)
             if quantity == "cdf":
-                zs = [0.001 + 0.001 * i for i in range(999)]
+                zs = 0.001 + 0.001 * np.arange(999)
             else:
                 span = hi - lo
-                zs = [lo + span * (i + 0.5) / 400 for i in range(400)]
+                zs = lo + span * (np.arange(400) + 0.5) / 400
             tag = f"a{_fmt(a)}_b{_fmt(b)}".replace("-", "neg").replace(".", "p")
             yield (
                 f"{fig_id}_{tag}.csv",
                 [f"p3family.logitp3 ltp3_{quantity} a={_fmt(a)} b={_fmt(b)} m=0",
                  "columns: z, value"],
-                zip(zs, fn(params, np.array(zs))),
+                zs, fn(params, zs),
             )
         return
     if fig_id in ("fig3", "fig4", "fig5", "fig6"):
@@ -259,7 +264,7 @@ def _figure_curves(fig_id):
                     f"{fig_id}_L{L}.csv",
                     [f"p3family.wpt q_mean_miso L={L}",
                      f"columns: {var}, mean_harvested_W"],
-                    zip(points, sc.moments(var, points, 1)),
+                    points, sc.moments(var, points, 1),
                 )
                 continue
             for frac_name, frac in (("qt_ps_1_10", 0.1), ("qt_ps_1_20", 0.05)):
@@ -268,7 +273,7 @@ def _figure_curves(fig_id):
                     f"{fig_id}_L{L}_{frac_name}.csv",
                     [f"p3family.wpt q_cdf_miso L={L} qt={_fmt(qt)}",
                      f"columns: {var}, outage"],
-                    zip(points, sc.curve(var, points, qt)),
+                    points, sc.curve(var, points, qt),
                 )
         return
     raise DomainError(f"unknown figure id {fig_id!r}, expected fig1..fig6")
@@ -277,8 +282,8 @@ def _figure_curves(fig_id):
 def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = []
-    for name, headers, rows in _figure_curves(args.id):
-        written.append(_write_curve(args.out, name, headers, rows))
+    for name, headers, points, values in _figure_curves(args.id):
+        written.append(_write_curve(args.out, name, headers, points, values))
     if args.gnuplot:
         gp = os.path.join(args.out, f"{args.id}.gp")
         with open(gp, "w", encoding="utf-8") as fh:

@@ -85,14 +85,17 @@ def sample_harvested(scenario, seed: int, count: int) -> np.ndarray:
     return np.asarray(scenario.model.harvest(r), dtype=float)
 
 
-def empirical_cdf(samples, x: float) -> float:
-    """Fraction of samples <= x, at one point x."""
+def empirical_cdf(samples, x):
+    """Fraction of samples <= x, at a point x (a float) or at each point of
+    an array x (an array of that shape); 0 at a NaN x."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise DomainError("empirical_cdf needs at least one sample")
-    if np.ndim(x) != 0:
-        raise DomainError(f"empirical_cdf takes one point x, got shape {np.shape(x)}")
-    return float(np.count_nonzero(samples <= x)) / samples.size
+    if np.ndim(x) == 0:
+        return float(np.count_nonzero(samples <= x)) / samples.size
+    # NaN samples sort last, above every x, as they compare false with it
+    counts = np.searchsorted(np.sort(samples, axis=None), x, side="right")
+    return np.where(np.isnan(x), 0, counts) / samples.size
 
 
 def ks_distance(samples, cdf_fn) -> float:

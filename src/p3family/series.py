@@ -91,9 +91,12 @@ def expect(law, h, rate=None):
     An array of rates gives an array of one expectation per rate, each for
     the law rescaled to that rate as `law.at_offsets(..., rate=)` does: the
     density is evaluated in one call over all their grids and one over all
-    their nodes, for each batch of _RATES rates. A float rate, or None for
-    the law itself, gives a float.
+    their nodes, for each batch of _RATES rates. An empty array of rates
+    gives an empty array. A float rate, or None for the law itself, gives a
+    float.
     """
+    if np.size(rate) == 0:
+        return np.empty(0)
     if np.size(rate) > _RATES:
         rates = np.ravel(rate)
         return np.concatenate([expect(law, h, rates[i:i + _RATES])

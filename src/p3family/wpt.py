@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
+# Sweep points whose mean rates `MisoScenario._per_law` forms from one list
+# of Python floats: no list as long as a 10^6-point sweep.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,30 @@ class LinkBudget:
     def bhat(self, model: EHModel) -> float:
         """Effective inverse scale of the received-power gamma after the
         harvester's A factor: b / (A l p)."""
-        return self.fading.b / (model.A * self.loss * self.p)
+        return _rate(self.fading.b, model, self.loss, self.p)
 
 
 def path_loss(link: LinkBudget) -> float:
     """Aperture path loss 1 - exp(-at ar / ((c0/fc)^2 d^2)), in (0, 1)."""
-    lam = SPEED_OF_LIGHT / link.fc
-    return -math.expm1(-link.at * link.ar / (lam * lam * link.d * link.d))
+    return _loss(link.at, link.ar, link.fc, link.d)
+
+
+def _loss(at, ar, fc, d):
+    # `path_loss` at a distance d or at each of an array of them, with
+    # math.expm1 per value: numpy's expm1 may round apart from it
+    lam = SPEED_OF_LIGHT / fc
+    x = -at * ar / (lam * lam * d * d)
+    if np.ndim(x) == 0:
+        return -math.expm1(x)
+    return -np.fromiter(map(math.expm1, x.flat), float, x.size)
+
+
+def _rate(b, model, loss, p):
+    # `bhat` from floats or arrays, in one order of operations
+    received = model.A * loss * p
+    if np.any(received == 0):
+        raise DomainError("received power A l p underflows to 0")
+    return b / received
 
 
 def harvested_power_siso(model: EHModel, link: LinkBudget, h2: float) -> float:
@@ -153,7 +173,8 @@ class MisoScenario:
     effective rate by one factor, so the law of the first point, rescaled
     to each point's mean rate, serves the whole sweep: one array evaluation
     for a curve, one batched integral for the moments. Another distance
-    sweep builds a law per point.
+    sweep builds a law per point. The effective rates of a sweep are formed
+    as arrays, so no point but the first of a law builds a `LinkBudget`.
     """
 
     model: EHModel
@@ -222,24 +243,43 @@ class MisoScenario:
         """value(law, rates) of each law of the sweep of `var` over `points`
         at the mean rates of the points it serves, as one array.
 
-        Each law is built once, at the first point it serves: one law for a
-        power sweep, or a distance sweep of branches that share at, ar and
-        fc, where the rates keep their ratios; else one law per point.
+        The effective rate of each branch is one float64 array over the
+        points, formed as `bhat` and `path_loss` form it at each point, and
+        each point's mean rate is the `math.fsum` of its L rates over L, as
+        `SumSpec.mean_rate` forms it, a block of _BLOCK points at a time: a
+        law evaluated at its own point gives what the per-point functions
+        do. Each law is built once, at the first point it serves: one law
+        for a power sweep, or a distance sweep of branches that share at, ar
+        and fc, where the rates keep their ratios; else one law per point.
+        A point that would give a branch a non-positive d or p raises the
+        `LinkBudget` DomainError.
         """
         if var not in ("distance", "power"):
             raise DomainError(f"sweep variable must be distance or power, got {var!r}")
-        moved = [self._branches_at(**{var: x}) for x in points]
-        # each point's mean rate as `SumSpec.mean_rate` forms it, so that a
-        # law evaluated at its own point gives what the per-point functions do
-        rates = np.array([math.fsum(br.bhat(self.model) for br in branches) / self.L
-                          for branches in moved])
+        # the laws are built at the caller's points, the rates from floats
+        x = np.asarray(points, dtype=float)
+        n = x.size
+        field = x / self.L if var == "power" else x
+        bad = np.flatnonzero(field <= 0)
+        if bad.size:
+            self._branches_at(**{var: points[bad[0]]})  # raises the DomainError
+        if var == "power":
+            branch_rates = np.array([_rate(br.fading.b, self.model, br.loss, field)
+                                     for br in self.branches])
+        else:
+            branch_rates = np.array([_rate(br.fading.b, self.model,
+                                           _loss(br.at, br.ar, br.fc, x), br.p)
+                                     for br in self.branches])
+        rates = np.empty(n)
+        for i in range(0, n, _BLOCK):
+            rates[i:i + _BLOCK] = np.fromiter(
+                map(math.fsum, branch_rates[:, i:i + _BLOCK].T.tolist()), float)
+        rates /= self.L
         one_law = var == "power" or len({(br.at, br.ar, br.fc) for br in self.branches}) == 1
-        starts = list(range(len(moved)))
-        if one_law:
-            starts = starts[:1]
-        out = np.empty(len(moved))
-        for start, stop in zip(starts, starts[1:] + [len(moved)]):
-            law = MisoScenario(self.model, moved[start])._law
+        starts = list(range(min(n, 1) if one_law else n))
+        out = np.empty(n)
+        for start, stop in zip(starts, starts[1:] + [n]):
+            law = self.at(**{var: points[start]})._law
             out[start:stop] = value(law, rates[start:stop])
         return out
 

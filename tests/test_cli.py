@@ -221,6 +221,16 @@ def test_wpt_errors(capsys, scenario_file):
                    "--qt-frac", "0.1", "--at", "0.004", "--sweep", "speed:1:2:1")[0] == 2
 
 
+def test_wpt_sweep_of_non_positive_points_exits_2(capsys, scenario_file):
+    for quantity, query in (("outage", ("--qt-frac", "0.1")), ("mean", ())):
+        for sweep in ("power:-1:1:0.5", "distance:0:4:1"):
+            code = main(["wpt", "--scenario", scenario_file, "--quantity", quantity,
+                         *query, f"--sweep={sweep}"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: LinkBudget field ")
+
+
 @pytest.fixture
 def apertures_file(tmp_path):
     # two branches of different apertures and carriers: their effective
@@ -451,12 +461,31 @@ def test_print_csv_bytes(tmp_path):
     )
     headers = ["p3family.test header", "columns: point, value"]
     text = io.StringIO()
-    _print_csv(text, headers, iter(rows))
+    _print_csv(text, headers, *zip(*rows))
     assert text.getvalue() == expected
     path = tmp_path / "curve.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        _print_csv(fh, headers, iter(rows))
+        _print_csv(fh, headers, *zip(*rows))
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049])
+def test_print_csv_blocks_match_rows(count):
+    # bodies that end just before, at and after a block of 1024 rows are
+    # byte for byte the rows formatted one at a time
+    rng = np.random.default_rng(count)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310, 7, -12]
+    spread = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+    points = [specials[i % len(specials)] if i % 3 == 0 else float(x)
+              for i, x in enumerate(spread)]
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)
+    values[count // 2] = -0.0
+    values[-1] = 2.99999999999951
+    expected = "# h\n" + "".join("%.12g,%.12g\n" % row for row in zip(points, values))
+    text = io.StringIO()
+    _print_csv(text, ["h"], points, values)
+    assert text.getvalue() == expected
+    assert text.getvalue().count("\n") == count + 1
 
 
 def test_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -71,10 +71,17 @@ def test_empirical_statistics():
     assert se == pytest.approx(1.0 / math.sqrt(3.0))
     with pytest.raises(DomainError):
         empirical_cdf(np.array([]), 0.0)
-    # one point only: an array x, of the samples' length or another, is refused
-    for x in (np.array([0.0, 2.0, 5.0]), np.array([0.0, 2.0])):
-        with pytest.raises(DomainError):
-            empirical_cdf(samples, x)
+    # an array x, of the samples' length or another, gives the value at
+    # each point, == to the one-point value; a NaN point gives 0
+    with_nan = np.array([3.0, np.nan, 1.0, 2.0, 2.0, -np.inf])
+    xs = np.array([[-np.inf, 0.0, 1.0, 1.5], [2.0, 2.5, 3.0, np.inf], [np.nan, 5.0, -0.0, 2.0]])
+    for data in (samples, with_nan, np.linspace(-1.0, 3.0, 1001)):
+        for x in (xs, xs[0], xs[1, :3], [0.0, 2.0], np.empty(0)):
+            got = empirical_cdf(data, x)
+            assert got.shape == np.shape(x)
+            assert got.tolist() == np.vectorize(lambda v: empirical_cdf(data, v), otypes=[float])(x).tolist()
+    assert empirical_cdf(samples, np.nan) == 0.0
+    assert empirical_cdf(samples, np.array([np.nan, 2.0])).tolist() == [0.0, 2.0 / 3.0]
     with pytest.raises(DomainError):
         empirical_moment(np.array([]), 1)
 

@@ -112,3 +112,10 @@ def test_expect_underflowing_rate_is_zero_in_a_batch():
     batch = expect(law, h, rate=[1e-4, 1.0, 1e-4])
     assert batch[1] == 0.0
     assert batch[0] == batch[2] == expect(law, h, rate=1e-4) > 0.0
+
+
+def test_expect_empty_rates_give_an_empty_array():
+    for law in (Pearson3Params(2.0, 1.0), SumSpec((Pearson3Params(1.0, 1.0), Pearson3Params(2.0, 3.0)))):
+        for rate in ([], np.empty(0)):
+            out = expect(law, lambda g: g, rate=rate)
+            assert isinstance(out, np.ndarray) and out.shape == (0,)

@@ -519,6 +519,80 @@ def test_fig6_moments_near_per_point(L):
                                    rtol=1e-12, atol=0.0)
 
 
+# ----------------------------------------------- sweep rates as arrays
+
+def _sweep_scenarios():
+    apertures = MisoScenario(MODEL, (
+        LinkBudget(0.5, 0.01, 2.4e9, 10.0, 1.0, FADING),
+        LinkBudget(0.2, 0.02, 0.9e9, 6.0, 1.0, FADING),
+        LinkBudget(0.3, 0.05, 5.8e9, 3.0, 0.5, Pearson3Params(2.0, 1.5, 0.0)),
+    ))
+    return ([beacon_field_scenario(L) for L in (1, 2, 3)]
+            + [equal_split_scenario(L, 7.0) for L in (1, 2, 3)] + [apertures])
+
+
+@pytest.mark.parametrize("sc", _sweep_scenarios(),
+                         ids=["beacons1", "beacons2", "beacons3",
+                              "split1", "split2", "split3", "apertures"])
+def test_sweep_rates_equal_the_law_at_each_point(sc):
+    # the mean rate that a sweep forms from arrays at each point is == to
+    # that of the law built there
+    rng = np.random.default_rng(16)
+    sweeps = {
+        "power": np.concatenate([FIG_P_GRID, rng.uniform(1e-3, 50.0, 300), [1e-9, 1e6]]),
+        "distance": np.concatenate([FIG_D_GRID, rng.uniform(0.5, 200.0, 300), [0.5, 1e4]]),
+    }
+    for var, points in sweeps.items():
+        rates = sc._per_law(var, points, lambda law, rates: rates)
+        assert rates.tolist() == [sc.at(**{var: x})._law.mean_rate for x in points]
+
+
+def test_sweep_of_non_positive_points_raises():
+    sc = beacon_field_scenario(3)
+    q = sc.model.Ps / 10
+    for var, field in (("power", "p"), ("distance", "d")):
+        for points in ([1.0, 0.0], [-2.0], [1.0, 2.0, -0.0], np.array([3.0, -1e-300])):
+            with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+                sc.curve(var, points, q)
+            with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+                sc.moments(var, points, 1)
+    # a positive total power that the split across L = 3 rounds to 0
+    with pytest.raises(DomainError, match="LinkBudget field p must be positive"):
+        sc.curve("power", [1.0, 5e-324], q)
+    # a received power that underflows, in a sweep as at one point
+    with pytest.raises(DomainError, match="underflows"):
+        sc.curve("distance", [5.0, math.inf], q)
+    with pytest.raises(DomainError, match="underflows"):
+        sc.at(distance=math.inf)
+
+
+def test_sweep_of_no_points_is_empty():
+    for sc in _sweep_scenarios():
+        for var in ("power", "distance"):
+            assert sc._per_law(var, [], lambda law, rates: rates).shape == (0,)
+            assert sc.curve(var, np.empty(0), MODEL.Ps / 10).shape == (0,)
+            assert sc.moments(var, [], 2).shape == (0,)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_sweep_builds_link_budgets_at_its_first_point_only(L, monkeypatch):
+    # one law serves the sweep: its L branches are built once, not per point
+    scenarios = {"power": beacon_field_scenario(L), "distance": equal_split_scenario(L, 5.0)}
+    builds = []
+    build = LinkBudget.__post_init__
+
+    def counted(link):
+        builds.append(link)
+        build(link)
+
+    monkeypatch.setattr(LinkBudget, "__post_init__", counted)
+    for var, points in (("power", np.linspace(0.1, 10.0, 1000)),
+                        ("distance", np.linspace(2.0, 40.0, 1000))):
+        builds.clear()
+        scenarios[var].curve(var, points, MODEL.Ps / 10)
+        assert 0 < len(builds) <= L
+
+
 def test_moments_reject_other_variables_and_orders():
     with pytest.raises(DomainError):
         distinct_scenario(2).moments("speed", [1.0, 2.0], 1)
