@@ -3,7 +3,13 @@
 Everything here is an independent cross-check for the closed forms:
 gamma/channel sampling, empirical CDFs and moments, KS distances, and
 trapezoid-grid convolution of densities. Samplers are deterministic per
-seed (PCG64 streams) so comparison artifacts are reproducible.
+seed (PCG64 streams) so comparison artifacts are reproducible. Their draws
+fill one reused buffer, scaled and shifted in place: a sampler holds the
+buffer and its result, whatever the number of components, and gives the
+values of `rng.gamma` from the same stream. The convolution takes its
+gamma masses from `scipy.special` and its transforms from `scipy.fft`, as
+`scipy.stats.gamma` and `scipy.signal.fftconvolve` do, without importing
+either.
 """
 
 import json
@@ -65,24 +71,29 @@ def sample_channel_gain(fading: Pearson3Params, seed: int, count: int) -> np.nda
 
 
 def sample_sum(spec: SumSpec, seed: int, count: int) -> np.ndarray:
-    """Draws of SX_L: independent per-component streams, summed."""
+    """Draws of SX_L: the components' draws, one after another from one
+    stream, each into one reused buffer, summed."""
     rng = np.random.default_rng(seed)
     out = np.zeros(count)
+    g = np.empty(count)
     for t in spec.terms:
-        g = rng.gamma(shape=t.a, scale=1.0 / abs(t.b), size=count)
-        out += t.m + math.copysign(1.0, t.b) * g
+        out += t.draw_into(rng, g)
     return out
 
 
 def sample_harvested(scenario, seed: int, count: int) -> np.ndarray:
-    """Draws of the harvested power: per-branch gamma gains through the
-    nonlinear harvester, fully independent of the closed forms."""
+    """Draws of the harvested power: per-branch gamma gains, each drawn
+    into one reused buffer, through the nonlinear harvester, fully
+    independent of the closed forms."""
     rng = np.random.default_rng(seed)
     r = np.zeros(count)
+    g = np.empty(count)
     for br in scenario.branches:
-        g = rng.gamma(shape=br.fading.a, scale=1.0 / br.fading.b, size=count)
-        r += br.loss * br.p * g
-    return np.asarray(scenario.model.harvest(r), dtype=float)
+        br.fading.draw_into(rng, g)
+        g *= br.loss * br.p
+        r += g
+    del g  # not held while the harvester maps r
+    return scenario.model.harvest(r)
 
 
 def empirical_cdf(samples, x):
@@ -130,7 +141,7 @@ def empirical_moment(samples, n: int):
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical_moment needs at least one sample")
-    powers = samples ** n
+    powers = samples if n == 1 else samples ** n
     mean = float(np.mean(powers))
     if samples.size == 1:
         return mean, math.inf
@@ -172,8 +183,6 @@ def convolve_pdfs_numeric(gridded) -> GriddedPdf:
     Midpoint-rule convolution: exact up to O(dx^2); the result integrates
     to the product of the input integrals.
     """
-    from scipy.signal import fftconvolve
-
     gridded = list(gridded)
     if len(gridded) < 1:
         raise DomainError("need at least one density")
@@ -182,10 +191,24 @@ def convolve_pdfs_numeric(gridded) -> GriddedPdf:
         raise DomainError(f"incompatible grids: spacings {sorted(dxs)} differ")
     out = gridded[0]
     for g in gridded[1:]:
-        vals = fftconvolve(out.values, g.values) * out.dx
+        vals = _fftconvolve(out.values, g.values) * out.dx
         # Discrete index k = i + j lands at x0a + x0b + k*dx.
-        out = GriddedPdf(out.x0 + g.x0, out.dx, np.maximum(vals, 0.0))
+        out = GriddedPdf(out.x0 + g.x0, out.dx, np.maximum(vals, 0.0, out=vals))
     return out
+
+
+def _fftconvolve(x, y):
+    """The full linear convolution of two 1-d arrays, as
+    `scipy.signal.fftconvolve` forms it: the product of their real
+    transforms at the next fast length, transformed back, or for an input
+    of one value the plain product."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    if x.size == 1 or y.size == 1:
+        return x * y
+    n = x.size + y.size - 1
+    s = next_fast_len(n, True)
+    return irfft(rfft(x, s) * rfft(y, s), s)[:n]
 
 
 def convolve_p3_components(spec: SumSpec, dx: float = 2e-4,
@@ -193,21 +216,22 @@ def convolve_p3_components(spec: SumSpec, dx: float = 2e-4,
     """Numeric convolution oracle for the density of SX_L.
 
     Components are discretized to exact per-cell masses using the scipy
-    gamma CDF (independent of the closed forms under test), so support
+    regularized gamma function and its inverse (the ufuncs behind
+    `scipy.stats.gamma`, independent of the closed forms under test), so support
     edges are handled exactly; the convolved result is the true density
     smoothed by L uniform kernels of width dx, an O(dx^2) effect at
     points further than L*dx from the support edge. Mirrored supports
     (b < 0) convolve the same way, the grids simply run over negative
     offsets.
     """
-    from scipy import stats
+    from scipy.special import gammainc, gammaincinv
 
     grids = []
     for t in spec.terms:
-        width = float(stats.gamma.ppf(1.0 - mass_tol, t.a) / abs(t.b))
+        width = float(gammaincinv(t.a, 1.0 - mass_tol) / abs(t.b))
         n = int(math.ceil(width / dx))
         edges_u = np.arange(n + 1) * dx * abs(t.b)  # gamma-variate units
-        masses = np.diff(stats.gamma.cdf(edges_u, t.a))
+        masses = np.diff(gammainc(t.a, edges_u))
         if t.b > 0:
             x0 = t.m + 0.5 * dx
             vals = masses / dx

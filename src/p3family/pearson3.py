@@ -60,6 +60,19 @@ class Pearson3Params:
         for the law rescaled to inverse scale `rate` (`at_offsets`)."""
         return self.a / (abs(self.b) if rate is None else rate)
 
+    def draw_into(self, rng, out):
+        """Fill the float64 array `out` in place with i.i.d. draws from the
+        numpy Generator `rng` and return it. They are the draws of
+        m + sign(b) rng.gamma(a, 1/|b|), from the same stream and to the last
+        bit: rng.gamma scales a standard gamma draw by 1/|b|, and g + m and
+        -g + m are m + g and m - g."""
+        rng.standard_gamma(self.a, out.size, out=out)
+        out *= 1.0 / abs(self.b)
+        if self.b < 0:
+            np.negative(out, out=out)
+        out += self.m
+        return out
+
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - m) into the support: g >= 0 for the CDF,
@@ -167,9 +180,10 @@ def p3_scale(params: Pearson3Params, c: float) -> Pearson3Params:
 
 
 def p3_sample(params: Pearson3Params, rng_seed: int, count: int) -> np.ndarray:
-    """Deterministic i.i.d. draws: m + sign(b) * Gamma(a, rate |b|)."""
+    """Deterministic i.i.d. draws: m + sign(b) * Gamma(a, rate |b|).
+
+    The draws fill one buffer, which is scaled, mirrored and shifted in
+    place and returned: the values and the stream of `rng.gamma`."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(rng_seed)
-    g = rng.gamma(shape=params.a, scale=1.0 / abs(params.b), size=count)
-    return params.m + math.copysign(1.0, params.b) * g
+    return params.draw_into(np.random.default_rng(rng_seed), np.empty(count))

@@ -67,7 +67,7 @@ class EHModel:
     Ps: float
 
     def __post_init__(self):
-        if self.A <= 0 or self.B <= 0 or self.Ps <= 0:
+        if not (self.A > 0 and self.B > 0 and self.Ps > 0):
             raise DomainError(
                 f"EH constants must be positive, got A={self.A}, B={self.B}, Ps={self.Ps}"
             )
@@ -88,10 +88,22 @@ class EHModel:
         return self.c * (1.0 + math.exp(self.A * self.B))
 
     def harvest(self, r):
-        """The logistic harvester applied to received power r (scalar or array)."""
+        """The logistic harvester applied to received power r (scalar or array).
+
+        r is copied once into a float64 array, and each step of Q(r) is
+        taken in place in that copy, so r is left as it was. A scalar r
+        gives a numpy scalar, an array the array of values."""
         eab = math.exp(self.A * self.B)
         num = self.Ps * (1.0 + eab)
-        return num / (eab * (1.0 + np.exp(-self.A * (np.asarray(r) - self.B)))) - self.c
+        out = np.array(r, dtype=float)
+        out -= self.B
+        out *= -self.A
+        np.exp(out, out=out)
+        out += 1.0
+        out *= eab
+        np.divide(num, out, out=out)
+        out -= self.c
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,9 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("at", "ar", "fc", "d", "p"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"LinkBudget field {name} must be positive")
-        if self.fading.b <= 0 or self.fading.m != 0:
+        if not self.fading.b > 0 or self.fading.m != 0:
             raise DomainError(
                 f"fading must be a gamma law (b > 0, m = 0), got {self.fading}"
             )
@@ -260,7 +272,7 @@ class MisoScenario:
         x = np.asarray(points, dtype=float)
         n = x.size
         field = x / self.L if var == "power" else x
-        bad = np.flatnonzero(field <= 0)
+        bad = np.flatnonzero(~(field > 0))
         if bad.size:
             self._branches_at(**{var: points[bad[0]]})  # raises the DomainError
         if var == "power":

@@ -221,6 +221,16 @@ def test_wpt_errors(capsys, scenario_file):
                    "--qt-frac", "0.1", "--at", "0.004", "--sweep", "speed:1:2:1")[0] == 2
 
 
+def test_wpt_scenario_with_a_nan_field_exits_2(capsys, scenario_file):
+    # Python's json reads NaN; the branch is rejected for its field
+    path = pathlib.Path(scenario_file)
+    path.write_text(path.read_text().replace('"d": 10.0', '"d": NaN'))
+    code = main(["wpt", "--scenario", scenario_file, "--quantity", "outage", "--qt-frac", "0.1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: LinkBudget field d must be positive\n"
+
+
 def test_wpt_sweep_of_non_positive_points_exits_2(capsys, scenario_file):
     for quantity, query in (("outage", ("--qt-frac", "0.1")), ("mean", ())):
         for sweep in ("power:-1:1:0.5", "distance:0:4:1"):

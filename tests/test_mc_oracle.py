@@ -1,7 +1,10 @@
 """Monte Carlo / convolution oracle tests plus the oracle-coverage manifest."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,9 @@ from p3family.mc import (
     sample_pdf_on_grid,
     sample_sum,
 )
-from p3family.pearson3 import Pearson3Params, p3_pdf
-from p3family.sums import SumSpec, sum_pdf
+from p3family.pearson3 import Pearson3Params, p3_pdf, p3_sample
+from p3family.presets import beacon_field_scenario
+from p3family.sums import SumSpec, spec_to_json, sum_pdf
 
 P = Pearson3Params
 
@@ -59,6 +63,42 @@ def test_sample_harvested_determinism_and_range():
     s2 = sample_harvested(sc, 9, 10_000)
     assert np.array_equal(s1, s2)
     assert np.all(s1 > 0.0) and np.all(s1 < model.Ps)
+
+
+# Draws pinned at the commit before the samplers drew into one reused
+# buffer: the first three by repr, and math.fsum of the first 10^4.
+STREAM_PINS = {
+    "p3_sample b>0": (
+        lambda n: p3_sample(P(2.5, 1.5, 0.3), 11, n),
+        ("1.778258518848665", "3.3104067854539565", "1.4713313557815926"),
+        "19750.333768297056",
+    ),
+    "p3_sample b<0": (
+        lambda n: p3_sample(P(1.7, -0.8, -0.4), 12, n),
+        ("-2.09837672170742", "-3.4373197147963768", "-5.733696958072015"),
+        "-25429.30950753162",
+    ),
+    "sample_sum b<0": (
+        lambda n: sample_sum(SumSpec((P(2.0, -1.2, 0.0), P(1.0, -2.6, -0.5),
+                                      P(1.0, -5.0, 1.0))), 13, n),
+        ("-4.193330256497391", "-3.2676898932312506", "-3.4687160533163466"),
+        "-17633.69297676296",
+    ),
+    "sample_harvested L3": (
+        lambda n: sample_harvested(beacon_field_scenario(3), 14, n),
+        ("0.015236014384618284", "0.011567672661940672", "0.009690435392908177"),
+        "157.52647461360792",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STREAM_PINS)
+def test_sampler_streams_are_pinned(name):
+    draw, first, total = STREAM_PINS[name]
+    samples = draw(10_000)
+    assert samples.dtype == np.float64 and samples.shape == (10_000,)
+    assert tuple(map(repr, samples[:3].tolist())) == first
+    assert repr(math.fsum(samples.tolist())) == total
 
 
 def test_empirical_statistics():
@@ -145,6 +185,73 @@ def test_threefold_convolution_vs_mixture_density(spec):
     probes = spec.sm + sign * np.linspace(0.05, 8.0, 120)
     gap = np.max(np.abs(conv.at(probes) - sum_pdf(spec, probes)))
     assert gap < 1e-6
+
+
+def test_convolution_equals_fftconvolve():
+    # the midpoint convolution is scipy.signal's fftconvolve scaled by dx
+    # and clipped at 0, bit for bit, at sizes 1, 2, a prime and 2e5
+    from scipy.signal import fftconvolve
+
+    dx = 1e-3
+    sizes = (1, 2, 1009, 200_000)
+    for n1 in sizes:
+        for n2 in sizes:
+            rng = np.random.default_rng(n1 + 7 * n2)
+            a, b = rng.standard_normal(n1), rng.random(n2)
+            conv = convolve_pdfs_numeric([GriddedPdf(0.25, dx, a), GriddedPdf(-1.0, dx, b)])
+            assert conv.x0 == -0.75
+            expected = np.maximum(fftconvolve(a, b) * dx, 0.0)
+            assert np.array_equal(conv.values, expected), (n1, n2)
+
+
+@pytest.mark.parametrize("term", [P(2.0, -1.2, 0.0), P(1.0, -2.6, -0.5), P(1.0, -5.0, 1.0),
+                                  P(2.0, 4.0, 0.5), P(0.3, 40.0, 0.0)])
+def test_convolution_cells_are_gamma_masses(term):
+    # each component's cells hold the masses of scipy.stats' gamma CDF, the
+    # grid reaching its 1 - mass_tol quantile; mirrored for b < 0
+    from scipy import stats
+
+    dx, mass_tol = 2e-4, 1e-13
+    grid = convolve_p3_components(SumSpec((term,)), dx, mass_tol)
+    n = math.ceil(float(stats.gamma.ppf(1.0 - mass_tol, term.a) / abs(term.b)) / dx)
+    masses = np.diff(stats.gamma.cdf(np.arange(n + 1) * dx * abs(term.b), term.a))
+    if term.b > 0:
+        assert grid.x0 == term.m + 0.5 * dx
+        assert np.array_equal(grid.values, masses / dx)
+    else:
+        assert grid.x0 == term.m - (n - 0.5) * dx
+        assert np.array_equal(grid.values, masses[::-1] / dx)
+
+
+def test_oracles_import_neither_scipy_stats_nor_signal(tmp_path):
+    # a fresh interpreter runs the convolution oracle and one comparison of
+    # each op; scipy.stats and scipy.signal take about 90 MB between them
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_to_json(SumSpec((P(1.0, 1.0, 0.0), P(2.0, 3.0, 0.5)))))
+    script = f"""
+import contextlib, io, sys
+from p3family import cli
+from p3family.mc import convolve_p3_components
+from p3family.pearson3 import Pearson3Params as P
+from p3family.sums import SumSpec
+
+convolve_p3_components(SumSpec((P(2.0, -1.2, 0.0), P(1.0, -2.6, -0.5))))
+ops = [["--op", "dist.cdf", "--family", f] for f in ("p3", "logp3", "logitp3")] + [
+    ["--op", "sums.cdf", "--spec", {str(spec)!r}],
+    ["--op", "sums.mean", "--spec", {str(spec)!r}],
+    ["--op", "wpt.cdf", "--preset", "fig3", "--L", "2", "--qt-frac", "0.1"],
+    ["--op", "wpt.mean", "--preset", "fig4", "--L", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["compare", *op, "--samples", "2000", "--seed", "5"]) for op in ops]
+print(codes, sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.signal"))))
+"""
+    src = str(Path(p3family.pearson3.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == f"{[0] * 7} []"
 
 
 def test_convolution_incompatible_grids():

@@ -73,6 +73,17 @@ def test_model_validation():
         link(fading=Pearson3Params(3.0, -1.0, 0.0))
     with pytest.raises(DomainError):
         link(fading=Pearson3Params(3.0, 1.0, 0.5))
+    with pytest.raises(DomainError, match="fading must be a gamma law"):
+        link(fading=Pearson3Params(3.0, math.nan, 0.0))
+    # NaN compares false with 0 and is rejected with the non-positive values
+    for i, field in enumerate(("at", "ar", "fc", "d", "p")):
+        fields = [0.5, 0.01, 2.4e9, 10.0, 2.0]
+        fields[i] = math.nan
+        with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+            LinkBudget(*fields, FADING)
+    for i in range(3):
+        with pytest.raises(DomainError, match="EH constants must be positive"):
+            EHModel(*[math.nan if j == i else v for j, v in enumerate((150.0, 0.014, 0.024))])
     assert MODEL.c == pytest.approx(0.024 * math.exp(-2.1), rel=1e-13)
 
 
@@ -103,6 +114,21 @@ def test_harvested_power_map():
     assert all(x < y for x, y in zip(hs, hs[1:]))
     with pytest.raises(DomainError):
         harvested_power_siso(MODEL, LINK, -0.1)
+
+
+def test_harvest_leaves_its_input_and_keeps_scalars():
+    # the map works in place on one copy of r: the caller's array is left
+    # as it was, each value is that of the one-point map, and a scalar r
+    # gives a numpy scalar
+    r = np.geomspace(1e-6, 1.0, 50)
+    before = r.copy()
+    q = MODEL.harvest(r)
+    assert np.array_equal(r, before)
+    assert q.dtype == np.float64 and q.shape == r.shape
+    assert q.tolist() == [MODEL.harvest(v) for v in r.tolist()]
+    assert MODEL.harvest(r.tolist()).tolist() == q.tolist()
+    assert type(MODEL.harvest(0.01)) is np.float64
+    assert MODEL.harvest(1) == MODEL.harvest(1.0)
 
 
 def test_harvested_power_miso():
@@ -559,6 +585,15 @@ def test_sweep_of_non_positive_points_raises():
     # a positive total power that the split across L = 3 rounds to 0
     with pytest.raises(DomainError, match="LinkBudget field p must be positive"):
         sc.curve("power", [1.0, 5e-324], q)
+    # a NaN point, in a sweep as at one point
+    for var, field in (("power", "p"), ("distance", "d")):
+        for points in ([1.0, math.nan], [math.nan]):
+            with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+                sc.curve(var, points, q)
+            with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+                sc.moments(var, points, 1)
+        with pytest.raises(DomainError, match=f"LinkBudget field {field} must be positive"):
+            sc.at(**{var: math.nan})
     # a received power that underflows, in a sweep as at one point
     with pytest.raises(DomainError, match="underflows"):
         sc.curve("distance", [5.0, math.inf], q)
