@@ -21,10 +21,16 @@ LOG = Transform((0.0, math.inf), lambda y, m: np.log(y) - m, lambda y: y)
 
 
 def lp3_support(params: Pearson3Params):
-    """Open support of Y = exp(X)."""
-    if params.b > 0:
-        return (math.exp(params.m), math.inf)
-    return (0.0, math.exp(params.m))
+    """Open support of Y = exp(X); DomainError where e^m overflows."""
+    edge = _exp(params.m)
+    return (edge, math.inf) if params.b > 0 else (0.0, edge)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"e^{x} exceeds the double range") from None
 
 
 def lp3_pdf(params: Pearson3Params, y):
@@ -48,7 +54,13 @@ def lp3_moment(params: Pearson3Params, n: int) -> float:
         raise MomentDivergenceError(
             f"moment of order n={n} diverges: requires b > n, got b={params.b}"
         )
-    return math.exp(params.m * n) * (params.b / (params.b - n)) ** params.a
+    try:
+        value = math.exp(params.m * n) * (params.b / (params.b - n)) ** params.a
+    except OverflowError:  # a factor overflows: the product in log space
+        value = _exp(params.m * n + params.a * math.log(params.b / (params.b - n)))
+    if not math.isfinite(value):  # m n overflows, or the product does
+        raise DomainError(f"moment of order n={n} of {params} exceeds the double range")
+    return value
 
 
 def lp3_char_fn_series(params: Pearson3Params, t: float) -> complex:
@@ -62,12 +74,14 @@ def lp3_char_fn_series(params: Pearson3Params, t: float) -> complex:
             f"series characteristic function requires b < 0, got b={params.b}"
         )
 
+    step = 1j * t * _exp(params.m)
+
     def _terms():
         c = complex(1.0)  # (j t)^n e^(m n) / n!
         n = 0
         while True:
             yield c * (params.b / (params.b - n)) ** params.a
             n += 1
-            c *= 1j * t * math.exp(params.m) / n
+            c *= step / n
 
     return sum_series(_terms())

@@ -39,10 +39,8 @@ class Pearson3Params:
     m: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise DomainError(f"shape a must be positive, got a={self.a}")
-        if self.b == 0:
-            raise DomainError("inverse scale b must be nonzero")
+        if not (0 < self.a < math.inf and 0 < abs(self.b) < math.inf and abs(self.m) < math.inf):
+            raise DomainError(f"a law needs finite a > 0, b != 0 and m, got {self}")
 
     def support(self):
         """Open support interval (lo, hi)."""
@@ -142,6 +140,8 @@ def evaluate(law, transform: Transform, y, density=False, rate=None):
         if not inside.all():
             raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
         out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
+        if not np.isfinite(out).all():
+            raise DomainError(f"the density of {law} is beyond the double range at some y")
     return out if out.ndim else float(out)
 
 
@@ -161,15 +161,27 @@ def p3_moment(params: Pearson3Params, n: int) -> float:
     """Raw moment E[X^n] = sum_k C(n,k) m^(n-k) (a)_k / b^k."""
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
-    return math.fsum(
-        math.comb(n, k) * params.m ** (n - k) * float(poch(params.a, k)) / params.b ** k
-        for k in range(n + 1)
-    )
+    try:  # a term overflows, b^k underflows to 0, or terms are inf and -inf
+        value = math.fsum(
+            math.comb(n, k) * params.m ** (n - k) * float(poch(params.a, k)) / params.b ** k
+            for k in range(n + 1)
+        )
+    except (OverflowError, ZeroDivisionError, ValueError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"moment of order n={n} of {params} exceeds the double range")
+    return value
 
 
 def p3_char_fn(params: Pearson3Params, t: float) -> complex:
-    """Characteristic function exp(j m t) / (1 - j t / b)^a (principal branch)."""
-    return np.exp(1j * params.m * t) / (1.0 - 1j * t / params.b) ** params.a
+    """Characteristic function exp(j m t) / (1 - j t / b)^a (principal branch);
+    DomainError where m t or t / b is not finite, leaving the phase undefined."""
+    if not (math.isfinite(params.m * t) and math.isfinite(t / params.b)):
+        raise DomainError(f"the phase of the characteristic function at t={t} is undefined")
+    try:
+        return np.exp(1j * params.m * t) / (1.0 - 1j * t / params.b) ** params.a
+    except OverflowError:  # |phi| is below the least normal double
+        return 0j
 
 
 def p3_scale(params: Pearson3Params, c: float) -> Pearson3Params:
@@ -186,4 +198,7 @@ def p3_sample(params: Pearson3Params, rng_seed: int, count: int) -> np.ndarray:
     place and returned: the values and the stream of `rng.gamma`."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    return params.draw_into(np.random.default_rng(rng_seed), np.empty(count))
+    out = params.draw_into(np.random.default_rng(rng_seed), np.empty(count))
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):  # no sample-sized mask
+        raise DomainError(f"draws of {params} leave the double range")
+    return out

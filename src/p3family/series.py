@@ -12,7 +12,7 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 _TINY = 1e-300
 
@@ -28,15 +28,18 @@ def sum_series(terms):
     """Sum an iterable of (real or complex) terms by plain truncation.
 
     Stops once `_CONSECUTIVE_SMALL` successive terms are below `_REL_TOL`
-    relative to the running partial sum. Where the terms run out, or reach
-    `_MAX_TERMS`, before that, raises ConvergenceError naming the terms
-    consumed, the last partial sum and the last term.
+    relative to the running partial sum. Where the terms run out, reach
+    `_MAX_TERMS` or make the partial sum inf or NaN before that, raises
+    ConvergenceError naming the terms consumed, the last partial sum and
+    the last term.
     """
     total = 0.0
     small = count = 0
     t = None
     for count, t in enumerate(islice(terms, _MAX_TERMS), start=1):
         total = total + t
+        if not abs(total) < math.inf:
+            break
         if abs(t) <= _REL_TOL * max(abs(total), _TINY):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
@@ -93,7 +96,8 @@ def expect(law, h, rate=None):
     density is evaluated in one call over all their grids and one over all
     their nodes, for each batch of _RATES rates. An empty array of rates
     gives an empty array. A float rate, or None for the law itself, gives a
-    float.
+    float. DomainError where the mean offset or the integrand on the grid
+    leaves the double range.
     """
     if np.size(rate) == 0:
         return np.empty(0)
@@ -119,12 +123,17 @@ def expect(law, h, rate=None):
 
     grids = []
     for r in batch:
-        centre = math.log(law.mean_offset(r))
+        mean = law.mean_offset(r)
+        if not 0.0 < mean < math.inf:
+            raise DomainError(f"the mean offset {mean} of {law} is beyond the double range")
+        centre = math.log(mean)
         top = max(centre, log_bend) + _GRID_HIGH
         grids.append(np.arange(max(centre - _GRID_LOW, _T_MIN), top + _STEP, _STEP))
     panels, tails = [], []
     for t, v in zip(grids, integrand(grids)):
         peak = v.max()
+        if not peak < math.inf:  # inf, or NaN where the density overflows
+            raise DomainError(f"the integrand against {law} is beyond the double range")
         if peak == 0.0:  # no panels: the value is 0.0
             panels.append((np.empty(0), np.empty((0, _NODES.size))))
             tails.append(0.0)

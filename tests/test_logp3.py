@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -93,6 +94,30 @@ def test_moment_values_and_divergence():
     assert lp3_moment(Pearson3Params(2.0, -1.0, 0.0), 3) == pytest.approx(
         (1.0 / 4.0) ** 2.0, rel=1e-13
     )
+
+
+@pytest.mark.parametrize("params, n", [
+    (Pearson3Params(1000.0, 1.5, 0.0), 1),  # 3^1000: raised a raw OverflowError
+    (Pearson3Params(100.0, 2.0, 700.0), 1),  # e^700 2^100: returned inf
+])
+def test_moment_beyond_double_range_is_a_library_error(params, n):
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        lp3_moment(params, n)
+
+
+def test_moment_with_one_factor_beyond_double_range():
+    # e^800 overflows, but e^800 / 101^100 = e^338.5 does not
+    with mp.workdps(30):
+        ref = float(mp.e ** 800 / mp.mpf(101) ** 100)
+    assert lp3_moment(Pearson3Params(100.0, -1.0, 8.0), 100) == pytest.approx(ref, rel=1e-12)
+
+
+def test_support_edge_beyond_double_range_is_a_library_error():
+    # e^1000: both raised a raw OverflowError
+    with pytest.raises(DomainError):
+        lp3_support(Pearson3Params(2.0, 1.0, 1000.0))
+    with pytest.raises(DomainError):
+        lp3_char_fn_series(Pearson3Params(2.0, -1.0, 1000.0), 1.0)
 
 
 def test_mean_follows_moment_formula_not_location_shortcut():

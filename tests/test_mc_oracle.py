@@ -338,8 +338,6 @@ ORACLE_MANIFEST = {
     # specfun
     "gamma_integral_lower": "test_specfun.py::test_gamma_integral_lower_vs_quadrature",
     "gamma_integral_upper": "test_specfun.py::test_gamma_integral_split_identity",
-    "gamma_integral_lower_scaled": "test_specfun.py::test_scaled_gamma_integrals_vs_mpmath",
-    "gamma_integral_upper_scaled": "test_specfun.py::test_scaled_gamma_integrals_vs_mpmath",
     "lerch_phi": "test_specfun.py::test_lerch_vs_mpmath_grid",
 }
 

@@ -38,6 +38,28 @@ def test_params_validation():
     assert p.contains(2.0) and not p.contains(3.0)
 
 
+@pytest.mark.parametrize("a, b, m", [
+    (math.nan, 1.0, 0.0), (2.0, math.nan, 0.0), (2.0, 1.0, math.nan),
+    (math.inf, 1.0, 0.0), (2.0, -math.inf, 0.0), (2.0, 1.0, math.inf),
+])
+def test_params_reject_non_finite_fields(a, b, m):
+    # a NaN law was accepted: p3_cdf(P(nan, 1), 1) was nan and
+    # p3_sample(P(2, nan), 1, 3) all nan
+    with pytest.raises(DomainError):
+        Pearson3Params(a, b, m)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("params, x", [
+    # (b g)^(a-1) overflows where b g underflows to 0: it returned inf
+    (Pearson3Params(1e-300, 1e-300, 0.0), 1e-300),
+    (Pearson3Params(0.1, 1e300, 0.0), 1e-320),  # the density is about 1e317
+])
+def test_pdf_beyond_double_range_is_a_library_error(params, x):
+    with pytest.raises(DomainError, match="beyond the double range"):
+        p3_pdf(params, x)
+
+
 def test_pdf_values():
     assert p3_pdf(Pearson3Params(1.0, 1.0, 0.0), 1e-12) == pytest.approx(1.0, rel=1e-9)
     assert p3_pdf(Pearson3Params(1.0, -1.0, 0.0), -1.0) == pytest.approx(
@@ -140,6 +162,40 @@ def test_char_fn_vs_numeric_transform():
     re, _ = quad(lambda g: math.cos(t * (p.m - g)) * p3_pdf(p, p.m - g), 0, np.inf)
     im, _ = quad(lambda g: math.sin(t * (p.m - g)) * p3_pdf(p, p.m - g), 0, np.inf)
     assert p3_char_fn(p, t) == pytest.approx(complex(re, im), rel=1e-9)
+
+
+def test_char_fn_where_the_power_overflows_is_zero():
+    # |1 - j t/b|^a = (2e300/3)^2 overflows; it raised a raw OverflowError
+    assert p3_char_fn(Pearson3Params(2.0, 1.5, 0.0), 1e300) == 0j
+    assert p3_char_fn(Pearson3Params(2.0, 1.5, 0.0), -1e300) == 0j
+
+
+@pytest.mark.parametrize("params, t", [
+    (Pearson3Params(1e-300, 1e300, 1e300), 1e300),  # m t overflows: it returned nan
+    (Pearson3Params(1e-300, 1e-300, 0.0), 1e300),  # t / b overflows
+    (Pearson3Params(2.0, 1.5, 0.0), math.inf),
+    (Pearson3Params(2.0, 1.5, 0.0), math.nan),
+])
+def test_char_fn_with_an_undefined_phase_is_a_library_error(params, t):
+    with pytest.raises(DomainError):
+        p3_char_fn(params, t)
+
+
+@pytest.mark.parametrize("params, n", [
+    (Pearson3Params(1e-300, 1e-300, 1e300), 2),  # m^2 overflows: raw OverflowError
+    (Pearson3Params(1e-300, 1e-300, 0.0), 2),  # b^2 underflows: raw ZeroDivisionError
+    (Pearson3Params(1e300, 1e-300, 0.0), 1),  # a / b overflows: it returned inf
+])
+def test_moment_beyond_double_range_is_a_library_error(params, n):
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        p3_moment(params, n)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sample_beyond_double_range_is_a_library_error():
+    # draws of about a / b = 1e600: they were returned as inf
+    with pytest.raises(DomainError, match="leave the double range"):
+        p3_sample(Pearson3Params(1e300, 1e-300, 0.0), 1, 3)
 
 
 def test_scale():

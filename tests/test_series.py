@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from p3family.errors import ConvergenceError
+from p3family.errors import ConvergenceError, DomainError
 from p3family.pearson3 import Pearson3Params
 from p3family.series import _RATES, expect, sum_series
 from p3family.sums import SumSpec
@@ -52,6 +52,14 @@ def test_exhaustion_message_names_terms_sum_and_last_term():
     with pytest.raises(ConvergenceError,
                        match=r"2 terms consumed .*last partial sum 3\.0, last term 2\.0"):
         sum_series([1.0, 2.0])
+
+
+def test_plain_sum_overflow_raises():
+    # the partial sum inf passed the relative test: it returned inf
+    with pytest.raises(ConvergenceError, match="2 terms consumed"):
+        sum_series(itertools.repeat(1e308))
+    with pytest.raises(ConvergenceError, match="1 terms consumed"):
+        sum_series(itertools.repeat(math.nan))
 
 
 @pytest.mark.parametrize("a, b", [(0.02, 1.0), (0.02, -3.0), (0.7, 2.5), (3.0, 1.5),
@@ -119,3 +127,13 @@ def test_expect_empty_rates_give_an_empty_array():
         for rate in ([], np.empty(0)):
             out = expect(law, lambda g: g, rate=rate)
             assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("law", [
+    Pearson3Params(1e-300, 1e300, 0.0),  # the mean offset underflows: raw ValueError
+    Pearson3Params(1e-300, 1e-300, 0.0),  # the density overflows on the grid: raw ValueError
+])
+def test_expect_beyond_double_range_is_a_library_error(law):
+    lo, hi = law.support()
+    with pytest.raises(DomainError, match="beyond the double range"):
+        expect(law, lambda g: expit(lo + g))
