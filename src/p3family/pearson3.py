@@ -58,6 +58,14 @@ class Pearson3Params:
         for the law rescaled to inverse scale `rate` (`at_offsets`)."""
         return self.a / (abs(self.b) if rate is None else rate)
 
+    def rising_offset(self, rate=None):
+        """(offset, power): below the offset the density f of the law (at
+        `rate`, as in `mean_offset`) has g f(g) = c g^a e^(-rate g) not
+        decreasing, and near g = 0 it rises as g^power: the mean offset and
+        the shape. `series.expect` evaluates the density from a margin below
+        the offset on."""
+        return self.mean_offset(rate), self.a
+
     def draw_into(self, rng, out):
         """Fill the float64 array `out` in place with i.i.d. draws from the
         numpy Generator `rng` and return it. They are the draws of
@@ -88,11 +96,15 @@ class Pearson3Params:
 
 
 def _log(x):
-    """math.log of each distinct value of the array x. numpy's vector log
+    """math.log of each value of the array x, taken once per run of equal
+    values, as a batch repeats each rate over its points. numpy's vector log
     may round a value apart from it, and a law rescaled to a rate is to have
     the density of the law built at that rate."""
-    values, where = np.unique(x, return_inverse=True)
-    return np.array([math.log(v) for v in values.tolist()])[where].reshape(np.shape(x))
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    first = np.flatnonzero(np.concatenate(([flat.size > 0], flat[1:] != flat[:-1])))
+    logs = [math.log(v) for v in flat[first].tolist()]
+    return np.repeat(logs, np.diff(first, append=flat.size)).reshape(x.shape)
 
 
 class Transform(NamedTuple):
@@ -161,16 +173,37 @@ def p3_moment(params: Pearson3Params, n: int) -> float:
     """Raw moment E[X^n] = sum_k C(n,k) m^(n-k) (a)_k / b^k."""
     if n < 0:
         raise DomainError(f"moment order must be nonnegative, got n={n}")
-    try:  # a term overflows, b^k underflows to 0, or terms are inf and -inf
-        value = math.fsum(
-            math.comb(n, k) * params.m ** (n - k) * float(poch(params.a, k)) / params.b ** k
-            for k in range(n + 1)
-        )
-    except (OverflowError, ZeroDivisionError, ValueError):
+    try:  # a term overflows, or terms are inf and -inf
+        value = math.fsum(_moment_term(params, n, k) for k in range(n + 1))
+    except (OverflowError, ValueError):
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"moment of order n={n} of {params} exceeds the double range")
     return value
+
+
+def _moment_term(params, n, k):
+    """C(n,k) m^(n-k) (a)_k / b^k, with (a)_k / b^k as one product in log
+    space (base 2) where b^k or (a)_k leaves the double range, so that a term
+    in range survives a factor that does not. OverflowError where it
+    overflows."""
+    a, b = params.a, params.b
+    factor = math.comb(n, k) * params.m ** (n - k)
+    rising = float(poch(a, k))
+    try:
+        power = b ** k
+    except OverflowError:
+        power = math.inf
+    if 0.0 < abs(power) < math.inf and 0.0 < rising < math.inf:
+        return factor * rising / power
+    # prod_j (a + j)/|b| on the mantissas, the binary exponents summed apart
+    mantissa, exponent = 1.0, 0
+    scale, shift = math.frexp(abs(b))
+    for j in range(k):
+        step, up = math.frexp(a + j)
+        mantissa, renorm = math.frexp(mantissa * (step / scale))
+        exponent += renorm + up - shift
+    return factor * math.copysign(math.ldexp(mantissa, exponent), power)
 
 
 def p3_char_fn(params: Pearson3Params, t: float) -> complex:

@@ -76,7 +76,7 @@ class SumSpec:
     bound on them clears _HP_WEIGHT_SCALE is `_series_only` without them.
 
     Every cached weight, the partial fractions `_weights` as the series
-    weights `_series_weights` and their factor C, depends only on the ratios
+    weights `_series` and their factor C, depends only on the ratios
     of the rates. So these weights also serve the sum with every rate scaled
     by one factor, which `at_offsets` evaluates given its mean rate.
     """
@@ -116,9 +116,10 @@ class SumSpec:
                 )
         object.__setattr__(self, "regime", DISTINCT_RATES)
         object.__setattr__(self, "_shapes", tuple(int(round(t.a)) for t in terms))
-        # Moschopoulos' series (_series_chunk): its rate and its weights
+        # Moschopoulos' series (_series_chunk): its rate, and its shapes,
+        # their log-gammas, its weights and their tail bounds
         object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
-        object.__setattr__(self, "_series_weights", np.empty(0))
+        object.__setattr__(self, "_series", (np.empty(0),) * 4)
         object.__setattr__(self, "_series_only", (
             self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
         ) or self._weight_scale > _HP_WEIGHT_SCALE)
@@ -179,6 +180,18 @@ class SumSpec:
             return self._reduced.mean_offset(rate)
         offset = math.fsum(t.a / abs(t.b) for t in self.terms)
         return offset if rate is None else offset * (self.mean_rate / rate)
+
+    def rising_offset(self, rate=None):
+        """(offset, power): below the offset the density f of the sum (at
+        mean rate `rate`, as in `mean_offset`) has g f(g) not decreasing, and
+        near g = 0 it rises as g^power, the total shape. For equal rates they
+        are the reduced law's; else the offset is sa/b_max, at which every
+        component g^(sa+k) e^(-b_max g) of Moschopoulos' series, of positive
+        weights, still rises, rescaled as the mean offset is."""
+        if self.regime == EQUAL_RATES:
+            return self._reduced.rising_offset(rate)
+        offset = self.sa / self._b_max
+        return (offset if rate is None else offset * (self.mean_rate / rate)), self.sa
 
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
@@ -301,46 +314,56 @@ _CHUNK, _CHUNK_MAX, _GRID = 8, 256, 1 << 14
 
 
 def _series_chunk(spec, k0, k1):
-    """Shapes sa + k, weights C delta_k and bounds on the sum of the later
-    weights, k0 <= k < k1: Moschopoulos' series (Ann. Inst. Stat. Math. 37
-    (1985) 541-544), the law as Pearson III components at the largest rate
-    b_max with positive weights.
+    """Shapes sa + k, their log-gammas, weights C delta_k and bounds on the
+    sum of the later weights, k0 <= k < k1: Moschopoulos' series (Ann. Inst.
+    Stat. Math. 37 (1985) 541-544), the law as Pearson III components at the
+    largest rate b_max with positive weights.
 
     C = prod_j (|b_j|/b_max)^a_j, a plain product, delta_0 = 1 and
     k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
     rho_j = 1 - |b_j|/b_max, positive terms only; the weights C delta_k,
-    by the same recursion from C, are cached on the spec and extended on
-    demand. C and the deltas depend only on the rate ratios |b_j|/b_max,
-    so they serve the sum at every common rescaling of its rates. The deltas are the coefficients of prod_j (1 - rho_j z)^(-a_j),
-    log-concave for shapes >= 1: once r = delta_(k+1)/delta_k < 1 the later
-    weights sum to at most C delta_k r/(1 - r). All the weights sum to 1.
+    by the same recursion from C, are cached on the spec with the shapes,
+    log-gammas and bounds, and extended on demand. C and the deltas depend
+    only on the rate ratios |b_j|/b_max, so they serve the sum at every
+    common rescaling of its rates. The deltas are the coefficients of
+    prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
+    r = delta_(k+1)/delta_k < 1 the later weights sum to at most
+    C delta_k r/(1 - r). All the weights sum to 1.
     """
-    w = spec._series_weights
+    shapes, log_gamma, w, tail = spec._series
     if w.size <= k1:
         n = max(k1 + 1, 2 * w.size)
         rho = np.array([spec._b_max - abs(t.b) for t in spec.terms]) / spec._b_max
         i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
         w = np.concatenate((w, np.empty(n - w.size)))
         w[0] = math.prod((abs(t.b) / spec._b_max) ** a for t, a in zip(spec.terms, spec._shapes))
-        for j in range(max(spec._series_weights.size, 1), n):
+        for j in range(max(shapes.size, 1), n):
             w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
-        object.__setattr__(spec, "_series_weights", w)
-    w, after = w[k0:k1], w[k0 + 1:k1 + 1]
-    r = np.divide(after, w, out=np.zeros_like(w), where=w > 0.0)
-    tail = np.divide(w * r, 1.0 - r, out=np.ones_like(w), where=r < 1.0)
-    return np.arange(spec.sa + k0, spec.sa + k1, dtype=float), w, np.minimum(tail, 1.0)
+        more = np.arange(spec.sa + shapes.size, spec.sa + n, dtype=float)
+        # the bound at k needs w[k + 1]: the last one waits for the next extension
+        before, after = w[tail.size:n - 1], w[tail.size + 1:n]
+        r = np.divide(after, before, out=np.zeros_like(before), where=before > 0.0)
+        bound = np.divide(before * r, 1.0 - r, out=np.ones_like(before), where=r < 1.0)
+        object.__setattr__(spec, "_series", (
+            np.concatenate((shapes, more)),
+            np.concatenate((log_gamma, [math.lgamma(v) for v in more.tolist()])),
+            w,
+            np.concatenate((tail, np.minimum(bound, 1.0))),
+        ))
+    return tuple(x[k0:k1] for x in spec._series)
 
 
-def _cdf_component(k, b: float, u, out=None):
+# A component k at rate b over the points u = b g, the log-gamma of the
+# shape k given.
+def _cdf_component(k, log_gamma, b: float, u, out=None):
     return gammainc(k, u, out=out)
 
 
-def _sf_component(k, b: float, u, out=None):
+def _sf_component(k, log_gamma, b: float, u, out=None):
     return gammaincc(k, u, out=out)
 
 
-def _pdf_component(k, b: float, u, out=None):
-    log_gamma = np.array([math.lgamma(v) for v in k]) if np.ndim(k) else math.lgamma(k)
+def _pdf_component(k, log_gamma, b: float, u, out=None):
     return np.exp(math.log(b) + xlogy(k - 1.0, u) - u - log_gamma, out=out)
 
 
@@ -352,7 +375,7 @@ def _partial_fraction_terms(spec, g, component):
         b = abs(spec.terms[i].b)
         np.multiply(g, b, out=u)
         for k, w in enumerate(row, start=1):
-            component(k, b, u, term)
+            component(k, math.lgamma(k), b, u, term)
             term *= w
             yield term
 
@@ -374,9 +397,9 @@ def _series_sum(spec, g, component):
     k, width = 0, _CHUNK // 2
     while live.size:
         width = max(1, min(2 * width, _CHUNK_MAX, _GRID // live.size))
-        shape, weight, tail = _series_chunk(spec, k, k + width)
+        shape, log_gamma, weight, tail = _series_chunk(spec, k, k + width)
         v = u[live]
-        comp = component(shape, spec._b_max, v)
+        comp = component(shape, log_gamma, spec._b_max, v)
         run = np.cumsum(np.concatenate((partial[live], comp * weight), axis=1), axis=1)
         before = np.concatenate((prev[live], comp[:, :-1]), axis=1)
         # a density that underflows before its peak does not fall yet

@@ -183,12 +183,23 @@ def test_char_fn_with_an_undefined_phase_is_a_library_error(params, t):
 
 @pytest.mark.parametrize("params, n", [
     (Pearson3Params(1e-300, 1e-300, 1e300), 2),  # m^2 overflows: raw OverflowError
-    (Pearson3Params(1e-300, 1e-300, 0.0), 2),  # b^2 underflows: raw ZeroDivisionError
+    (Pearson3Params(1e-300, 1e-310, 0.0), 2),  # b^2 underflows, a(a+1)/b^2 = 1e320
     (Pearson3Params(1e300, 1e-300, 0.0), 1),  # a / b overflows: it returned inf
 ])
 def test_moment_beyond_double_range_is_a_library_error(params, n):
     with pytest.raises(DomainError, match="exceeds the double range"):
         p3_moment(params, n)
+
+
+@pytest.mark.parametrize("params, n, value", [
+    (Pearson3Params(1e-300, 1e-300, 0.0), 2, 1e300),  # b^2 underflows to 0
+    (Pearson3Params(1e-300, -1e-300, 0.0), 2, 1e300),
+    (Pearson3Params(2.0, -1e200, 1.0), 3, 1.0),  # b^2 and b^3 overflow
+    (Pearson3Params(1e200, 1e200, 0.0), 2, 1.0),  # (a)_2 overflows
+])
+def test_moment_where_only_a_factor_leaves_double_range(params, n, value):
+    # (a)_k / b^k is formed in log space where b^k or (a)_k is out of range
+    assert p3_moment(params, n) == pytest.approx(value, rel=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from properties import PROPERTY_SETTINGS, members, signs
 from scipy.special import expit
 
 from p3family.errors import ConvergenceError, DomainError
+from p3family.logitp3 import ltp3_moment
 from p3family.pearson3 import Pearson3Params
+from p3family.presets import FIG_MODEL, FIG_P_GRID, beacon_field_scenario
 from p3family.series import _RATES, expect, sum_series
+from p3family.specfun import lerch_phi
 from p3family.sums import SumSpec
+from p3family.wpt import _q_power
 
 
 def test_plain_sum_geometric():
@@ -137,3 +144,70 @@ def test_expect_beyond_double_range_is_a_library_error(law):
     lo, hi = law.support()
     with pytest.raises(DomainError, match="beyond the double range"):
         expect(law, lambda g: expit(lo + g))
+
+
+def _on_whole_grid(f):
+    """f() with every law's rising offset below the least double, so that
+    `expect` evaluates the density on the whole grid of each rate."""
+    with pytest.MonkeyPatch.context() as patch:
+        for law in (Pearson3Params, SumSpec):
+            patch.setattr(law, "rising_offset", lambda self, rate=None: (5e-324, 1.0))
+        return f()
+
+
+def _distinct_sum(stages, sign, scale, m):
+    # pairwise-distinct rates scale * j / 8 for distinct integers j
+    return SumSpec(tuple(Pearson3Params(a, sign * scale * j / 8.0, m if i == 0 else 0.0)
+                         for i, (a, j) in enumerate(stages)))
+
+
+distinct_sums = st.builds(
+    _distinct_sum,
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 48)), min_size=2, max_size=4,
+             unique_by=lambda stage: stage[1]),
+    signs,
+    st.floats(0.1, 2.0),
+    st.floats(-2.0, 2.0),
+)
+_SWEEP = np.geomspace(0.02, 50.0, 5)
+
+
+@PROPERTY_SETTINGS
+@given(law=st.one_of(members, distinct_sums), n=st.integers(1, 6))
+@example(law=Pearson3Params(24.0, -0.0625, 0.0), n=1)  # the check fails: the whole grid
+def test_rising_start_matches_the_whole_grid_bit_for_bit(law, n):
+    # the density is evaluated from the rising start on, or from the bottom
+    # of the grid where the check fails: the same values either way
+    assert ltp3_moment(law, n) == _on_whole_grid(lambda: ltp3_moment(law, n))
+    if n > 3:
+        return
+    lo, hi = law.support()
+    edge, sign = (lo, 1.0) if hi == math.inf else (hi, -1.0)
+    rates = _SWEEP * (abs(law.terms[0].b) if isinstance(law, SumSpec) else abs(law.b))
+    # the integrands of ltp3_moment and of the harvested-power moments
+    for h in (lambda g: expit(edge + sign * g) ** n, _q_power(FIG_MODEL, n)):
+        for rate in (None, rates[2], rates):
+            batch = expect(law, h, rate=rate)
+            whole = _on_whole_grid(lambda: expect(law, h, rate=rate))
+            assert np.array_equal(batch, whole) and type(batch) is type(whole)
+
+
+@PROPERTY_SETTINGS
+@given(z=st.floats(-1.0, -1e-3), s=st.floats(0.3, 40.0), alpha=st.floats(0.05, 60.0))
+def test_rising_start_matches_the_whole_grid_for_lerch_phi(z, s, alpha):
+    assert lerch_phi(z, s, alpha) == _on_whole_grid(lambda: lerch_phi(z, s, alpha))
+
+
+def test_expect_density_work_of_a_batched_sweep(monkeypatch):
+    # the density points, grid and nodes together, that one batched moment
+    # sweep evaluates: 16 419 on the whole grids, 5 955 from the rising starts
+    at_offsets, points = SumSpec.at_offsets, []
+
+    def counted(self, g, density=False, slope=1.0, rate=None):
+        if density:
+            points.append(np.size(g))
+        return at_offsets(self, g, density, slope, rate)
+
+    monkeypatch.setattr(SumSpec, "at_offsets", counted)
+    beacon_field_scenario(3).moments("power", FIG_P_GRID, 1)
+    assert 0 < sum(points) <= 8000
