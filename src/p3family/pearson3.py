@@ -192,8 +192,8 @@ def _moment_term(params, n, k):
     rising = float(poch(a, k))
     try:
         power = b ** k
-    except OverflowError:
-        power = math.inf
+    except OverflowError:  # b^k keeps the sign of b for odd k
+        power = math.copysign(math.inf, b) if k % 2 else math.inf
     if 0.0 < abs(power) < math.inf and 0.0 < rising < math.inf:
         return factor * rising / power
     # prod_j (a + j)/|b| on the mantissas, the binary exponents summed apart

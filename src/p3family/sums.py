@@ -339,7 +339,7 @@ def _series_chunk(spec, k0, k1):
         w[0] = math.prod((abs(t.b) / spec._b_max) ** a for t, a in zip(spec.terms, spec._shapes))
         for j in range(max(shapes.size, 1), n):
             w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
-        more = np.arange(spec.sa + shapes.size, spec.sa + n, dtype=float)
+        more = spec.sa + np.arange(shapes.size, n, dtype=float)
         # the bound at k needs w[k + 1]: the last one waits for the next extension
         before, after = w[tail.size:n - 1], w[tail.size + 1:n]
         r = np.divide(after, before, out=np.zeros_like(before), where=before > 0.0)

@@ -196,6 +196,9 @@ def test_moment_beyond_double_range_is_a_library_error(params, n):
     (Pearson3Params(1e-300, -1e-300, 0.0), 2, 1e300),
     (Pearson3Params(2.0, -1e200, 1.0), 3, 1.0),  # b^2 and b^3 overflow
     (Pearson3Params(1e200, 1e200, 0.0), 2, 1.0),  # (a)_2 overflows
+    (Pearson3Params(1e100, -1e103, 0.0), 3, -1e-9),  # b^3 overflows below -1e308
+    (Pearson3Params(1e200, -1e200, 0.0), 3, -1.0),  # (a)_3 and b^3 overflow
+    (Pearson3Params(1e-300, -1e-200, 0.0), 3, -2e300),  # b^3 underflows to -0
 ])
 def test_moment_where_only_a_factor_leaves_double_range(params, n, value):
     # (a)_k / b^k is formed in log space where b^k or (a)_k is out of range
