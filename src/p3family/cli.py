@@ -10,7 +10,8 @@ Verbs:
 All outputs are deterministic for fixed inputs and seeds. Every number
 prints as "%.12g" (12 significant digits). A sweep prints CSV: its
 metadata lines first, each starting with "# ", then one "point,value" row
-of two "%.12g" numbers per point, in sweep order. Negative values,
+of two "%.12g" numbers per point, in sweep order; `csvrows` formats the
+rows in numpy, to the bytes of Python's % operator. Negative values,
 exponent notation included, may be given as separate arguments
 (--m -1e-05, --sweep -0.5:1:0.5): no option starts with "-" and a digit
 or ".", so such a token is always a value.
@@ -28,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import logitp3, logp3, mc, pearson3, sums, wpt
+from . import csvrows, logitp3, logp3, mc, pearson3, sums, wpt
 from .errors import ConvergenceError, DomainError
 from .pearson3 import Pearson3Params
 from .presets import (
@@ -44,8 +45,6 @@ __all__ = ["main"]
 
 _MAX_SWEEP_POINTS = 10 ** 6
 _NUM = "%.12g"
-_ROW = f"{_NUM},{_NUM}\n"
-_CSV_ROWS = 1024  # rows formatted by one % call
 
 
 def _fmt(x: float) -> str:
@@ -67,15 +66,10 @@ def _parse_sweep(text: str):
 
 def _print_csv(out, headers, points, values):
     """Write the "# " headers, then one "%.12g,%.12g" line per point and
-    its value, from two sequences of numbers of one length. The body is
-    written _CSV_ROWS rows at a time, each block one C-level % format of
-    its interleaved points and values as Python floats, and never joined
-    into one string: a sweep may have 10^6 points."""
+    its value, from two sequences of numbers of one length (see
+    `csvrows.write_rows`)."""
     out.write("".join(f"# {h}\n" for h in headers))
-    points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
-    for i in range(0, points.size, _CSV_ROWS):
-        block = np.column_stack((points[i:i + _CSV_ROWS], values[i:i + _CSV_ROWS]))
-        out.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
+    csvrows.write_rows(out, points, values)
 
 
 def _read_file(path: str) -> str:
@@ -334,11 +328,15 @@ def cmd_compare(args) -> int:
     if args.op == "dist.cdf":
         params = Pearson3Params(args.a, args.b, args.m)
         samples = pearson3.p3_sample(params, seed, count)
+        # the transforms act in place on the draws, by the IEEE operations of
+        # 1 / (1 + exp(-x)) and exp(x)
         if args.family == "logitp3":
-            samples = 1.0 / (1.0 + np.exp(-samples))
+            np.exp(np.negative(samples, out=samples), out=samples)
+            samples += 1.0
+            np.divide(1.0, samples, out=samples)
             cdf = logitp3.ltp3_cdf
         elif args.family == "logp3":
-            samples = np.exp(samples)
+            np.exp(samples, out=samples)
             cdf = logp3.lp3_cdf
         else:
             cdf = pearson3.p3_cdf

@@ -126,8 +126,16 @@ def ks_distance(samples, cdf_fn) -> float:
             f"cdf_fn returned shape {f.shape} for samples of shape {samples.shape}; "
             "it must be vectorized"
         )
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
+    # both staircase differences in one array: k/n - f for k = 1..n, then
+    # f - k/n for k = 0..n-1 (the integers k are exact in floating point)
+    stair = np.arange(1.0, n + 1.0)
+    stair /= n
+    upper = np.max(np.subtract(stair, f, out=stair))
+    stair.fill(1.0)
+    stair[0] = 0.0
+    np.cumsum(stair, out=stair)
+    stair /= n
+    lower = np.max(np.subtract(f, stair, out=stair))
     return float(max(upper, lower))
 
 

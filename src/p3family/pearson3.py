@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, poch, xlogy
+from scipy.special import gammainc, gammaincc, xlogy
 
 from .errors import DomainError, SupportError
 
@@ -189,7 +189,9 @@ def _moment_term(params, n, k):
     overflows."""
     a, b = params.a, params.b
     factor = math.comb(n, k) * params.m ** (n - k)
-    rising = float(poch(a, k))
+    # (a)_k as (a + k - 1) ... (a + 1) a: the same double as scipy's poch(a, k)
+    # for a in [1e-15, 1e3], k <= 8, and exact at a = 1e-300 where poch is not
+    rising = math.prod(a + j for j in range(k - 1, -1, -1))
     try:
         power = b ** k
     except OverflowError:  # b^k keeps the sign of b for odd k

@@ -8,11 +8,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import p3family
+from p3family import cli, csvrows
 from p3family.cli import _build_parser, _parse_sweep, _print_csv, main
 from p3family.logitp3 import ltp3_cdf
 from p3family.pearson3 import Pearson3Params
@@ -479,10 +482,28 @@ def test_print_csv_bytes(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049])
+def _rows_by_percent(points, values):
+    return "".join("%.12g,%.12g\n" % row for row in zip(np.asarray(points, float).tolist(),
+                                                        np.asarray(values, float).tolist()))
+
+
+def _assert_csv_body_is_percent(points, values):
+    text = io.StringIO()
+    _print_csv(text, ["h"], points, values)
+    assert text.getvalue() == "# h\n" + _rows_by_percent(points, values)
+    assert text.getvalue().count("\n") == len(points) + 1
+
+
+# bodies on both sides of the smallest block the kernel formats, of one
+# kernel block, and of a final block too short for it; 1023..2049 were the
+# block bounds of the one-% format per 1024 rows
+_SMALL, _BLOCK = csvrows.SMALL_ROWS, csvrows.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", sorted({
+    1, 1023, 1024, 1025, 2049, _SMALL - 1, _SMALL, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+    _BLOCK + _SMALL - 1, _BLOCK + _SMALL}))
 def test_print_csv_blocks_match_rows(count):
-    # bodies that end just before, at and after a block of 1024 rows are
-    # byte for byte the rows formatted one at a time
     rng = np.random.default_rng(count)
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310, 7, -12]
     spread = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
@@ -491,11 +512,75 @@ def test_print_csv_blocks_match_rows(count):
     values = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)
     values[count // 2] = -0.0
     values[-1] = 2.99999999999951
-    expected = "# h\n" + "".join("%.12g,%.12g\n" % row for row in zip(points, values))
-    text = io.StringIO()
-    _print_csv(text, ["h"], points, values)
-    assert text.getvalue() == expected
-    assert text.getvalue().count("\n") == count + 1
+    _assert_csv_body_is_percent(points, values)
+
+
+def test_print_csv_matches_percent_on_random_bit_patterns():
+    # every float64 is as likely as its bit pattern: NaNs, infinities,
+    # subnormals and magnitudes up to 1.8e308 of both signs
+    rng = np.random.default_rng(20)
+    numbers = rng.integers(0, 2 ** 64, 2 * (2 * _BLOCK + 3 * _SMALL), dtype=np.uint64).view(float)
+    _assert_csv_body_is_percent(numbers[0::2], numbers[1::2])
+
+
+def _thirteen_digit_ties():
+    # x = m / 2^j is the decimal m 5^j / 10^j; with m odd, m 5^j ends in 5,
+    # and with 13 digits "%.12g" rounds x half to even
+    ties = []
+    for j in range(19):
+        lo, hi = -(-10 ** 12 // 5 ** j), 10 ** 13 // 5 ** j
+        for m in (lo, (lo + hi) // 2, hi - 1):
+            m += (5 - m % 10) % 10 if j == 0 else 1 - m % 2
+            if m * 5 ** j < 10 ** 13:
+                ties.append(m / 2 ** j)
+    ties += [100.0 * x for x in ties[:3]]
+    return ties + [-x for x in ties]
+
+
+@pytest.mark.parametrize("count", [_SMALL - 1, _SMALL, _BLOCK + 1])
+def test_print_csv_boundaries_ties_and_specials(count):
+    # the fixed/exponent and 2/3-digit exponent bounds, every power of ten
+    # (log10 may round across it), 13-digit ties, zeros, subnormals,
+    # infinities and NaN, in bodies of `count` rows
+    edges = [9.999999999995e-5, 1e-4, 99999999999.95, 999999999999.5, 1e12,
+             9.9999999999995e99, 1.7976931348623157e308, 2.2250738585072014e-308, 2.2e-310]
+    edges += [float(f"1e{k}") for k in range(-323, 309)]
+    near = [y for x in edges for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf), -x)]
+    ties = _thirteen_digit_ties()
+    assert all(Decimal(x).normalize().as_tuple().digits[12:] == (5,) for x in ties)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324]
+    cases = np.array(near + ties + specials)
+    cases = np.resize(cases, -(-cases.size // (2 * count)) * 2 * count).reshape(-1, count, 2)
+    for body in cases:
+        _assert_csv_body_is_percent(body[:, 0], body[:, 1])
+        _assert_csv_body_is_percent(body[:, 1], body[:, 0])
+
+
+def test_figure_csvs_are_percent_rows(tmp_path):
+    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
+        for name, headers, points, values in cli._figure_curves(fig):
+            path = cli._write_curve(str(tmp_path), name, headers, points, values)
+            head = "".join(f"# {h}\n" for h in headers)
+            assert pathlib.Path(path).read_text() == head + _rows_by_percent(points, values), name
+
+
+def test_print_csv_memory_is_one_block():
+    # a future change must not hold a whole sweep's temporaries: one float64
+    # array over the 4e5 numbers of this sweep is 3.2 MB, its text 6 MB
+    class Sink:
+        def write(self, text):
+            pass
+
+    points = np.linspace(-3.0, 1e6, 200_000)
+    values = np.exp(-np.linspace(0.0, 700.0, points.size))
+    _print_csv(Sink(), ["h"], points[:_BLOCK], values[:_BLOCK])  # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        _print_csv(Sink(), ["h"], points, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -205,6 +205,11 @@ def test_moment_where_only_a_factor_leaves_double_range(params, n, value):
     assert p3_moment(params, n) == pytest.approx(value, rel=1e-15)
 
 
+def test_moment_at_a_tiny_shape_is_exact():
+    # a / b = -1 exactly; scipy's poch(1e-300, 1) made it -1.0000000000000238
+    assert p3_moment(Pearson3Params(1e-300, -1e-300, 0.0), 1) == -1.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sample_beyond_double_range_is_a_library_error():
     # draws of about a / b = 1e600: they were returned as inf
