@@ -7,7 +7,9 @@ inverse scale ``b != 0`` and shift ``m``. For ``b > 0`` the support is
 Every pdf and CDF of the library is one evaluator, `evaluate`: a law (this
 one, or a `sums.SumSpec` mixture of them) seen through a monotone
 `Transform` y(x), here the identity, in `logp3` and `logitp3` the log and
-logit maps, in `wpt` the harvested power.
+logit maps, in `wpt` the harvested power. It and the density of
+`series.expect` take a law's values through `blockwise`, 2^14 points at a
+time, so that the memory of a call is its output and one block's work.
 """
 
 import math
@@ -133,28 +135,67 @@ def evaluate(law, transform: Transform, y, density=False, rate=None):
 
     Raises DomainError for a point outside the transform's domain and, for
     a density, SupportError for a point outside or on the boundary of the
-    open support. A CDF saturates to 0/1 outside the support. A float gives
-    a float, an array the array of values. An array of rates, with a float
-    y, gives the values of the law rescaled to each (`law.at_offsets`).
+    open support, naming the first such point. A CDF saturates to 0/1
+    outside the support. A float gives a float, an array the array of
+    values. An array of rates, with a float y, gives the values of the law
+    rescaled to each (`law.at_offsets`). The points, or the rates, go to
+    `blockwise`: up to 2^14 in one call, more a block of 2^14 at a time.
     """
-    y = np.asarray(y, dtype=float)
+    # a float as a numpy float, for scalar arithmetic
+    y = np.float64(y) if isinstance(y, float) else np.asarray(y, dtype=float)[()]
     if transform.domain is not None:
         lo, hi = transform.domain
         inside = (y > lo) & (y < hi) if hi < math.inf else y > lo
         if not inside.all():
             raise DomainError(f"y={y[~inside][0]} is outside the domain ({lo}, {hi})")
+    out = blockwise(_values, y, rate, law, transform, density)
+    return out if out.ndim else float(out)
+
+
+def _values(y, law, transform, density, rate):
+    """`evaluate` at the points y of one block."""
     lo, hi = law.support()
     g = transform.offset(y, lo) if hi == math.inf else -transform.offset(y, hi)
-    if not density:
-        out = law.at_offsets(np.maximum(g, 0.0), rate=rate)
-    else:
-        inside = (g > 0.0) & (g < math.inf)
-        if not inside.all():
-            raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
-        out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
-        if not np.isfinite(out).all():
-            raise DomainError(f"the density of {law} is beyond the double range at some y")
-    return out if out.ndim else float(out)
+    if not density:  # np.maximum, at a tenth of its cost on a float, NaN and -0.0 kept
+        g = np.maximum(g, 0.0) if g.ndim else (0.0 if g < 0.0 else g)
+        return law.at_offsets(g, rate=rate)
+    inside = (g > 0.0) & (g < math.inf)
+    if not inside.all():
+        raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
+    out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
+    if not (out < math.inf).all():  # a density is >= 0 or NaN
+        raise DomainError(f"the density of {law} is beyond the double range at some y")
+    return out
+
+
+# Points per block of an evaluation, so that its work arrays stay in cache
+# and its memory does not grow with the number of points.
+_BLOCK = 1 << 14
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def blockwise(values, x, rate, *args):
+    """values(x, *args, rate=rate) over the points x, an array or a numpy
+    float, and `rate`: None, a float, or an array of x's shape (of any
+    shape for a float x). Up to _BLOCK points or rates go to one call; more
+    go _BLOCK at a time into one array, a float x or rate whole to each
+    block. A law's values do not depend on the other points of a call, so
+    they are those of one call, at the memory of one block.
+
+    numpy's overflow and invalid-value warnings are off: b g may overflow
+    to inf, where a CDF is 0 or 1 and a density's exponent inf - inf is
+    NaN, which `evaluate` and `series.expect` raise as DomainError."""
+    points = x if rate is None or np.ndim(rate) == 0 else rate
+    if points.size <= _BLOCK:
+        return values(x, *args, rate=rate)
+    out = np.empty(points.shape)
+    flat = out.reshape(-1)
+    x, rate = (np.reshape(v, -1) if np.ndim(v) else v for v in (x, rate))
+    for start in range(0, flat.size, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        flat[part] = values(x[part] if np.ndim(x) else x, *args,
+                            rate=rate[part] if np.ndim(rate) else rate)
+    return out
 
 
 def p3_pdf(params: Pearson3Params, x):
@@ -233,7 +274,8 @@ def p3_sample(params: Pearson3Params, rng_seed: int, count: int) -> np.ndarray:
     place and returned: the values and the stream of `rng.gamma`."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    out = params.draw_into(np.random.default_rng(rng_seed), np.empty(count))
+    with np.errstate(over="ignore"):  # a draw beyond the double range is inf
+        out = params.draw_into(np.random.default_rng(rng_seed), np.empty(count))
     if not (math.isfinite(out.min()) and math.isfinite(out.max())):  # no sample-sized mask
         raise DomainError(f"draws of {params} leave the double range")
     return out

@@ -13,6 +13,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .pearson3 import blockwise
 
 _TINY = 1e-300
 
@@ -107,11 +108,12 @@ def expect(law, h, rate=None):
 
     An array of rates gives an array of one expectation per rate, each for
     the law rescaled to that rate as `law.at_offsets(..., rate=)` does: the
-    density is evaluated in one call over all their grids and one over all
-    their nodes, for each batch of _RATES rates, whose panels are built in
-    one pass. An empty array of rates gives an empty array. A float rate, or
-    None for the law itself, gives a float. DomainError where the mean
-    offset or the integrand on the grid leaves the double range.
+    density is evaluated over all their grids together and over all their
+    nodes together, by `pearson3.blockwise`, for each batch of _RATES
+    rates, whose panels are built in one pass. An empty array of rates
+    gives an empty array. A float rate, or None for the law itself, gives a
+    float. DomainError where the mean offset or the integrand on the grid
+    leaves the double range.
     """
     if np.size(rate) == 0:
         return np.empty(0)
@@ -129,11 +131,10 @@ def expect(law, h, rate=None):
 
     def integrand(g, h_g, rates, sizes):
         # h f g and f at the offsets g, where h is h_g, the first sizes[0] at
-        # rates[0] and so on, with the density in one call: an array of each
-        # per rate
-        f = law.at_offsets(g, density=True, rate=None if rate is None else np.repeat(rates, sizes))
+        # rates[0] and so on: an array of each per rate
+        f = blockwise(law.at_offsets, g, None if rate is None else np.repeat(rates, sizes), True)
         ends = list(accumulate(sizes))
-        return [[x[end - n:end] for n, end in zip(sizes, ends)] for x in (h_g * f * g, f)]
+        return [[x[end - n:end] for n, end in zip(sizes, ends)] for x in (_weigh(h_g, f, g), f)]
 
     grids, starts = [], []
     for r in batch:
@@ -153,7 +154,7 @@ def expect(law, h, rate=None):
     g = np.exp(np.concatenate(grids))
     h_g = h(g)
     # each rate's values from its start on, then below the starts that fail
-    # the check, the density in one call each time
+    # the check, all rates together each time
     spans = [slice(end - size + s, end) for size, end, s in zip(sizes, accumulate(sizes), starts)]
     values, densities = integrand(_gather(g, spans), _gather(h_g, spans), batch,
                                   [size - s for size, s in zip(sizes, starts)])
@@ -190,6 +191,11 @@ def expect(law, h, rate=None):
         for i, v, end, n in zip(served, values, accumulate(counts), counts):
             out[i] += half[end - n:end] @ (v.reshape(n, _NODES.size) @ _WEIGHTS)
     return float(out[0]) if rate is None or np.ndim(rate) == 0 else out
+
+
+@np.errstate(invalid="ignore")  # 0 inf, where the density f overflows, is a NaN _bracket raises
+def _weigh(h, f, g):
+    return h * f * g
 
 
 def _gather(x, spans):

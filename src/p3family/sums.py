@@ -369,7 +369,7 @@ def _pdf_component(k, log_gamma, b: float, u, out=None):
 
 def _partial_fraction_terms(spec, g, component):
     """Yield Xi(i,k) component(k, |b_i|, |b_i| g) for every (i, k) over a
-    1-d block of points g: weights of both signs."""
+    1-d array of points g: weights of both signs."""
     term, u = np.empty_like(g), np.empty_like(g)
     for i, row in enumerate(spec._weights):
         b = abs(spec.terms[i].b)
@@ -416,7 +416,7 @@ def _series_sum(spec, g, component):
 
 
 def _float_mixture(g, terms):
-    """Sum of the term arrays that `terms` yields over a 1-d block of points
+    """Sum of the term arrays that `terms` yields over a 1-d array of points
     g, and the sum of their absolute values.
 
     The terms are accumulated one at a time by Knuth's two-sum, with the
@@ -444,37 +444,28 @@ def _float_mixture(g, terms):
     return total, bound
 
 
-# Points per block of the float mixture, so that its work vectors stay in
-# cache and its memory does not grow with the number of points.
-_BLOCK = 1 << 14
-
-
 def _mixture(spec, g, component):
     """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over an array of
     finite gamma-direction offsets g > 0, or g >= 0 for the CDF, which is 0
     at g = 0.
 
-    Each block of points is summed by _float_mixture over the partial
-    fractions, unless the spec is series-only, and over Moschopoulos'
-    series, in one call, at the points whose value falls below
-    _ROUNDING_BOUND times the absolute sum of their terms and at those
-    where some |b_i| g is subnormal, where scipy's gammainc(1, u) is u or 0.
+    The points are summed by _float_mixture over the partial fractions,
+    unless the spec is series-only, and over Moschopoulos' series, in one
+    call, at the points whose value falls below _ROUNDING_BOUND times the
+    absolute sum of their terms and at those where some |b_i| g is
+    subnormal, where scipy's gammainc(1, u) is u or 0.
     """
     tiny = np.finfo(float).tiny / min(abs(t.b) for t in spec.terms)
     flat = g.reshape(-1)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        if spec._series_only:
-            total, edge = np.empty_like(block), np.ones(block.shape, dtype=bool)
-        else:
-            terms = _partial_fraction_terms(spec, block, component)
-            total, bound = _float_mixture(block, terms)
-            edge = (total < _ROUNDING_BOUND * bound) | (block < tiny)
-        if edge.any():
-            total[edge] = _series_sum(spec, block[edge], component)
-        out[start:start + _BLOCK] = total
-    return out.reshape(g.shape)
+    if spec._series_only:
+        total, edge = np.empty_like(flat), np.ones(flat.shape, dtype=bool)
+    else:
+        terms = _partial_fraction_terms(spec, flat, component)
+        total, bound = _float_mixture(flat, terms)
+        edge = (total < _ROUNDING_BOUND * bound) | (flat < tiny)
+    if edge.any():
+        total[edge] = _series_sum(spec, flat[edge], component)
+    return total.reshape(g.shape)
 
 
 def xi0_recursive(spec: SumSpec, i: int, k: int) -> float:

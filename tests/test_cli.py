@@ -18,7 +18,9 @@ import p3family
 from p3family import cli, csvrows
 from p3family.cli import _build_parser, _parse_sweep, _print_csv, main
 from p3family.logitp3 import ltp3_cdf
+from p3family.logp3 import lp3_char_fn_series
 from p3family.pearson3 import Pearson3Params
+from p3family.presets import beacon_field_scenario
 from p3family.sums import SumSpec, spec_to_json, sum_cdf
 from p3family.wpt import q_cdf_miso, q_mean_miso
 
@@ -80,6 +82,16 @@ def test_dist_moment_and_charfn(capsys):
                     "--a", "1", "--b", "1", "--t", "1")
     assert code == 0
     assert out.strip() == "0.5+0.5j"
+
+
+def test_dist_logp3_charfn_is_the_series_for_negative_rates(capsys):
+    code, out = run(capsys, "dist", "logp3", "charfn",
+                    "--a", "2", "--b", "-1.5", "--m", "0.3", "--t", "0.7")
+    assert code == 0
+    assert out.strip() == cli._fmt_complex(lp3_char_fn_series(Pearson3Params(2.0, -1.5, 0.3), 0.7))
+    # the series needs b < 0: every moment of exp(X) exists only there
+    assert run(capsys, "dist", "logp3", "charfn",
+               "--a", "2", "--b", "1.5", "--t", "0.7")[0] == 2
 
 
 def test_dist_high_order_logit_moment(capsys):
@@ -179,7 +191,7 @@ def test_sum_missing_file(capsys):
 def test_wpt_point_queries(capsys, scenario_file):
     from p3family.wpt import scenario_from_json
 
-    sc = scenario_from_json(open(scenario_file).read())
+    sc = scenario_from_json(pathlib.Path(scenario_file).read_text())
     code, out = run(capsys, "wpt", "--scenario", scenario_file,
                     "--quantity", "outage", "--qt-frac", "0.1")
     assert code == 0
@@ -280,7 +292,7 @@ def test_wpt_sweep_rows_match_point_queries(capsys, tmp_path, scenario_file, ape
         assert code == 0
         rows = [l for l in out.strip().split("\n") if not l.startswith("#")]
         var, lo, hi, step = sweep.split(":")
-        sc = scenario_from_json(open(path).read())
+        sc = scenario_from_json(pathlib.Path(path).read_text())
         points = np.arange(float(lo), float(hi) + 1e-9, float(step))
         assert len(rows) == len(points)
         for x, row in zip(points, rows):
@@ -322,7 +334,7 @@ def test_figure_fig1(capsys, tmp_path):
     written = out.strip().split("\n")
     assert len(written) == 4  # one curve per (a, b) pair
     for path in written:
-        rows = [l for l in open(path).read().strip().split("\n")
+        rows = [l for l in pathlib.Path(path).read_text().strip().split("\n")
                 if not l.startswith("#")]
         assert len(rows) == 999
         vals = [float(r.split(",")[1]) for r in rows]
@@ -338,7 +350,7 @@ def test_figure_fig2_mirror_symmetry(capsys, tmp_path):
     written = out.strip().split("\n")
     curves = {}
     for path in written:
-        rows = [l for l in open(path).read().strip().split("\n")
+        rows = [l for l in pathlib.Path(path).read_text().strip().split("\n")
                 if not l.startswith("#")]
         name = path.split("/")[-1]
         curves[name] = [tuple(map(float, r.split(","))) for r in rows]
@@ -354,7 +366,7 @@ def test_figure_fig3_ordering_and_determinism(capsys, tmp_path):
     out_a = tmp_path / "a"
     code, out = run(capsys, "figure", "--id", "fig3", "--out", str(out_a))
     assert code == 0
-    files = {p.split("/")[-1]: open(p).read() for p in out.strip().split("\n")}
+    files = {p.split("/")[-1]: pathlib.Path(p).read_text() for p in out.strip().split("\n")}
     assert len(files) == 6  # L in 1..3 x two thresholds
 
     def outages(name):
@@ -372,7 +384,7 @@ def test_figure_fig3_ordering_and_determinism(capsys, tmp_path):
     code, out2 = run(capsys, "figure", "--id", "fig3", "--out", str(out_b))
     assert code == 0
     for p in out2.strip().split("\n"):
-        assert open(p).read() == files[p.split("/")[-1]]
+        assert pathlib.Path(p).read_text() == files[p.split("/")[-1]]
 
 
 def test_figure_gnuplot_script(capsys, tmp_path):
@@ -382,7 +394,7 @@ def test_figure_gnuplot_script(capsys, tmp_path):
     assert code == 0
     written = out.strip().split("\n")
     assert written[-1].endswith("fig4.gp")
-    script = open(written[-1]).read()
+    script = pathlib.Path(written[-1]).read_text()
     assert "set logscale y" in script and "plot" in script
 
 
@@ -399,6 +411,29 @@ def test_compare_dist_pass(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["count"] == 20000 and report["seed"] == 4
+
+
+def test_compare_dist_logp3_pass(capsys):
+    code, out = run(capsys, "compare", "--op", "dist.cdf", "--family", "logp3",
+                    "--a", "3", "--b", "1.5", "--samples", "20000", "--seed", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["statistic"].startswith("logp3 cdf KS") and report["passed"] is True
+
+
+@pytest.mark.parametrize("preset, op, query", [
+    ("fig4", "wpt.cdf", ("--qt-frac", "0.1")),
+    ("fig6", "wpt.mean", ()),
+], ids=["fig4", "fig6"])
+def test_compare_beacon_field_presets(capsys, preset, op, query):
+    code, out = run(capsys, "compare", "--op", op, "--preset", preset, "--L", "2", *query,
+                    "--samples", "20000", "--seed", "6")
+    assert code == 0
+    report = json.loads(out)
+    scenario = beacon_field_scenario(2)
+    analytic = (q_cdf_miso(scenario, 0.1 * scenario.model.Ps) if op == "wpt.cdf"
+                else q_mean_miso(scenario))
+    assert report["analytic"] == analytic and report["passed"] is True
 
 
 def test_compare_sums_ops(capsys, spec_file):
