@@ -163,8 +163,10 @@ def _values(y, law, transform, density, rate):
     if not inside.all():
         raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
     out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
-    if not (out < math.inf).all():  # a density is >= 0 or NaN
-        raise DomainError(f"the density of {law} is beyond the double range at some y")
+    if not (out < math.inf).all():  # a density is >= 0, or NaN where b g is inf
+        out = np.fmax(out, 0.0)  # e^(-b g) wins the exponent's inf - inf there
+        if not (out < math.inf).all():
+            raise DomainError(f"the density of {law} is beyond the double range at some y")
     return out
 
 
@@ -184,7 +186,7 @@ def blockwise(values, x, rate, *args):
 
     numpy's overflow and invalid-value warnings are off: b g may overflow
     to inf, where a CDF is 0 or 1 and a density's exponent inf - inf is
-    NaN, which `evaluate` and `series.expect` raise as DomainError."""
+    NaN, which `evaluate` and `series.expect` take as the density 0."""
     points = x if rate is None or np.ndim(rate) == 0 else rate
     if points.size <= _BLOCK:
         return values(x, *args, rate=rate)

@@ -133,6 +133,7 @@ def expect(law, h, rate=None):
         # h f g and f at the offsets g, where h is h_g, the first sizes[0] at
         # rates[0] and so on: an array of each per rate
         f = blockwise(law.at_offsets, g, None if rate is None else np.repeat(rates, sizes), True)
+        np.fmax(f, 0.0, out=f)  # NaN where b g is inf: there e^(-b g) makes f 0
         ends = list(accumulate(sizes))
         return [[x[end - n:end] for n, end in zip(sizes, ends)] for x in (_weigh(h_g, f, g), f)]
 

@@ -1,13 +1,14 @@
 """Sums of independent Pearson type III variates.
 
 A sum whose inverse scales agree (within relative _EQUAL_TOL) is one
-Pearson III law, `SumSpec.reduced`, for any positive shapes. A sum with
-pairwise-distinct inverse scales and integer shapes is a finite mixture of
-Pearson III densities whose weights come from the partial fraction
-expansion of the product of the component Laplace transforms; the weights
-are available both as a nested closed-form sum and through a numerically
-gentler recursion, run on first use; where they cancel, Moschopoulos'
-series of positive weights takes over, summed in chunks of its index.
+Pearson III law, `SumSpec.reduced`, for any positive shapes. Any other sum
+of members of one sign is a mixture of Pearson III densities. With integer
+shapes at pairwise-distinct rates its weights come from the partial
+fraction expansion of the product of the component Laplace transforms,
+both as a nested closed-form sum and through a numerically gentler
+recursion, run on first use. Moschopoulos' series of positive weights,
+summed in chunks of its index, serves every other sum of any positive
+shapes and rates, and the points where the partial fractions cancel.
 `SumSpec.at_offsets` picks the reduced law or the mixture, so the
 densities and CDFs of the sum and of its log and logit transforms are
 `pearson3.evaluate` calls.
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, xlogy
+from scipy.special import betainc, gammainc, gammaincc, xlogy
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .logitp3 import LOGIT, ltp3_moment
 from .logp3 import LOG, lp3_moment
 from .pearson3 import IDENTITY, Pearson3Params, evaluate, p3_moment
@@ -54,6 +55,7 @@ __all__ = [
 
 EQUAL_RATES = "equal_rates"
 DISTINCT_RATES = "distinct_rates"
+"""The regime of a sum whose rates are not all equal; some may coincide."""
 
 # Rates closer than this (relative) are treated as exactly equal.
 _EQUAL_TOL = 1e-9
@@ -67,13 +69,12 @@ def _rel_gap(x: float, y: float) -> float:
 class SumSpec:
     """Ordered component parameters of SX_L = X_1 + ... + X_L.
 
-    The inverse scales must share one sign. When they all agree within
-    relative _EQUAL_TOL the sum is its `reduced` Pearson III law, formed at
-    build, and the shapes may be any positive numbers. Otherwise the rates
-    must be pairwise distinct and the shapes positive integers; partially
-    coincident rates are rejected. With distinct rates the mixture weights
-    are exact rationals, computed on first use (`_weights`); a sum whose log
-    bound on them clears _HP_WEIGHT_SCALE is `_series_only` without them.
+    The inverse scales must share one sign; the shapes may be any positive
+    numbers. When the rates all agree within relative _EQUAL_TOL the sum is
+    its `reduced` Pearson III law, formed at build. Otherwise, with integer
+    shapes at pairwise-distinct rates, the mixture weights are exact
+    rationals, computed on first use (`_weights`); a sum whose log bound on
+    them clears _HP_WEIGHT_SCALE, and every other sum, is `_series_only`.
 
     Every cached weight, the partial fractions `_weights` as the series
     weights `_series` and their factor C, depends only on the ratios
@@ -103,24 +104,16 @@ class SumSpec:
             object.__setattr__(self, "_reduced", Pearson3Params(
                 math.fsum(self._shapes), math.fsum(bs) / len(bs), self.sm))
             return
-        for t in terms:
-            if abs(t.a - round(t.a)) > 1e-9 or round(t.a) < 1:
-                raise DomainError(
-                    f"distinct-rate component shapes must be positive integers, got a={t.a}")
-        for i, j in itertools.combinations(range(len(bs)), 2):
-            if _rel_gap(bs[i], bs[j]) <= _EQUAL_TOL:
-                raise DomainError(
-                    f"mixed rates: components {i + 1} and {j + 1} have "
-                    f"coincident inverse scales ({bs[i]}, {bs[j]}) while "
-                    "others are distinct; only all-equal or all-distinct rates are supported"
-                )
+        integer = all(abs(t.a - round(t.a)) <= 1e-9 and round(t.a) >= 1 for t in terms)
         object.__setattr__(self, "regime", DISTINCT_RATES)
-        object.__setattr__(self, "_shapes", tuple(int(round(t.a)) for t in terms))
+        object.__setattr__(self, "_shapes", tuple(round(t.a) if integer else t.a for t in terms))
+        object.__setattr__(self, "_fractions", integer and all(
+            _rel_gap(x, y) > _EQUAL_TOL for x, y in itertools.combinations(bs, 2)))
         # Moschopoulos' series (_series_chunk): its rate, and its shapes,
         # their log-gammas, its weights and their tail bounds
         object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
         object.__setattr__(self, "_series", (np.empty(0),) * 4)
-        object.__setattr__(self, "_series_only", (
+        object.__setattr__(self, "_series_only", not self._fractions or (
             self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
         ) or self._weight_scale > _HP_WEIGHT_SCALE)
 
@@ -233,8 +226,8 @@ class SumSpec:
 
 
 def _check_indices(spec: SumSpec, i: int, k: int):
-    if spec.regime != DISTINCT_RATES:
-        raise DomainError("mixture weights are defined only in the distinct-rate regime")
+    if spec.regime != DISTINCT_RATES or not spec._fractions:
+        raise DomainError("mixture weights need integer shapes at pairwise-distinct rates")
     if not (1 <= i <= spec.L):
         raise DomainError(f"component index i={i} out of range 1..{spec.L}")
     if not (1 <= k <= spec.shape(i)):
@@ -309,8 +302,10 @@ _SERIES_TOL = 2.0 ** -60
 
 # The series is summed in chunks of k: _CHUNK terms first, enough near the
 # support edge, then twice as many each time up to _CHUNK_MAX, and fewer
-# where its (points x k) grids would exceed _GRID values.
-_CHUNK, _CHUNK_MAX, _GRID = 8, 256, 1 << 14
+# where its (points x k) grids would exceed _GRID values. It raises past
+# _SERIES_MAX terms: rates far apart need about b_max/b_min ln(1/_SERIES_TOL),
+# and the weights cost their number squared.
+_CHUNK, _CHUNK_MAX, _GRID, _SERIES_MAX = 8, 256, 1 << 14, 1 << 16
 
 
 def _series_chunk(spec, k0, k1):
@@ -328,11 +323,13 @@ def _series_chunk(spec, k0, k1):
     common rescaling of its rates. The deltas are the coefficients of
     prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
     r = delta_(k+1)/delta_k < 1 the later weights sum to at most
-    C delta_k r/(1 - r). All the weights sum to 1.
+    C delta_k r/(1 - r). With a shape below 1, delta_k <= (sa)_k rho_max^k / k!,
+    the coefficients of (1 - rho_max z)^(-sa), whose sum past k is
+    (1 - rho_max)^(-sa) I_rho_max(k + 1, sa) (`betainc`). All the weights sum to 1.
     """
     shapes, log_gamma, w, tail = spec._series
     if w.size <= k1:
-        n = max(k1 + 1, 2 * w.size)
+        n = min(max(k1 + 1, 2 * w.size), _SERIES_MAX + 1)
         rho = np.array([spec._b_max - abs(t.b) for t in spec.terms]) / spec._b_max
         i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
         w = np.concatenate((w, np.empty(n - w.size)))
@@ -342,8 +339,14 @@ def _series_chunk(spec, k0, k1):
         more = spec.sa + np.arange(shapes.size, n, dtype=float)
         # the bound at k needs w[k + 1]: the last one waits for the next extension
         before, after = w[tail.size:n - 1], w[tail.size + 1:n]
-        r = np.divide(after, before, out=np.zeros_like(before), where=before > 0.0)
-        bound = np.divide(before * r, 1.0 - r, out=np.ones_like(before), where=r < 1.0)
+        if min(spec._shapes) >= 1:
+            r = np.divide(after, before, out=np.zeros_like(before), where=before > 0.0)
+            bound = np.divide(before * r, 1.0 - r, out=np.ones_like(before), where=r < 1.0)
+        else:  # in logs, as C (1 - rho_max)^(-sa) = prod_j (|b_j|/b_min)^a_j may overflow
+            log_b = np.log(np.abs([t.b for t in spec.terms]))
+            beta = betainc(np.arange(tail.size + 1, n, dtype=float), spec.sa, rho.max())
+            log_beta = np.log(beta, out=np.full_like(beta, -math.inf), where=beta > 0.0)
+            bound = np.exp(np.minimum(spec._shapes @ (log_b - log_b.min()) + log_beta, 0.0))
         object.__setattr__(spec, "_series", (
             np.concatenate((shapes, more)),
             np.concatenate((log_gamma, [math.lgamma(v) for v in more.tolist()])),
@@ -364,7 +367,8 @@ def _sf_component(k, log_gamma, b: float, u, out=None):
 
 
 def _pdf_component(k, log_gamma, b: float, u, out=None):
-    return np.exp(math.log(b) + xlogy(k - 1.0, u) - u - log_gamma, out=out)
+    out = np.exp(math.log(b) + xlogy(k - 1.0, u) - u - log_gamma, out=out)
+    return np.fmax(out, 0.0, out=out)  # NaN at u = inf, where e^(-u) makes it 0
 
 
 def _partial_fraction_terms(spec, g, component):
@@ -397,13 +401,15 @@ def _series_sum(spec, g, component):
     k, width = 0, _CHUNK // 2
     while live.size:
         width = max(1, min(2 * width, _CHUNK_MAX, _GRID // live.size))
+        if k + width > _SERIES_MAX:
+            raise ConvergenceError(f"Moschopoulos' series of {spec} needs over {_SERIES_MAX} terms")
         shape, log_gamma, weight, tail = _series_chunk(spec, k, k + width)
         v = u[live]
         comp = component(shape, log_gamma, spec._b_max, v)
         run = np.cumsum(np.concatenate((partial[live], comp * weight), axis=1), axis=1)
         before = np.concatenate((prev[live], comp[:, :-1]), axis=1)
-        # a density that underflows before its peak does not fall yet
-        falling = (shape >= v) | ((comp <= before) & (comp > 0.0))
+        # a density underflowing before its peak, to 0 or to equal subnormals, does not fall
+        falling = (shape >= v) | ((comp <= before) & (comp >= np.finfo(float).tiny))
         on = (~falling | (comp * tail > _SERIES_TOL * run[:, 1:])) & (tail > 0.0)
         np.logical_and.accumulate(on, axis=1, out=on)
         # the term after the last live one is the last that counts

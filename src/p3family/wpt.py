@@ -9,8 +9,8 @@ c = Ps e^(-A B) and span = c (1 + e^(A B)) this is the affine map
 Q = span Z - c of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B.
 Under gamma (Nakagami power) fading A r is gamma with inverse scale
 b_hat = b/(A l p), so X is the `sums.SumSpec` of the branch terms with
-shift -A B: one Pearson III law when every branch shares b_hat, a mixture
-when the b_hat are pairwise distinct. The harvested-power CDF and
+shift -A B: one Pearson III law when every branch shares b_hat, else a
+mixture, for any positive fading shapes. The harvested-power CDF and
 density, for a float or an array of q, are `pearson3.evaluate` of that
 law through the map x -> q. Its moments are one positive integral against
 that law, `series.expect`, of Q^n written as Ps (1 - e^(-A r))
@@ -174,9 +174,8 @@ class MisoScenario:
     Construction builds the law of X = A r - A B for the aggregate received
     power r: the `SumSpec` of one term per branch, of its fading shape and
     effective inverse scale b/(A l p), the first term carrying the shift
-    -A B. So equal scales give one Pearson III law of the total shape (any
-    positive fading shapes), pairwise-distinct scales a mixture (integer
-    fading shapes), and partially coincident scales are rejected.
+    -A B. So equal scales give one Pearson III law of the total shape, and
+    any other scales a mixture, for any positive fading shapes.
 
     `at` moves every branch to one distance or one total power; `curve`
     gives the harvested-power CDF or density at one q, and `moments` the

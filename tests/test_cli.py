@@ -171,14 +171,16 @@ def test_sum_scalar_and_sweep(capsys, spec_file):
     assert len(data) == 4
 
 
-def test_sum_mixed_rate_rejection(capsys, tmp_path):
+def test_sum_with_coincident_rates(capsys, tmp_path):
+    # Exp(1) + Exp(1) + Exp(3): CDF 1 - (3/4 + 3/2 x) e^(-x) - 1/4 e^(-3x)
     doc = {"terms": [{"a": 1, "b": 1.0, "m": 0.0}, {"a": 1, "b": 1.0, "m": 0.0},
                      {"a": 1, "b": 3.0, "m": 0.0}]}
-    path = tmp_path / "bad.json"
+    path = tmp_path / "mixed.json"
     path.write_text(json.dumps(doc))
-    code = main(["sum", "--spec", str(path), "--quantity", "cdf", "--at", "1"])
-    captured = capsys.readouterr()
-    assert code == 2 and "coincident" in captured.err
+    code, out = run(capsys, "sum", "--spec", str(path), "--quantity", "cdf", "--at", "1")
+    assert code == 0
+    assert float(out) == pytest.approx(1.0 - 2.25 * math.exp(-1.0) - 0.25 * math.exp(-3.0),
+                                       rel=1e-12)
 
 
 def test_sum_missing_file(capsys):

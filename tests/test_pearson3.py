@@ -8,6 +8,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from p3family.errors import DomainError, SupportError
+from p3family.logitp3 import ltp3_moment
 from p3family.mc import ks_distance, ks_threshold
 from p3family.pearson3 import (
     Pearson3Params,
@@ -18,6 +19,7 @@ from p3family.pearson3 import (
     p3_sample,
     p3_scale,
 )
+from p3family.sums import SumSpec, sum_pdf
 
 GRID = [
     Pearson3Params(1.0, 1.0, 0.0),
@@ -58,6 +60,23 @@ def test_params_reject_non_finite_fields(a, b, m):
 def test_pdf_beyond_double_range_is_a_library_error(params, x):
     with pytest.raises(DomainError, match="beyond the double range"):
         p3_pdf(params, x)
+
+
+def test_density_where_b_g_overflows_is_zero():
+    # u = b g = inf makes the exponent inf - inf, NaN: e^(-u) wins, and the
+    # density there is 0; it raised DomainError
+    law = Pearson3Params(2.5, 1e300, 0.0)
+    assert p3_pdf(law, 1e10) == 0.0
+    np.testing.assert_array_equal(p3_pdf(law, np.array([1e10, 1e-300])),
+                                  [0.0, p3_pdf(law, 1e-300)])
+    assert ltp3_moment(Pearson3Params(2.5, 1e300, -1e300), 1) == 0.0
+    P = Pearson3Params
+    assert sum_pdf(SumSpec((P(2.0, 1e300), P(3.0, 2e300))), 1e10) == 0.0
+    assert sum_pdf(SumSpec((P(2.5, 1e300), P(3.0, 2e300))), 1e10) == 0.0
+    # a component whose u overflows adds 0 to the others: X_1 at 1e300 is
+    # 1e-300 e^(-1), and X_2 is about 3e-10
+    spec = SumSpec((P(2.0, 1e-300), P(3.0, 1e10)))
+    assert sum_pdf(spec, 1e300) == pytest.approx(1e-300 * math.exp(-1.0), rel=1e-9)
 
 
 def test_pdf_values():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from properties import PROPERTY_SETTINGS, members, signs
+from properties import PROPERTY_SETTINGS, any_sums, members, signs
 from scipy.special import expit
 
 from p3family.errors import ConvergenceError, DomainError
@@ -173,8 +173,10 @@ _SWEEP = np.geomspace(0.02, 50.0, 5)
 
 
 @PROPERTY_SETTINGS
-@given(law=st.one_of(members, distinct_sums), n=st.integers(1, 6))
+@given(law=st.one_of(members, distinct_sums, any_sums), n=st.integers(1, 6))
 @example(law=Pearson3Params(24.0, -0.0625, 0.0), n=1)  # the check fails: the whole grid
+@example(law=SumSpec((Pearson3Params(0.3, -1.0, 1.0), Pearson3Params(0.3, -1.0),
+                      Pearson3Params(0.35, -3.1))), n=2)  # a total shape below 1
 def test_rising_start_matches_the_whole_grid_bit_for_bit(law, n):
     # the density is evaluated from the rising start on, or from the bottom
     # of the grid where the check fails: the same values either way

@@ -8,9 +8,11 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from properties import PROPERTY_SETTINGS, any_sums
 from scipy.special import gammainc, gammaincc
 
-from p3family.errors import DomainError, MomentDivergenceError, SupportError
+from p3family.errors import ConvergenceError, DomainError, MomentDivergenceError, SupportError
 from p3family.mc import empirical_moment, ks_distance, ks_threshold, sample_sum
 from p3family import sums
 from p3family.logitp3 import ltp3_moment, ltp3_pdf
@@ -47,12 +49,9 @@ def test_construction_rejections():
     with pytest.raises(DomainError):
         SumSpec(())
     with pytest.raises(DomainError):
-        SumSpec((P(1.5, 1.0, 0.0), P(1.0, 2.0, 0.0)))  # non-integer shape, distinct rates
-    with pytest.raises(DomainError):
         SumSpec((P(1.0, 1.0, 0.0), P(1.0, -2.0, 0.0)))  # mixed signs
-    with pytest.raises(DomainError) as exc:
-        SumSpec((P(1.0, 1.0, 0.0), P(1.0, 1.0, 0.0), P(1.0, 3.0, 0.0)))
-    assert "coincident" in str(exc.value)
+    with pytest.raises(DomainError):
+        SumSpec((P(1.0, 1.0, 0.0), (1.0, 2.0, 0.0)))  # not a Pearson3Params
 
 
 def test_regime_classification():
@@ -92,6 +91,48 @@ def test_equal_rates_with_non_integer_shapes_are_one_law():
                 weight(s, 1, 1)
         with pytest.raises(DomainError):
             xi_shifted(s, 1, 1, 1)
+
+
+def test_sums_without_partial_fractions_are_series_only():
+    # real shapes at distinct rates, and integer shapes at partly coincident
+    # rates, have no partial fractions: Moschopoulos' series serves them
+    for spec in (SumSpec((P(1.5, 1.0), P(1.0, 2.0))),
+                 SumSpec((P(1.0, 1.0), P(1.0, 1.0 + 1e-10), P(1.0, 3.0))),
+                 SumSpec((P(0.4, -2.0, 1.0), P(2.5, -2.0), P(0.7, -5.0)))):
+        assert spec.regime == DISTINCT_RATES and spec._series_only
+        for weight in (xi0_closed, xi0_recursive):
+            with pytest.raises(DomainError):
+                weight(spec, 1, 1)
+        with pytest.raises(DomainError):
+            xi_shifted(spec, 1, 1, 1)
+    assert type(SumSpec((P(1.0, 1.0), P(2.0, 1.0), P(1.0, 3.0))).sa) is int
+
+
+def test_coincident_exponential_rates_vs_closed_form():
+    # Exp(1) + Exp(1) + Exp(3) has the transform 3/((1 + s)^2 (3 + s)): density
+    # (3/2 x - 3/4) e^(-x) + 3/4 e^(-3x), CDF 1 - (3/4 + 3/2 x) e^(-x) - 1/4 e^(-3x)
+    spec = SumSpec((P(1.0, 1.0), P(1.0, 1.0), P(1.0, 3.0)))
+    x = np.array([0.5, 1.0, 2.0, 5.0])
+    pdf = (1.5 * x - 0.75) * np.exp(-x) + 0.75 * np.exp(-3.0 * x)
+    cdf = 1.0 - (0.75 + 1.5 * x) * np.exp(-x) - 0.25 * np.exp(-3.0 * x)
+    np.testing.assert_allclose(sum_pdf(spec, x), pdf, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(sum_cdf(spec, x), cdf, rtol=1e-13, atol=0.0)
+    assert sum_moment(spec, 1) == pytest.approx(7.0 / 3.0, rel=1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(spec=any_sums)
+def test_any_sum_vs_moschopoulos(spec):
+    # any real shapes, rates that may coincide, either sign: within 1e-12 of
+    # the 50-digit series from 0.02 to 4 mean offsets; for b < 0 the CDF is
+    # 1 minus that of the offset
+    sign = 1.0 if spec.terms[0].b > 0 else -1.0
+    x = spec.sm + sign * spec.mean_offset() * np.array([0.02, 0.1, 0.5, 1.0, 2.0, 4.0])
+    g = sign * (x - spec.sm)  # the offsets the library sees
+    cdf = [_moschopoulos(spec, v, False, complement=sign < 0) for v in g]
+    np.testing.assert_allclose(sum_cdf(spec, x), cdf, rtol=1e-12, atol=0.0)
+    pdf = [_moschopoulos(spec, v, True) for v in g]
+    np.testing.assert_allclose(sum_pdf(spec, x), pdf, rtol=1e-12, atol=0.0)
 
 
 def test_rates_a_millionth_apart_are_summed_exactly():
@@ -247,6 +288,36 @@ def test_sum_cdf_vs_mc(spec):
     assert ks_distance(samples, lambda x: sum_cdf(spec, x)) < ks_threshold(samples.size)
 
 
+@pytest.mark.parametrize("spec", [
+    SumSpec((P(1.5, 1.0, 0.3), P(2.5, 1.3), P(0.7, 1.6))),
+    SumSpec((P(2.0, 1.0), P(3.0, 1.0, -1.0), P(1.0, 1.5))),
+    SumSpec((P(0.5, -1.0, 0.5), P(1.5, -1.4), P(2.0, -1.4))),
+], ids=["real_shapes", "coincident", "negative"])
+def test_series_only_sums_vs_mc(spec):
+    # sums that only Moschopoulos' series serves, two with a shape below 1
+    assert spec._series_only
+    samples = sample_sum(spec, 22, 1_000_000)
+    assert ks_distance(samples, lambda x: sum_cdf(spec, x)) < ks_threshold(samples.size)
+
+
+def test_far_apart_rates_past_the_density_underflow(monkeypatch):
+    # at u = 500 g of 5000 and more the series components underflow before
+    # their peak, into subnormals that round to equal steps: they do not
+    # fall there, and the density is not 0
+    spec = SumSpec((P(1.5, 1.0), P(2.0, 500.0)))
+    with mp.workdps(30):
+        def density(g):
+            return mp.quad(lambda t: (g - t) ** 0.5 * mp.exp(t - g) / mp.gamma(1.5)
+                           * 500 ** 2 * t * mp.exp(-500 * t), [0, 0.004, 0.04, 0.2, g])
+
+        ref = [float(density(mp.mpf(g))) for g in (10.0, 12.0)]
+    np.testing.assert_allclose(sum_pdf(spec, np.array([10.0, 12.0])), ref, rtol=1e-11, atol=0.0)
+    # rates too far apart for the series raise, rather than run on
+    monkeypatch.setattr(sums, "_SERIES_MAX", 1 << 10)
+    with pytest.raises(ConvergenceError):
+        sum_cdf(SumSpec((P(1.5, 1.0), P(2.0, 1e20))), 1.0)
+
+
 @pytest.mark.parametrize("spec", [HYPOEXP, MIXED_L3, NEG_L2])
 def test_sum_moment_linearity_and_mc(spec):
     expected = math.fsum(t.a / t.b + t.m for t in spec.terms)
@@ -297,49 +368,66 @@ def test_mixture_cdf_and_pdf_nonnegative_near_support_edge():
 
 @functools.lru_cache(maxsize=None)
 def _moschopoulos_weights(spec):
-    """The largest rate, the scale C and the deltas of Moschopoulos' series
-    for `spec`, at 50 digits."""
+    """The scale C of Moschopoulos' series for `spec`, its (a_j, rho_j), and
+    its deltas with the sums sum_j a_j rho_j^i that extend them, at 50
+    digits, for any real shapes: `_moschopoulos` extends the deltas as far
+    as a point needs."""
     with mp.workdps(50):
         rates = [mp.mpf(abs(t.b)) for t in spec.terms]
-        shapes = [int(round(t.a)) for t in spec.terms]
-        top = max(rates)
-        scale = mp.fprod((r / top) ** a for r, a in zip(rates, shapes))
-        gammas = [None] + [
-            mp.fsum(a * (1 - r / top) ** k for r, a in zip(rates, shapes)) / k
-            for k in range(1, 200)
-        ]
-        deltas = [mp.mpf(1)]
-        for k in range(1, 199):
-            deltas.append(
-                mp.fsum(i * gammas[i] * deltas[k - i] for i in range(1, k + 1)) / k
-            )
-    return top, scale, deltas
+        terms = [(mp.mpf(t.a), 1 - r / max(rates)) for t, r in zip(spec.terms, rates)]
+        scale = mp.fprod((1 - rho) ** a for a, rho in terms)
+    return scale, terms, [mp.mpf(1)], [None]
 
 
-def _moschopoulos(spec, g, density, weights=None):
-    """CDF (or density) of the gamma-direction offset g of a sum of gammas by
-    Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
-    gamma mixture with positive weights, at 50 digits, independent of the
-    partial-fraction weights under test. C and the deltas depend only on the
-    rate ratios: `weights`, the `_moschopoulos_weights` of a sum with the
-    same ratios, stand in for this one's."""
-    _, scale, deltas = weights or _moschopoulos_weights(spec)
+def _delta(weights, k):
+    """delta_k of `weights`: k delta_k = sum_(i=1..k) delta_(k-i) sum_j a_j rho_j^i."""
+    _, terms, deltas, sums = weights
+    while len(deltas) <= k:
+        j = len(deltas)
+        sums.append(mp.fsum(a * rho ** j for a, rho in terms))
+        deltas.append(mp.fsum(sums[i] * deltas[j - i] for i in range(1, j + 1)) / j)
+    return deltas[k]
+
+
+def _moschopoulos(spec, g, density, weights=None, complement=False):
+    """CDF (or density, or with `complement` 1 minus the CDF) of the
+    gamma-direction offset g of a sum of gammas by Moschopoulos' series
+    (Ann. Inst. Stat. Math. 37 (1985) 541-544): one gamma mixture with
+    positive weights, at 50 digits, independent of the library. C and the
+    deltas depend only on the rate ratios: `weights`, the
+    `_moschopoulos_weights` of a sum with the same ratios, stand in for
+    this one's.
+
+    The terms are summed until the components fall (the CDF's from the
+    start, the density's once sa + k >= u) and the component at k times a
+    bound on the deltas after k is below 1e-40 of the sum. The bound is the
+    tail of the majorant delta_k <= (sa)_k rho_max^k / k!, whose ratios
+    (sa + k) rho_max / (k + 1) stay below q after k."""
+    weights = weights or _moschopoulos_weights(spec)
+    scale, terms = weights[:2]
     with mp.workdps(50):
         top = mp.mpf(max(abs(t.b) for t in spec.terms))
-        total = mp.mpf(0)
+        sa = mp.fsum(a for a, _ in terms)
+        rho = max(r for _, r in terms)
         u = top * mp.mpf(g)
-        for k, delta in enumerate(deltas):
-            shape = spec.sa + k
-            if density:
-                term = delta * top * mp.exp(
-                    (shape - 1) * mp.log(u) - u - mp.loggamma(shape)
-                )
-            else:
-                term = delta * mp.gammainc(shape, 0, u, regularized=True)
-            total += term
-            if term < mp.mpf(10) ** -40 * total:
+        # P(sa + k, u) and the density at k by their recurrences in k
+        cdf = mp.gammainc(sa, 0, u, regularized=True)
+        pdf = top * mp.exp((sa - 1) * mp.log(u) - u - mp.loggamma(sa))
+        total, major, k = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            shape = sa + k
+            comp = pdf if density else cdf
+            total += _delta(weights, k) * comp
+            major *= shape * rho / (k + 1)  # the majorant at k + 1
+            q = rho * max((shape + 1) / (k + 2), 1)
+            if (shape >= u or not density) and q < 1 and (
+                    comp * major / (1 - q) <= mp.mpf(10) ** -40 * total):
                 break
-        return float(scale * total)
+            cdf -= pdf * u / (top * shape)
+            pdf *= u / shape
+            k += 1
+        value = scale * total
+        return float(1 - value if complement else value)
 
 
 def test_mixture_near_support_edge_vs_moschopoulos():

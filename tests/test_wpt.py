@@ -331,9 +331,9 @@ def test_close_rate_moments():
 def test_miso_regimes_and_reduction():
     assert equal_scenario(3).regime == EQUAL_RATES
     assert distinct_scenario(3).regime == DISTINCT_RATES
-    # mixed coincidence: two branches equal, one distinct
-    with pytest.raises(DomainError):
-        MisoScenario(MODEL, (link(10.0, 1.0), link(10.0, 1.0), link(8.0, 1.0)))
+    # two branches equal, one distinct: Moschopoulos' series serves the law
+    mixed = MisoScenario(MODEL, (link(10.0, 1.0), link(10.0, 1.0), link(8.0, 1.0)))
+    assert mixed.regime == DISTINCT_RATES and mixed._law._series_only
     # L=1 reduces exactly to SISO
     sc1 = MisoScenario(MODEL, (LINK,))
     qt = MODEL.Ps / 10
@@ -383,6 +383,21 @@ def test_miso_vs_mc(sc_fn, L):
     emp, _ = empirical_moment(samples, 1)
     assert abs(q_mean_miso(sc) - emp) < 0.01 * emp
     assert q_moment_miso(sc, 1) == pytest.approx(q_mean_miso(sc), abs=1e-9)
+
+
+def test_non_integer_fading_at_distinct_distances_vs_mc():
+    # Nakagami-1.5 fading at the beacon-field distances: real shapes at
+    # distinct rates, which Moschopoulos' series serves
+    sc = MisoScenario(MODEL, tuple(link(d, 2.0 / 3.0, Pearson3Params(1.5, 1.5))
+                                   for d in (12.0, 10.0, 8.0)))
+    assert sc.regime == DISTINCT_RATES and sc._law._series_only
+    samples = sample_harvested(sc, 1515, 400_000)
+    qt = MODEL.Ps / 10
+    p_an = q_cdf_miso(sc, qt)
+    sigma = math.sqrt(p_an * (1.0 - p_an) / samples.size)
+    assert abs(p_an - empirical_cdf(samples, qt)) < 3.0 * sigma
+    emp, se = empirical_moment(samples, 1)
+    assert abs(q_mean_miso(sc) - emp) < 3.0 * se
 
 
 def test_miso_pdf_normalization():
@@ -480,6 +495,23 @@ def test_distance_curve_with_distinct_apertures_equals_per_point():
     for density in (False, True):
         np.testing.assert_array_equal(sc.curve("distance", points, MODEL.Ps / 10, density),
                                       _per_point(sc, "distance", points, MODEL.Ps / 10, density))
+
+
+def test_distance_curve_with_coincident_rates_near_the_transmitter():
+    # the path losses saturate to 1 near the transmitter, where the first two
+    # branches share a rate and the third does not
+    sc = _sweep_scenarios()[-1]
+    points = [1e-3, 0.05, 0.5, 3.0, 12.0]
+    near = sc.at(distance=1e-3)._law
+    assert near.rate(1) == near.rate(2) != near.rate(3) and near._series_only
+    for density in (False, True):
+        np.testing.assert_array_equal(sc.curve("distance", points, MODEL.Ps / 10, density),
+                                      _per_point(sc, "distance", points, MODEL.Ps / 10, density))
+    for d in points[:2]:
+        at = sc.at(distance=d)
+        cdf, pdf = _near_zero_reference(at, MODEL.Ps / 10)
+        assert q_cdf_miso(at, MODEL.Ps / 10) == pytest.approx(cdf, rel=1e-12)
+        assert q_pdf_miso(at, MODEL.Ps / 10) == pytest.approx(pdf, rel=1e-12)
 
 
 def test_pdf_curve_and_support():
