@@ -7,7 +7,8 @@ shapes at pairwise-distinct rates its weights come from the partial
 fraction expansion of the product of the component Laplace transforms,
 both as a nested closed-form sum and through a numerically gentler
 recursion, run on first use. Moschopoulos' series of positive weights,
-summed in chunks of its index, serves every other sum of any positive
+summed in chunks of its index sized by the points still live (one chunk of
+up to 256 terms for a single point), serves every other sum of any positive
 shapes and rates, and the points where the partial fractions cancel.
 `SumSpec.at_offsets` picks the reduced law or the mixture, so the
 densities and CDFs of the sum and of its log and logit transforms are
@@ -300,12 +301,23 @@ _ROUNDING_BOUND = 2.0 ** 26 * np.finfo(float).eps
 # The series stops once its tail bound falls below this fraction of its sum.
 _SERIES_TOL = 2.0 ** -60
 
-# The series is summed in chunks of k: _CHUNK terms first, enough near the
-# support edge, then twice as many each time up to _CHUNK_MAX, and fewer
-# where its (points x k) grids would exceed _GRID values. It raises past
-# _SERIES_MAX terms: rates far apart need about b_max/b_min ln(1/_SERIES_TOL),
+# The series is summed in chunks of k, a pass of numpy calls each, whose
+# fixed cost is worth about _GRID_MIN values of its (points x k) grid: a
+# chunk holds _CHUNK terms, enough near the support edge, or _GRID_MIN over
+# the live points if that is more, so one point takes _CHUNK_MAX terms at
+# once; then twice as many each time up to _CHUNK_MAX, and fewer where the
+# grid would exceed _GRID values. It raises once _SERIES_MAX terms leave
+# points live: rates far apart need about b_max/b_min ln(1/_SERIES_TOL),
 # and the weights cost their number squared.
-_CHUNK, _CHUNK_MAX, _GRID, _SERIES_MAX = 8, 256, 1 << 14, 1 << 16
+_CHUNK, _CHUNK_MAX, _GRID_MIN, _GRID, _SERIES_MAX = 8, 256, 1 << 9, 1 << 14, 1 << 16
+
+# The sums a_j rho_j^i behind the weights come from one matrix product,
+# which rounds by its width. So weight k uses the product of fixed width
+# 8, 24, 56, ... (twice the last plus _WEIGHT_STEP, the first >= k), and no
+# weight, nor any value, depends on the chunks or on earlier calls.
+_WEIGHT_STEP = 8
+
+_TINY = np.finfo(float).tiny
 
 
 def _series_chunk(spec, k0, k1):
@@ -318,7 +330,8 @@ def _series_chunk(spec, k0, k1):
     k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
     rho_j = 1 - |b_j|/b_max, positive terms only; the weights C delta_k,
     by the same recursion from C, are cached on the spec with the shapes,
-    log-gammas and bounds, and extended on demand. C and the deltas depend
+    log-gammas and bounds, and extended on demand, each from the sums
+    a_j rho_j^i of its fixed width (_WEIGHT_STEP). C and the deltas depend
     only on the rate ratios |b_j|/b_max, so they serve the sum at every
     common rescaling of its rates. The deltas are the coefficients of
     prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
@@ -331,10 +344,15 @@ def _series_chunk(spec, k0, k1):
     if w.size <= k1:
         n = min(max(k1 + 1, 2 * w.size), _SERIES_MAX + 1)
         rho = np.array([spec._b_max - abs(t.b) for t in spec.terms]) / spec._b_max
-        i_gamma = np.array(spec._shapes, dtype=float) @ rho[:, None] ** np.arange(1, n)
         w = np.concatenate((w, np.empty(n - w.size)))
         w[0] = math.prod((abs(t.b) / spec._b_max) ** a for t, a in zip(spec.terms, spec._shapes))
+        a = np.array(spec._shapes, dtype=float)
+        width = 0
         for j in range(max(shapes.size, 1), n):
+            if j > width:
+                while width < j:
+                    width = 2 * width + _WEIGHT_STEP
+                i_gamma = a @ rho[:, None] ** np.arange(1, min(width, _SERIES_MAX) + 1)
             w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
         more = spec.sa + np.arange(shapes.size, n, dtype=float)
         # the bound at k needs w[k + 1]: the last one waits for the next extension
@@ -386,39 +404,41 @@ def _partial_fraction_terms(spec, g, component):
 
 def _series_sum(spec, g, component):
     """Sum of C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
-    at a 1-d array of points g, in chunks of k.
+    at a 1-d array of points g, in chunks of k (one chunk for a point that
+    needs at most _CHUNK_MAX terms).
 
     The components fall with k from some k on (P from k = 0, the density
     once sa + k >= u), or rise to 1 and pass 1/2 there (Q); from there the
     terms after k sum to at most component_k (twice it, for Q) times the
-    weight bound of _series_chunk. A point's value is
-    its running sum, which chunks do not change, at the first k where that
-    bound is below _SERIES_TOL of it: it does not depend on other points.
+    weight bound of _series_chunk. A point's value is its running sum
+    (`cumsum` adds in order), at the first k where that bound is below
+    _SERIES_TOL of it: neither the chunks nor the other points change it.
     """
-    u = g[:, None] * spec._b_max
+    u = g * spec._b_max
     partial, prev = np.zeros_like(u), np.zeros_like(u)
     live = np.arange(u.size)
     k, width = 0, _CHUNK // 2
     while live.size:
-        width = max(1, min(2 * width, _CHUNK_MAX, _GRID // live.size))
-        if k + width > _SERIES_MAX:
+        if k == _SERIES_MAX:
             raise ConvergenceError(f"Moschopoulos' series of {spec} needs over {_SERIES_MAX} terms")
+        width = max(1, min(max(2 * width, _GRID_MIN // live.size), _CHUNK_MAX,
+                           _GRID // live.size, _SERIES_MAX - k))
         shape, log_gamma, weight, tail = _series_chunk(spec, k, k + width)
-        v = u[live]
+        v = u[live, None]
         comp = component(shape, log_gamma, spec._b_max, v)
-        run = np.cumsum(np.concatenate((partial[live], comp * weight), axis=1), axis=1)
-        before = np.concatenate((prev[live], comp[:, :-1]), axis=1)
+        run = np.cumsum(np.concatenate((partial[live, None], comp * weight), axis=1), axis=1)
+        before = np.concatenate((prev[live, None], comp[:, :-1]), axis=1)
         # a density underflowing before its peak, to 0 or to equal subnormals, does not fall
-        falling = (shape >= v) | ((comp <= before) & (comp >= np.finfo(float).tiny))
+        falling = (shape >= v) | ((comp <= before) & (comp >= _TINY))
         on = (~falling | (comp * tail > _SERIES_TOL * run[:, 1:])) & (tail > 0.0)
         np.logical_and.accumulate(on, axis=1, out=on)
         # the term after the last live one is the last that counts
-        counted = np.minimum(on.sum(axis=1, keepdims=True) + 1, width)
-        partial[live] = np.take_along_axis(run, counted, axis=1)
-        prev[live] = comp[:, -1:]
+        counted = np.minimum(on.sum(axis=1) + 1, width)
+        partial[live] = run[np.arange(live.size), counted]
+        prev[live] = comp[:, -1]
         live = live[on[:, -1]]
         k += width
-    return partial[:, 0]
+    return partial
 
 
 def _float_mixture(g, terms):
@@ -461,7 +481,7 @@ def _mixture(spec, g, component):
     absolute sum of their terms and at those where some |b_i| g is
     subnormal, where scipy's gammainc(1, u) is u or 0.
     """
-    tiny = np.finfo(float).tiny / min(abs(t.b) for t in spec.terms)
+    tiny = _TINY / min(abs(t.b) for t in spec.terms)
     flat = g.reshape(-1)
     if spec._series_only:
         total, edge = np.empty_like(flat), np.ones(flat.shape, dtype=bool)
