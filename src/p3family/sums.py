@@ -7,9 +7,10 @@ shapes at pairwise-distinct rates its weights come from the partial
 fraction expansion of the product of the component Laplace transforms,
 both as a nested closed-form sum and through a numerically gentler
 recursion, run on first use. Moschopoulos' series of positive weights,
-summed in chunks of its index sized by the points still live (one chunk of
-up to 256 terms for a single point), serves every other sum of any positive
-shapes and rates, and the points where the partial fractions cancel.
+summed in chunks of its index sized by the points still live and the
+weights formed (up to 256 terms at once for a single point), serves every
+other sum of any positive shapes and rates, and the points where the
+partial fractions cancel.
 `SumSpec.at_offsets` picks the reduced law or the mixture, so the
 densities and CDFs of the sum and of its log and logit transforms are
 `pearson3.evaluate` calls.
@@ -302,20 +303,23 @@ _ROUNDING_BOUND = 2.0 ** 26 * np.finfo(float).eps
 _SERIES_TOL = 2.0 ** -60
 
 # The series is summed in chunks of k, a pass of numpy calls each, whose
-# fixed cost is worth about _GRID_MIN values of its (points x k) grid: a
-# chunk holds _CHUNK terms, enough near the support edge, or _GRID_MIN over
-# the live points if that is more, so one point takes _CHUNK_MAX terms at
-# once; then twice as many each time up to _CHUNK_MAX, and fewer where the
-# grid would exceed _GRID values. It raises once _SERIES_MAX terms leave
-# points live: rates far apart need about b_max/b_min ln(1/_SERIES_TOL),
-# and the weights cost their number squared.
+# fixed cost is worth about 10^3 values of its (points x k) grid (35-40 us
+# against 30-45 ns a value on a 2-vCPU Xeon). A chunk holds twice the terms
+# of the last (_CHUNK first, enough near the support edge), or _GRID_MIN
+# grid values if that is more and the spec has formed the weights, within
+# _CHUNK_MAX terms and _GRID values: a new spec forms only the weights the
+# doubling asks for, and one point on a spec that has them takes one pass.
+# It raises once _SERIES_MAX terms leave points live: rates far apart need
+# about b_max/b_min ln(1/_SERIES_TOL), and the weights cost their number squared.
 _CHUNK, _CHUNK_MAX, _GRID_MIN, _GRID, _SERIES_MAX = 8, 256, 1 << 9, 1 << 14, 1 << 16
 
 # The sums a_j rho_j^i behind the weights come from one matrix product,
-# which rounds by its width. So weight k uses the product of fixed width
-# 8, 24, 56, ... (twice the last plus _WEIGHT_STEP, the first >= k), and no
-# weight, nor any value, depends on the chunks or on earlier calls.
-_WEIGHT_STEP = 8
+# which rounds by its width. So weight k uses the product of fixed width,
+# the first >= k of 8, 24, 56, 120, 248, 504 (twice the last plus
+# _WEIGHT_STEP), 1009, 2019, ... (twice the last plus 1): no value depends
+# on the chunks or on earlier calls, and each equals a one-point call's in
+# earlier releases.
+_WEIGHT_STEP, _WEIGHT_DOUBLING = 8, 504
 
 _TINY = np.finfo(float).tiny
 
@@ -351,7 +355,7 @@ def _series_chunk(spec, k0, k1):
         for j in range(max(shapes.size, 1), n):
             if j > width:
                 while width < j:
-                    width = 2 * width + _WEIGHT_STEP
+                    width = 2 * width + (_WEIGHT_STEP if width < _WEIGHT_DOUBLING else 1)
                 i_gamma = a @ rho[:, None] ** np.arange(1, min(width, _SERIES_MAX) + 1)
             w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
         more = spec.sa + np.arange(shapes.size, n, dtype=float)
@@ -404,8 +408,8 @@ def _partial_fraction_terms(spec, g, component):
 
 def _series_sum(spec, g, component):
     """Sum of C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
-    at a 1-d array of points g, in chunks of k (one chunk for a point that
-    needs at most _CHUNK_MAX terms).
+    at a 1-d array of points g, in chunks of k (one for a point that needs
+    at most _CHUNK_MAX terms, on a spec whose weights are formed).
 
     The components fall with k from some k on (P from k = 0, the density
     once sa + k >= u), or rise to 1 and pass 1/2 there (Q); from there the
@@ -421,8 +425,8 @@ def _series_sum(spec, g, component):
     while live.size:
         if k == _SERIES_MAX:
             raise ConvergenceError(f"Moschopoulos' series of {spec} needs over {_SERIES_MAX} terms")
-        width = max(1, min(max(2 * width, _GRID_MIN // live.size), _CHUNK_MAX,
-                           _GRID // live.size, _SERIES_MAX - k))
+        least = min(_GRID_MIN // live.size, spec._series[3].size - k)  # the weights formed
+        width = max(1, min(max(2 * width, least), _CHUNK_MAX, _GRID // live.size, _SERIES_MAX - k))
         shape, log_gamma, weight, tail = _series_chunk(spec, k, k + width)
         v = u[live, None]
         comp = component(shape, log_gamma, spec._b_max, v)

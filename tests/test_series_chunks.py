@@ -71,7 +71,8 @@ def test_the_chunks_change_no_value(name, f, monkeypatch):
         monkeypatch.undo()
 
 
-def _passes(monkeypatch, f, *args):
+def _chunks(monkeypatch, f, *args):
+    # the number of terms of each pass of the series that f(*args) makes
     calls = []
 
     def counted(spec, k0, k1):
@@ -82,19 +83,37 @@ def _passes(monkeypatch, f, *args):
     monkeypatch.setattr(sums, "_series_chunk", counted)
     f(*args)
     monkeypatch.setattr(sums, "_series_chunk", chunk)
-    return len(calls)
+    return calls
 
 
 @pytest.mark.parametrize("f", [sum_cdf, sum_pdf, logitsum_cdf])
 def test_one_point_of_a_close_rate_sum_is_one_pass(f, monkeypatch):
-    # an L = 16 close-rate point needs up to 248 terms, which took 4 or 5 passes
+    # an L = 16 close-rate point needs up to 248 terms: passes of 8, 16,
+    # 32, ... terms on a new spec, which forms the weights as the doubling
+    # asks, and one pass on a spec that has them
     spec = _close_rate_spec(16)
     mean = math.fsum(t.a / t.b for t in spec.terms)
     sd = math.sqrt(math.fsum(t.a / t.b ** 2 for t in spec.terms))
-    for g in (mean - 2.0 * sd, mean, mean + 2.0 * sd):
-        x = spec.sm + g
-        at = 1.0 / (1.0 + math.exp(-x)) if f is logitsum_cdf else x
-        assert _passes(monkeypatch, f, spec, at) == 1
+    x = spec.sm + np.array([mean - 2.0 * sd, mean, mean + 2.0 * sd])
+    at = 1.0 / (1.0 + np.exp(-x)) if f is logitsum_cdf else x
+    first = _chunks(monkeypatch, f, spec, at[1])
+    assert first == [sums._CHUNK << i for i in range(len(first))]
+    assert len(first) >= 4
+    f(spec, at)
+    for point in at:
+        assert len(_chunks(monkeypatch, f, spec, point)) == 1
+
+
+@pytest.mark.parametrize("f", [sum_cdf, sum_pdf])
+@pytest.mark.parametrize("name", ["fractions", "fractions_neg", "small_shape", "small_shape_neg"])
+def test_an_edge_point_is_one_short_pass(name, f, monkeypatch):
+    # a point near the support edge, routed from the partial fractions or
+    # on the P side of a series-only sum, needs few terms: on a new spec,
+    # one pass of _CHUNK terms, which forms no more weights than that
+    x = _points(SPECS[name], 1)[0]
+    spec = SumSpec(SPECS[name].terms)
+    assert _chunks(monkeypatch, f, spec, x) == [sums._CHUNK]
+    assert spec._series[2].size == sums._CHUNK + 1
 
 
 def test_a_block_of_points_takes_no_more_passes(monkeypatch):
@@ -103,8 +122,8 @@ def test_a_block_of_points_takes_no_more_passes(monkeypatch):
     # was sized by the live points
     spec = SumSpec((P(0.6, 1.0, 0.3), P(2.5, 1.7), P(1.0, 3.1)))
     x = spec.sm + spec.mean_offset() * np.geomspace(1e-3, 4.0, 1 << 14)
-    assert _passes(monkeypatch, sum_pdf, spec, x) <= 28
-    assert _passes(monkeypatch, sum_cdf, spec, x) <= 49
+    assert len(_chunks(monkeypatch, sum_pdf, spec, x)) <= 28
+    assert len(_chunks(monkeypatch, sum_cdf, spec, x)) <= 49
 
 
 @pytest.mark.parametrize("n", [1, 1 << 14])
@@ -116,7 +135,7 @@ def test_the_term_limit_is_exact(n, monkeypatch):
     f = sum_pdf if n > 1 else sum_cdf  # a density block is one series call
     ref = f(spec, x)
     _schedule(monkeypatch, 1, 1, 1, 64)
-    need = _passes(monkeypatch, f, SumSpec(spec.terms), x)
+    need = len(_chunks(monkeypatch, f, SumSpec(spec.terms), x))
     monkeypatch.undo()
     assert 16 < need < sums._CHUNK_MAX
     monkeypatch.setattr(sums, "_SERIES_MAX", need)
