@@ -9,8 +9,9 @@ both as a nested closed-form sum and through a numerically gentler
 recursion, run on first use. Moschopoulos' series of positive weights,
 summed in chunks of its index sized by the points still live and the
 weights formed (up to 256 terms at once for a single point), serves every
-other sum of any positive shapes and rates, and the points where the
-partial fractions cancel.
+other sum, those whose partial-fraction weights pass 1e6, and the points
+where the partial fractions cancel. Every mixture CDF sums P up to the
+mean offset and Q above it.
 `SumSpec.at_offsets` picks the reduced law or the mixture, so the
 densities and CDFs of the sum and of its log and logit transforms are
 `pearson3.evaluate` calls.
@@ -75,8 +76,9 @@ class SumSpec:
     numbers. When the rates all agree within relative _EQUAL_TOL the sum is
     its `reduced` Pearson III law, formed at build. Otherwise, with integer
     shapes at pairwise-distinct rates, the mixture weights are exact
-    rationals, computed on first use (`_weights`); a sum whose log bound on
-    them clears _HP_WEIGHT_SCALE, and every other sum, is `_series_only`.
+    rationals, computed on first use (`_weights`). A sum whose weights pass
+    _HP_WEIGHT_SCALE, by a log bound on them or else by their values, and
+    every other sum, is `_series_only`.
 
     Every cached weight, the partial fractions `_weights` as the series
     weights `_series` and their factor C, depends only on the ratios
@@ -115,9 +117,9 @@ class SumSpec:
         # their log-gammas, its weights and their tail bounds
         object.__setattr__(self, "_b_max", max(abs(b) for b in bs))
         object.__setattr__(self, "_series", (np.empty(0),) * 4)
-        object.__setattr__(self, "_series_only", not self._fractions or (
-            self.sa > _SMALL_SHAPE and _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
-        ) or self._weight_scale > _HP_WEIGHT_SCALE)
+        object.__setattr__(self, "_series_only", not self._fractions
+                           or _log_weight_bound(self._shapes, bs) > _LOG_HP_SCALE
+                           or self._weight_scale > _HP_WEIGHT_SCALE)
 
     @functools.cached_property
     def _weights(self):
@@ -210,17 +212,14 @@ class SumSpec:
         g = np.array(g)  # a copy, so that the far points can be set to 0
         far = g == math.inf
         g[far] = 0.0
-        if positive and not self._series_only:
-            out = _mixture(self, g, _cdf_component)
-        else:
-            # P below the mean offset and Q = 1 - P above it, so that each
-            # tail is summed directly, not formed as 1 minus a sum near 1
-            upper = g > self.mean_offset()
-            out = np.empty_like(g)
-            for part, component in ((~upper, _cdf_component), (upper, _sf_component)):
-                if part.any():
-                    out[part] = _mixture(self, g[part], component)
-            np.subtract(1.0, out, out=out, where=upper if positive else ~upper)
+        # P below the mean offset and Q = 1 - P above it, so that each tail
+        # is summed directly, not formed as 1 minus a sum near 1
+        upper = g > self.mean_offset()
+        out = np.empty_like(g)
+        for part, component in ((~upper, _cdf_component), (upper, _sf_component)):
+            if part.any():
+                out[part] = _mixture(self, g[part], component)
+        np.subtract(1.0, out, out=out, where=upper if positive else ~upper)
         out[far] = float(positive)
         # rounding may not push a CDF out of [0, 1]
         np.maximum(out, 0.0, out=out)
@@ -285,10 +284,10 @@ def _log_weight_bound(shapes, bs):
 
 
 # Above this weight magnitude the partial fractions lose enough digits to
-# alternating-sign cancellation that the positive series takes over. Above
-# a total shape of _SMALL_SHAPE, where the exact weights take over 1 ms, a
-# log bound above _LOG_HP_SCALE (with a margin) decides it without them.
-_HP_WEIGHT_SCALE, _SMALL_SHAPE = 1e6, 12
+# alternating-sign cancellation that the positive series takes over. A log
+# bound above _LOG_HP_SCALE (with a margin) decides it without the exact
+# weights, which take over 1 ms at a total shape above about 12.
+_HP_WEIGHT_SCALE = 1e6
 _LOG_HP_SCALE = math.log(_HP_WEIGHT_SCALE) + 1e-6
 
 # A partial-fraction value below 2^26 units of rounding of its absolute
@@ -309,17 +308,10 @@ _SERIES_TOL = 2.0 ** -60
 # grid values if that is more and the spec has formed the weights, within
 # _CHUNK_MAX terms and _GRID values: a new spec forms only the weights the
 # doubling asks for, and one point on a spec that has them takes one pass.
+# Neither the chunks nor the steps in which the weights grow change a value.
 # It raises once _SERIES_MAX terms leave points live: rates far apart need
 # about b_max/b_min ln(1/_SERIES_TOL), and the weights cost their number squared.
 _CHUNK, _CHUNK_MAX, _GRID_MIN, _GRID, _SERIES_MAX = 8, 256, 1 << 9, 1 << 14, 1 << 16
-
-# The sums a_j rho_j^i behind the weights come from one matrix product,
-# which rounds by its width. So weight k uses the product of fixed width,
-# the first >= k of 8, 24, 56, 120, 248, 504 (twice the last plus
-# _WEIGHT_STEP), 1009, 2019, ... (twice the last plus 1): no value depends
-# on the chunks or on earlier calls, and each equals a one-point call's in
-# earlier releases.
-_WEIGHT_STEP, _WEIGHT_DOUBLING = 8, 504
 
 _TINY = np.finfo(float).tiny
 
@@ -334,8 +326,8 @@ def _series_chunk(spec, k0, k1):
     k delta_k = sum_{i=1..k} delta_(k-i) sum_j a_j rho_j^i with
     rho_j = 1 - |b_j|/b_max, positive terms only; the weights C delta_k,
     by the same recursion from C, are cached on the spec with the shapes,
-    log-gammas and bounds, and extended on demand, each from the sums
-    a_j rho_j^i of its fixed width (_WEIGHT_STEP). C and the deltas depend
+    log-gammas and bounds, and extended on demand, each weight the same
+    whatever earlier calls formed. C and the deltas depend
     only on the rate ratios |b_j|/b_max, so they serve the sum at every
     common rescaling of its rates. The deltas are the coefficients of
     prod_j (1 - rho_j z)^(-a_j), log-concave for shapes >= 1: once
@@ -350,13 +342,10 @@ def _series_chunk(spec, k0, k1):
         rho = np.array([spec._b_max - abs(t.b) for t in spec.terms]) / spec._b_max
         w = np.concatenate((w, np.empty(n - w.size)))
         w[0] = math.prod((abs(t.b) / spec._b_max) ** a for t, a in zip(spec.terms, spec._shapes))
-        a = np.array(spec._shapes, dtype=float)
-        width = 0
+        # a running sum over the components adds in one order at any n (a reduce may not)
+        terms = np.array(spec._shapes, dtype=float)[:, None] * rho[:, None] ** np.arange(1.0, n)
+        i_gamma = np.cumsum(terms, axis=0)[-1]
         for j in range(max(shapes.size, 1), n):
-            if j > width:
-                while width < j:
-                    width = 2 * width + (_WEIGHT_STEP if width < _WEIGHT_DOUBLING else 1)
-                i_gamma = a @ rho[:, None] ** np.arange(1, min(width, _SERIES_MAX) + 1)
             w[j] = (i_gamma[:j] @ w[j - 1::-1]) / j
         more = spec.sa + np.arange(shapes.size, n, dtype=float)
         # the bound at k needs w[k + 1]: the last one waits for the next extension
@@ -643,10 +632,7 @@ def spec_from_json(doc: str) -> SumSpec:
     """Parse the JSON document produced by spec_to_json."""
     try:
         payload = json.loads(doc)
-        terms = tuple(
-            Pearson3Params(float(t["a"]), float(t["b"]), float(t.get("m", 0.0)))
-            for t in payload["terms"]
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        fields = [(float(t["a"]), float(t["b"]), float(t.get("m", 0.0))) for t in payload["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sum spec document: {exc}") from exc
-    return SumSpec(terms)
+    return SumSpec(tuple(Pearson3Params(*f) for f in fields))

@@ -419,24 +419,13 @@ def scenario_from_json(doc: str) -> MisoScenario:
     """Parse the JSON document produced by scenario_to_json."""
     try:
         payload = json.loads(doc)
-        model = EHModel(
-            float(payload["model"]["A"]),
-            float(payload["model"]["B"]),
-            float(payload["model"]["Ps"]),
-        )
-        branches = tuple(
-            LinkBudget(
-                at=float(br["at"]),
-                ar=float(br["ar"]),
-                fc=float(br["fc"]),
-                d=float(br["d"]),
-                p=float(br["p"]),
-                fading=Pearson3Params(
-                    float(br["fading"]["a"]), float(br["fading"]["b"]), 0.0
-                ),
-            )
+        model = [float(payload["model"][k]) for k in ("A", "B", "Ps")]
+        branches = [
+            ([float(br[k]) for k in ("at", "ar", "fc", "d", "p")],
+             [float(br["fading"][k]) for k in ("a", "b")])
             for br in payload["branches"]
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed scenario document: {exc}") from exc
-    return MisoScenario(model, branches)
+    return MisoScenario(EHModel(*model), tuple(
+        LinkBudget(*fields, fading=Pearson3Params(*fading, 0.0)) for fields, fading in branches))

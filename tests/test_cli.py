@@ -188,6 +188,20 @@ def test_sum_missing_file(capsys):
                "--quantity", "cdf", "--at", "1")[0] == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"terms": [{"a": "x", "b": 1}]},
+    {"terms": [{"a": 1, "b": 1, "m": "left"}]},
+    "not json",
+], ids=["shape", "shift", "not_json"])
+def test_sum_malformed_spec_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main(["sum", "--spec", str(path), "--quantity", "cdf", "--at", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: malformed sum spec document: ")
+
+
 # ----------------------------------------------------------------- wpt
 
 def test_wpt_point_queries(capsys, scenario_file):
@@ -246,6 +260,19 @@ def test_wpt_scenario_with_a_nan_field_exits_2(capsys, scenario_file):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: LinkBudget field d must be positive\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ('"d": 10.0', '"d": "far"'), ('"A": 150.0', '"A": "x"'), ('"a": 3.0', '"a": "3 0"'),
+], ids=["distance", "model", "fading"])
+def test_wpt_malformed_scenario_exits_2(capsys, scenario_file, field, value):
+    path = pathlib.Path(scenario_file)
+    assert field in path.read_text()
+    path.write_text(path.read_text().replace(field, value))
+    code = main(["wpt", "--scenario", scenario_file, "--quantity", "outage", "--qt-frac", "0.1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: malformed scenario document: ")
 
 
 def test_wpt_sweep_of_non_positive_points_exits_2(capsys, scenario_file):

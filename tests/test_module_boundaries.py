@@ -1,9 +1,13 @@
-"""Module-boundary guard: no p3family module uses another's private names.
+"""Module-boundary guard: no p3family module uses another's private names,
+and each module reads every private name it defines.
 
 A name is private when it starts with one underscore (dunders excepted).
 The scan parses every module under the package and flags two forms:
 ``from .other import _name`` (also spelled ``from p3family.other``), and
-``other._name`` read through a name bound to another p3family module.
+``other._name`` read through a name bound to another p3family module. A
+private top-level name that its module never loads, as a leftover constant
+or helper would be, is flagged as unused; a mention in a comment or a
+string does not count as a load.
 """
 
 import ast
@@ -73,6 +77,19 @@ def private_uses(sources: dict) -> list:
     return found
 
 
+def unused_private_names(sources: dict) -> list:
+    """(module, name) for each private top-level name that its own module
+    never loads; `sources` maps module name to source text."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(module, name) for name in sorted(_top_level_names(tree))
+                  if _is_private(name) and name not in loaded]
+    return found
+
+
 def test_scanner_flags_both_forms():
     sources = {
         "a": "_hidden = 1\ndef _helper():\n    pass\n",
@@ -96,3 +113,22 @@ def test_no_private_cross_module_names():
     assert not found, "private names used across modules: " + ", ".join(
         f"{m}.py:{line} uses {o}.{n}" for m, line, o, n in found
     )
+
+
+def test_unused_scanner_counts_only_loads():
+    sources = {
+        "a": "_LIMIT, _SPARE = 8, 9  # _SPARE\n_doc = '_SPARE'\n"
+             "def _helper():\n    return _LIMIT\n\ndef f():\n    return _helper()\n",
+        "b": "from .a import f\n_stored = 1\n_stored = f()\n_LIMIT = 2\n",
+    }
+    assert unused_private_names(sources) == [
+        ("a", "_SPARE"), ("a", "_doc"), ("b", "_LIMIT"), ("b", "_stored")]
+
+
+def test_no_unused_private_names():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = unused_private_names(sources)
+    assert not found, "private names never loaded: " + ", ".join(
+        f"{m}.{n}" for m, n in found)

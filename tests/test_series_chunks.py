@@ -36,6 +36,8 @@ SPECS = {
     # partial fractions, whose points near the support edge go to the series
     "fractions": SumSpec((P(2.0, 1.3, 0.5), P(1.0, 2.2, -0.2), P(3.0, 3.7, 1.0))),
     "fractions_neg": SumSpec((P(2.0, -1.1, 0.0), P(1.0, -2.5, -1.0))),
+    # rates 1 to 16, series-only: the Q side needs more than 504 terms
+    "far_L8": SumSpec(tuple(P(0.5 * i + 1.5, 2.0 ** (i / 1.75), 0.1 * i) for i in range(8))),
 }
 
 

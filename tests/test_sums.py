@@ -261,9 +261,9 @@ def test_mixture_cdf_is_the_correctly_rounded_sum(spec):
     # The float mixture adds its weighted terms Xi(i,k) P(k, |b_i| g) with
     # two-sum, so it is their correctly rounded sum, as math.fsum gives it,
     # to within one ulp; plain accumulation is off by up to eps sum |terms|.
-    # For b < 0 the CDF is 1 - F up to the mean offset, and beyond it the
-    # sum of the terms Xi(i,k) Q(k, |b_i| g), so that it keeps relative
-    # accuracy.
+    # Up to the mean offset the CDF is that sum F (1 - F for b < 0), and
+    # beyond it 1 - G for the sum G of the terms Xi(i,k) Q(k, |b_i| g) (G for
+    # b < 0), so that each tail keeps relative accuracy.
     sign = math.copysign(1.0, spec.terms[0].b)
     mean = math.fsum(t.a / abs(t.b) for t in spec.terms)
     xs = spec.sm + sign * np.linspace(0.5, 12.0, 200)
@@ -276,9 +276,10 @@ def test_mixture_cdf_is_the_correctly_rounded_sum(spec):
                 for i in range(1, spec.L + 1) for k in range(1, spec.shape(i) + 1)
             )
 
-        ref = min(1.0, max(0.0, mixture(gammainc)))
-        if sign < 0:
-            ref = 1.0 - ref if g <= mean else mixture(gammaincc)
+        lower = g <= mean
+        ref = min(1.0, max(0.0, mixture(gammainc if lower else gammaincc)))
+        if lower != (sign > 0):
+            ref = 1.0 - ref
         assert abs(v - ref) <= math.ulp(ref)
 
 
@@ -446,6 +447,26 @@ def test_mixture_near_support_edge_vs_moschopoulos():
         g = (spec.sm + g) - spec.sm  # the offset the library sees
         assert c == pytest.approx(_moschopoulos(spec, g, False), rel=1e-12)
         assert f == pytest.approx(_moschopoulos(spec, g, True), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_series_weights_vs_50_digits(seed):
+    # the cached weights C delta_k, k < 300, formed in a few extensions, of
+    # seeded sums of 4 to 16 terms, integer shapes at even seeds and real
+    # ones at odd seeds, hold to 1e-13 wherever they are normal doubles
+    rng = random.Random(seed)
+    sign = rng.choice([1.0, -1.0])
+    spec = SumSpec(tuple(
+        P(float(rng.randint(1, 6)) if seed % 2 == 0 else rng.uniform(0.3, 6.0),
+          sign * rng.uniform(1.0, 5.0))
+        for _ in range(rng.randint(4, 16))))
+    for k1 in (1, 9, 40, 300):
+        weights = sums._series_chunk(spec, 0, k1)[2]
+    weights_50 = _moschopoulos_weights(spec)
+    ref = np.array([float(weights_50[0] * _delta(weights_50, k)) for k in range(300)])
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() > 100
+    np.testing.assert_allclose(weights[normal], ref[normal], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("L, a", [(8, 4), (16, 8)])
