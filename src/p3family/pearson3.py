@@ -87,26 +87,15 @@ class Pearson3Params:
         0 < g < inf for the density. ln(slope) enters the exponent, so that
         the density of y keeps its digits where that of X leaves double range.
         A `rate` (a float or an array broadcast against g) stands for |b|:
-        the law of X rescaled to that inverse scale, whose density is that
-        of the law built at it to the last bit."""
-        u = (abs(self.b) if rate is None else rate) * g
+        the law of X rescaled to that inverse scale. Its log is numpy's, as
+        is that of |b|, whether taken of one value or of an array, so that
+        its density is that of the law built at that rate to the last bit."""
+        rate = abs(self.b) if rate is None else rate
+        u = rate * g
         if density:
-            log_rate = math.log(abs(self.b)) if rate is None else _log(rate)
-            return np.exp(log_rate + xlogy(self.a - 1.0, u) - u - math.lgamma(self.a)
+            return np.exp(np.log(rate) + xlogy(self.a - 1.0, u) - u - math.lgamma(self.a)
                           - np.log(slope))
         return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
-
-
-def _log(x):
-    """math.log of each value of the array x, taken once per run of equal
-    values, as a batch repeats each rate over its points. numpy's vector log
-    may round a value apart from it, and a law rescaled to a rate is to have
-    the density of the law built at that rate."""
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    first = np.flatnonzero(np.concatenate(([flat.size > 0], flat[1:] != flat[:-1])))
-    logs = [math.log(v) for v in flat[first].tolist()]
-    return np.repeat(logs, np.diff(first, append=flat.size)).reshape(x.shape)
 
 
 class Transform(NamedTuple):

@@ -2,9 +2,10 @@
 gamma integral of a logistic that `series.expect` takes, and the truncated
 gamma integrals ``int_0^T x^(a-1) exp(-s x) dx`` and ``int_T^inf`` of any
 real rate ``s``: ``gammainc`` for positive rates, the Kummer function
-``hyp1f1`` in closed form for the rest, and a Watson-lemma tail where
-``Q(a, s T)`` underflows. The two integrals are the package's public
-incomplete-gamma functions of any rate; no moment is computed from them.
+``hyp1f1`` in closed form for the rest, and a continued fraction of the
+Kummer function ``U`` where ``Q(a, s T)`` underflows. The two integrals are
+the package's public incomplete-gamma functions of any rate; no moment is
+computed from them.
 """
 
 import math
@@ -12,7 +13,7 @@ import sys
 
 from scipy import special as _sp
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .pearson3 import Pearson3Params
 from .series import expect
 
@@ -69,7 +70,8 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
 
     Divergent unless s > 0. Formed in log space as ln Gamma(a) - a ln s +
     ln Q(a, s T), and where Q is below the normal range (s T far above a)
-    as -s T plus the log of the Watson tail, so that only an integral
+    as a ln T - s T + ln U(1, 1 + a, s T), by Gamma(a, x) = e^(-x) x^a
+    U(1, 1 + a, x) (DLMF 8.5.3 and 13.2.40), so that only an integral
     beyond double range fails, with DomainError. It is 0.0 at T = inf.
     """
     _check_integral("gamma_integral_upper", a, s, T)
@@ -82,28 +84,27 @@ def gamma_integral_upper(a: float, s: float, T: float) -> float:
     if q >= sys.float_info.min:
         log_value = math.lgamma(a) - a * math.log(s) + math.log(q)
     else:
-        log_value = _log_watson_tail(a, sT, T) - sT
+        log_value = a * math.log(T) - sT + _log_kummer_u1(a, sT)
     return _exp_in_range(log_value, "gamma_integral_upper", a, s, T)
 
 
-def _log_watson_tail(a: float, sT: float, T: float) -> float:
-    """Log of the asymptotic value of exp(s T) * int_T^inf x^(a-1) exp(-s x) dx.
-
-    Watson's lemma about the endpoint x = T: substituting x = T + t and
-    expanding (T + t)^(a-1) gives T^(a-1)/s * sum_j prod_{i<=j}(a-i)/(sT)^j.
-    Truncated at the smallest term. `gamma_integral_upper` takes it only
-    where Q(a, s T) underflows, so s T is far above a, and there the
-    truncation error is far below double precision.
-    """
-    term = total = 1.0
-    j = 1
-    while True:
-        nxt = term * (a - j) / sT
-        if abs(nxt) >= abs(term) or abs(nxt) <= 1e-18 * abs(total):
-            return (a - 1.0) * math.log(T) - math.log(sT / T) + math.log(total + nxt)
-        total += nxt
-        term = nxt
-        j += 1
+def _log_kummer_u1(a: float, x: float) -> float:
+    """ln U(1, 1 + a, x), -inf at x = inf, by the continued fraction
+    1/(x + 1 - a - 1 (1 - a)/(x + 3 - a - 2 (2 - a)/...)) of DLMF 8.9.2 in
+    the modified Lentz form: a dozen steps at most where Q(a, x) underflows,
+    x being far above a. scipy's hyperu is NaN or far off at some of these
+    points at shapes in the thousands."""
+    if x == math.inf:
+        return -math.inf
+    b, c = x + 1.0 - a, math.inf
+    u = d = 1.0 / b
+    for i in range(1, 100):
+        b += 2.0
+        d, c = 1.0 / (b - i * (i - a) * d), b - i * (i - a) / c
+        u *= c * d
+        if abs(c * d - 1.0) <= 2.0 ** -52:  # u <= 0 where scipy's Q fails, a near 1e308
+            return math.log(u) if u > 0.0 else math.inf
+    raise ConvergenceError(f"the continued fraction of U(1, 1 + {a}, {x}) did not converge")
 
 
 def lerch_phi(z: float, s: float, alpha: float) -> float:

@@ -106,7 +106,7 @@ class SumSpec:
             object.__setattr__(self, "regime", EQUAL_RATES)
             object.__setattr__(self, "_shapes", tuple(t.a for t in terms))
             object.__setattr__(self, "_reduced", Pearson3Params(
-                math.fsum(self._shapes), math.fsum(bs) / len(bs), self.sm))
+                math.fsum(self._shapes), sum(bs) / len(bs), self.sm))
             return
         integer = all(abs(t.a - round(t.a)) <= 1e-9 and round(t.a) >= 1 for t in terms)
         object.__setattr__(self, "regime", DISTINCT_RATES)
@@ -166,8 +166,10 @@ class SumSpec:
     @property
     def mean_rate(self) -> float:
         """Mean inverse scale sum |b_i| / L: the reduced law's |b| for
-        equal rates."""
-        return math.fsum(abs(t.b) for t in self.terms) / self.L
+        equal rates. The rates are added in order, one at a time, as a sweep
+        adds the arrays of its branch rates (`wpt.MisoScenario`), so that it
+        forms the same mean rate at each point as a law built there."""
+        return sum(abs(t.b) for t in self.terms) / self.L
 
     def mean_offset(self, rate=None) -> float:
         """Mean offset E|X - sm| of the sum from its support edge: the
@@ -209,9 +211,7 @@ class SumSpec:
             # rounding may not push a density below 0
             return np.maximum(_mixture(self, g, _pdf_component) / slope, 0.0)
         positive = self.terms[0].b > 0
-        g = np.array(g)  # a copy, so that the far points can be set to 0
-        far = g == math.inf
-        g[far] = 0.0
+        g = np.asarray(g)
         # P below the mean offset and Q = 1 - P above it, so that each tail
         # is summed directly, not formed as 1 minus a sum near 1
         upper = g > self.mean_offset()
@@ -220,7 +220,6 @@ class SumSpec:
             if part.any():
                 out[part] = _mixture(self, g[part], component)
         np.subtract(1.0, out, out=out, where=upper if positive else ~upper)
-        out[far] = float(positive)
         # rounding may not push a CDF out of [0, 1]
         np.maximum(out, 0.0, out=out)
         return np.minimum(out, 1.0, out=out)
@@ -409,7 +408,7 @@ def _series_sum(spec, g, component):
     """
     u = g * spec._b_max
     partial, prev = np.zeros_like(u), np.zeros_like(u)
-    live = np.arange(u.size)
+    live = np.flatnonzero(u != math.inf)  # Q, the one component taken there, is 0 at inf
     k, width = 0, _CHUNK // 2
     while live.size:
         if k == _SERIES_MAX:

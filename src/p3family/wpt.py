@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
-# Sweep points whose mean rates `MisoScenario._per_law` forms from one list
-# of Python floats: no list as long as a 10^6-point sweep.
-_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -139,17 +136,14 @@ class LinkBudget:
 
 def path_loss(link: LinkBudget) -> float:
     """Aperture path loss 1 - exp(-at ar / ((c0/fc)^2 d^2)), in (0, 1)."""
-    return _loss(link.at, link.ar, link.fc, link.d)
+    return float(_loss(link.at, link.ar, link.fc, link.d))
 
 
 def _loss(at, ar, fc, d):
-    # `path_loss` at a distance d or at each of an array of them, with
-    # math.expm1 per value: numpy's expm1 may round apart from it
+    # `path_loss` at a distance d or at each of an array of them, by one
+    # numpy expm1 for both, so that a sweep's losses are those of its points
     lam = SPEED_OF_LIGHT / fc
-    x = -at * ar / (lam * lam * d * d)
-    if np.ndim(x) == 0:
-        return -math.expm1(x)
-    return -np.fromiter(map(math.expm1, x.flat), float, x.size)
+    return -np.expm1(-at * ar / (lam * lam * d * d))
 
 
 def _rate(b, model, loss, p):
@@ -256,8 +250,8 @@ class MisoScenario:
 
         The effective rate of each branch is one float64 array over the
         points, formed as `bhat` and `path_loss` form it at each point, and
-        each point's mean rate is the `math.fsum` of its L rates over L, as
-        `SumSpec.mean_rate` forms it, a block of _BLOCK points at a time: a
+        each point's mean rate is the sum of these arrays, added in branch
+        order, over L, as `SumSpec.mean_rate` adds the rates of its terms: a
         law evaluated at its own point gives what the per-point functions
         do. Each law is built once, at the first point it serves: one law
         for a power sweep, or a distance sweep of branches that share at, ar
@@ -274,18 +268,10 @@ class MisoScenario:
         bad = np.flatnonzero(~(field > 0))
         if bad.size:
             self._branches_at(**{var: points[bad[0]]})  # raises the DomainError
-        if var == "power":
-            branch_rates = np.array([_rate(br.fading.b, self.model, br.loss, field)
-                                     for br in self.branches])
-        else:
-            branch_rates = np.array([_rate(br.fading.b, self.model,
-                                           _loss(br.at, br.ar, br.fc, x), br.p)
-                                     for br in self.branches])
-        rates = np.empty(n)
-        for i in range(0, n, _BLOCK):
-            rates[i:i + _BLOCK] = np.fromiter(
-                map(math.fsum, branch_rates[:, i:i + _BLOCK].T.tolist()), float)
-        rates /= self.L
+        # Python's sum adds the branch rows in order; numpy's may add 8 or more pairwise
+        rates = sum(_rate(br.fading.b, self.model, br.loss, field) if var == "power"
+                    else _rate(br.fading.b, self.model, _loss(br.at, br.ar, br.fc, x), br.p)
+                    for br in self.branches) / self.L
         one_law = var == "power" or len({(br.at, br.ar, br.fc) for br in self.branches}) == 1
         starts = list(range(min(n, 1) if one_law else n))
         out = np.empty(n)

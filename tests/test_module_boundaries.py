@@ -8,6 +8,11 @@ The scan parses every module under the package and flags two forms:
 private top-level name that its module never loads, as a leftover constant
 or helper would be, is flagged as unused; a mention in a comment or a
 string does not count as a load.
+
+No module passes ``where=`` to a ``scipy.special`` function: with numpy
+2.4.6 and scipy 1.17.1, ``gammainc(3.0, u, out=out, where=mask)`` on 1000
+points with a random mask aborts the interpreter in malloc, and
+``gammaincc``, ``expit`` and ``xlogy`` crash it alike.
 """
 
 import ast
@@ -132,3 +137,52 @@ def test_no_unused_private_names():
     found = unused_private_names(sources)
     assert not found, "private names never loaded: " + ", ".join(
         f"{m}.{n}" for m, n in found)
+
+
+def special_calls_with_where(sources: dict) -> list:
+    """(module, line, function) for each call of a scipy.special function,
+    imported by name or read off the module, that passes ``where=``;
+    `sources` maps module name to source text."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        functions, modules = set(), {"scipy.special"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+                functions.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                modules.update(a.asname or a.name for a in node.names if a.name == "special")
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname for a in node.names
+                               if a.name == "scipy.special" and a.asname)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and any(k.arg == "where" for k in node.keywords)):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in functions) or (
+                    isinstance(f, ast.Attribute) and ast.unparse(f.value) in modules):
+                found.append((module, node.lineno, ast.unparse(f)))
+    return found
+
+
+def test_where_scanner_flags_each_import_form():
+    sources = {
+        "a": "from scipy.special import gammainc\ngammainc(1.0, u, out=o, where=m)\n",
+        "b": "from scipy import special as _sp\n_sp.expit(u, out=o, where=m)\n",
+        "c": "import scipy.special as sc\nsc.xlogy(1.0, u, where=m)\n",
+        "d": "import scipy.special\nscipy.special.gammaincc(1.0, u, where=m)\n",
+        "e": "import numpy as np\nfrom scipy.special import gammainc\n"
+             "np.log(u, out=o, where=m)\ngammainc(1.0, u, out=o)\n",
+    }
+    assert special_calls_with_where(sources) == [
+        ("a", 2, "gammainc"), ("b", 2, "_sp.expit"), ("c", 2, "sc.xlogy"),
+        ("d", 2, "scipy.special.gammaincc")]
+
+
+def test_no_scipy_special_call_passes_where():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = special_calls_with_where(sources)
+    assert not found, "scipy.special calls with where=: " + ", ".join(
+        f"{m}.py:{line} {f}" for m, line, f in found)

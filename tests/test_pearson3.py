@@ -236,6 +236,24 @@ def test_sample_beyond_double_range_is_a_library_error():
         p3_sample(Pearson3Params(1e300, 1e-300, 0.0), 1, 3)
 
 
+def test_rescaled_member_is_the_member_built_at_each_rate():
+    # |b| and an array of rates take one numpy log, however the array is laid
+    # out: the rescaled member has the density and CDF of the member built
+    # at each rate, also at the rates where math.log rounds apart
+    rates = 10 ** np.random.default_rng(25).uniform(-3.0, 3.0, 20_000)
+    strided = rates[::2]
+    assert any(np.log(r) != math.log(r) for r in strided.tolist())
+    for law in (Pearson3Params(2.5, 1.3, -0.4), Pearson3Params(0.7, -2.0, 1.0)):
+        sign = math.copysign(1.0, law.b)
+        for density in (False, True):
+            built = np.array([Pearson3Params(law.a, sign * r, law.m).at_offsets(0.8, density, 1.7)
+                              for r in strided.tolist()])
+            for rate in (strided.copy(), strided):
+                assert np.array_equal(law.at_offsets(0.8, density, 1.7, rate=rate), built)
+            assert np.array_equal([law.at_offsets(0.8, density, 1.7, rate=r)
+                                   for r in strided.tolist()], built)
+
+
 def test_scale():
     p = Pearson3Params(2.0, 3.0, 1.0)
     assert p3_scale(p, 1.0) == p

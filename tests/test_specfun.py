@@ -6,12 +6,15 @@ adaptive quadrature; each is tagged with the oracle that produced it.
 
 import math
 import signal
+import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from p3family import specfun
 from p3family.errors import DomainError
 from p3family.specfun import gamma_integral_lower, gamma_integral_upper, lerch_phi
 
@@ -98,11 +101,71 @@ def test_gamma_integrals_large_shape():
 @pytest.mark.parametrize("a, s, T", [(300.0, 1.0, 2500.0), (400.0, 1.0, 2500.0),
                                      (250.0, 2.0, 1000.0), (40.0, 3.0, 300.0)])
 def test_gamma_integral_upper_where_q_underflows(a, s, T):
-    # Q(a, sT) underflows to 0 while the integral is in range: the Watson tail
+    # Q(a, sT) underflows to 0 while the integral is in range: U(1, 1 + a, sT)
     assert gammaincc(a, s * T) == 0.0
     with mp.workdps(40):
         ref = float(mp.gammainc(a, s * T) / mp.mpf(s) ** a)
     assert gamma_integral_upper(a, s, T) == pytest.approx(ref, rel=5e-13, abs=0)
+
+
+def test_gamma_integral_upper_where_q_underflows_vs_mpmath():
+    # 1000 seeded (a, s, T) with shapes from 1e-3 to 10^2.5, Q(a, sT) below
+    # the normal range and the integral a normal double; the exponent
+    # a ln T - sT, not more than a few thousand, keeps the rounding of its
+    # parts below 1e-12
+    rng = np.random.default_rng(25)
+    worst = checked = 0
+    while checked < 1000:
+        a = 10 ** rng.uniform(-3.0, 2.5)
+        sT = (a + 700.0) * 10 ** rng.uniform(0.0, 0.5)
+        log_T = (rng.uniform(-700.0, 700.0) + sT + math.log(sT)) / a
+        if gammaincc(a, sT) >= sys.float_info.min or not abs(log_T) < 700.0:
+            continue
+        T = math.exp(log_T)
+        s = sT / T
+        with mp.workdps(40):
+            ref = float(mp.gammainc(a, mp.mpf(s) * T) / mp.mpf(s) ** a)
+        if sys.float_info.min <= ref < math.inf:
+            checked += 1
+            worst = max(worst, abs(gamma_integral_upper(a, s, T) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_gamma_integral_upper_at_a_tiny_shape():
+    # Q(1e-300, 15) is subnormal; the Watson tail that the continued fraction
+    # replaced was off by 1.6e-6 here (mpmath: Gamma(1e-300, 15) = E1(15))
+    assert gammaincc(1e-300, 15.0) < sys.float_info.min
+    assert gamma_integral_upper(1e-300, 0.5, 30.0) == pytest.approx(
+        1.918627892147866977e-08, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("a, x", [
+    (1995.9831769265516, 4180.944725933999), (67548.1654043311, 100777.94946955277),
+    (3006.564160871872, 6945.789915097355), (14887.395991326526, 34742.52543468898),
+    (1e5, 2.3e5)])
+def test_kummer_u_at_large_shapes_vs_mpmath(a, x):
+    # scipy's hyperu(1, 1 + a, x) is NaN at the first two points and 3.1e-10
+    # and 2.6e-10 off at the next two; the continued fraction is within a few
+    # units of rounding. The oracle is the integral of DLMF 13.4.4.
+    assert gammaincc(a, x) < sys.float_info.min
+    with mp.workdps(30):
+        ref = mp.quad(lambda t: mp.exp(-x * t + (a - 1) * mp.log1p(t)),
+                      [0, 1 / (x - a + 1), 10 / (x - a + 1), mp.inf])
+    assert math.exp(specfun._log_kummer_u1(a, x)) == pytest.approx(float(ref), rel=2e-15, abs=0)
+
+
+def test_gamma_integral_upper_at_a_large_shape():
+    # a value in range that scipy's hyperu, NaN here, would have lost
+    a, s, T = 1995.9831769265516, 383.27486260022806, 10.908476224006638
+    with mp.workdps(40):
+        ref = float(mp.gammainc(a, mp.mpf(s) * T) / mp.mpf(s) ** a)
+    assert gamma_integral_upper(a, s, T) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_gamma_integral_upper_underflows_to_0():
+    # e^(-s T) takes the integral below double range, also where s T is inf
+    assert gamma_integral_upper(0.5, 1.0, 1e300) == 0.0
+    assert gamma_integral_upper(2.5, 1e300, 1e300) == 0.0
 
 
 def _timeout(signum, frame):

@@ -688,3 +688,24 @@ def test_negative_rate_left_tail_keeps_relative_accuracy():
     for x in (-20.0, -40.0):
         assert sum_cdf(spec, x) == pytest.approx(2.0 * math.exp(x) - math.exp(2.0 * x),
                                                  rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spec", [
+    MIXED_L3,
+    NEG_L2,
+    SumSpec((P(1.5, 1.0, 0.3), P(2.5, 1.3), P(0.7, 1.6))),
+    SumSpec((P(0.5, -1.0, 0.5), P(1.5, -1.4), P(2.0, -1.4))),
+], ids=["fractions", "negative_fractions", "series", "negative_series"])
+def test_cdf_at_infinite_and_nan_points(spec):
+    # Q is 0 at g = inf, from the partial fractions as from the series: the
+    # CDF is 0 and 1 at the ends and NaN at NaN, and the points beside them
+    # keep the values they have alone
+    edge, sign = spec.sm, math.copysign(1.0, spec.terms[0].b)
+    inside = [edge + sign * g for g in (0.5, 2.0, 7.0)]
+    x = np.array([-math.inf, math.inf, math.nan] + inside)
+    for rate in (None, 2.5):
+        assert spec.at_offsets(math.inf, rate=rate) == float(sign > 0)
+    np.testing.assert_array_equal(
+        sum_cdf(spec, x), [0.0, 1.0, math.nan] + [sum_cdf(spec, v) for v in inside])
+    assert sum_cdf(spec, math.inf) == 1.0 and sum_cdf(spec, -math.inf) == 0.0
+    assert math.isnan(sum_cdf(spec, math.nan))

@@ -91,6 +91,7 @@ def test_model_validation():
 def test_path_loss():
     # direct formula evaluation at the reference antenna parameters
     assert path_loss(LINK) == pytest.approx(3.1991427398e-3, rel=1e-9)
+    assert type(path_loss(LINK)) is float and type(LINK.loss) is float
     assert 0.0 < path_loss(LINK) < 1.0
     # d -> 0 saturates to 1
     assert path_loss(link(d=1e-6)) == pytest.approx(1.0, abs=1e-12)
@@ -604,6 +605,37 @@ def test_sweep_rates_equal_the_law_at_each_point(sc):
     for var, points in sweeps.items():
         rates = sc._per_law(var, points, lambda law, rates: rates)
         assert rates.tolist() == [sc.at(**{var: x})._law.mean_rate for x in points]
+
+
+@pytest.mark.parametrize("L", [5, 7, 9, 11, 13])
+def test_equal_split_curve_of_more_branches_equals_per_point(L):
+    # the L equal branch rates of a point add in branch order, in the sweep
+    # as in the reduced law built there, where math.fsum may round apart
+    sc = equal_split_scenario(L, 4.0)
+    points = np.linspace(4.0, 20.0, 66)
+    for density in (False, True):
+        np.testing.assert_array_equal(sc.curve("distance", points, MODEL.Ps / 10, density),
+                                      _per_point(sc, "distance", points, MODEL.Ps / 10, density))
+
+
+def test_one_point_sweep_of_many_distinct_branches_equals_per_point():
+    # the rates of 8 or more branches at one point add in branch order: a
+    # numpy sum over the branch axis would add them pairwise, and round apart
+    # from the mean rate of the law built there at some of these points
+    rng = np.random.default_rng(25)
+    pairwise = 0
+    for L in (8, 9, 12):
+        sc = MisoScenario(MODEL, tuple(
+            LinkBudget(rng.uniform(0.1, 1.0), rng.uniform(0.005, 0.05),
+                       rng.uniform(0.9e9, 5.8e9), 10.0, 1.0, FADING) for _ in range(L)))
+        for d in rng.uniform(2.0, 30.0, 6).tolist():
+            at = sc.at(distance=d)
+            rates = [br.bhat(MODEL) for br in at.branches]
+            pairwise += np.sum(np.array(rates)[:, None], axis=0)[0] != sum(rates)
+            for density, value in ((False, q_cdf_miso), (True, q_pdf_miso)):
+                assert sc.curve("distance", [d], MODEL.Ps / 10, density).tolist() == [
+                    value(at, MODEL.Ps / 10)]
+    assert pairwise > 0
 
 
 def test_sweep_of_non_positive_points_raises():
