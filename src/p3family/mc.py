@@ -2,11 +2,15 @@
 
 Everything here is an independent cross-check for the closed forms:
 gamma/channel sampling, empirical CDFs and moments, KS distances, and
-trapezoid-grid convolution of densities. Samplers are deterministic per
-seed (PCG64 streams) so comparison artifacts are reproducible. Their draws
-fill one reused buffer, scaled and shifted in place: a sampler holds the
-buffer and its result, whatever the number of components, and gives the
-values of `rng.gamma` from the same stream. The convolution takes its
+trapezoid-grid convolution of densities. A KS distance calls the CDF
+several times, on sorted subsets of the sample, and evaluates it only
+where the largest deviation can lie; this assumes the CDF is monotone to
+within 1e-12 and gives each point the value a call on it alone would.
+Samplers are deterministic per seed (PCG64 streams) so comparison
+artifacts are reproducible. Their draws fill one reused buffer, scaled
+and shifted in place: a sampler holds the buffer and its result,
+whatever the number of components, and gives the values of `rng.gamma`
+from the same stream. The convolution takes its
 gamma masses from `scipy.special` and its transforms from `scipy.fft`, as
 `scipy.stats.gamma` and `scipy.signal.fftconvolve` do, without importing
 either.
@@ -109,34 +113,66 @@ def empirical_cdf(samples, x):
     return np.where(np.isnan(x), 0, counts) / samples.size
 
 
+# ks_distance first evaluates every _KS_STRIDE-th draw, then splits each gap
+# that may hold the largest deviation into _KS_SPLIT parts; past a step
+# down of more than _KS_SLACK it evaluates every draw.
+_KS_STRIDE = 1024
+_KS_SPLIT = 4
+_KS_SLACK = 1e-12
+
+
 def ks_distance(samples, cdf_fn) -> float:
     """Sup distance between the empirical CDF and an analytic CDF.
 
-    `cdf_fn` must be vectorized: it is called once, on the sorted sample
-    array, and must return an array of the same shape (the library CDFs
-    do); any other shape raises DomainError.
+    `cdf_fn` must be vectorized: it is called several times, each time on
+    an array of some of the sorted draws in ascending order, and must
+    return an array of that shape (the library CDFs do); any other shape
+    raises DomainError. The draws it is first called on, every 1024th
+    and the last, include the sample's minimum and maximum.
+
+    On a sorted sample a monotone F keeps a draw i that lies between the
+    evaluated draws j < k within max(k/n - F_j, F_k - (j+1)/n) of the
+    empirical CDF. Only the draws of a gap whose bound could still exceed
+    the largest deviation found are evaluated, so the distance is the one
+    of the whole staircase, bit for bit, from some 1-3% of the draws. This
+    assumes that F is monotone to within 1e-12 and that each element's
+    value does not depend on the other points of a call. Where the
+    evaluated values hold a NaN or step down by more than 1e-12, every
+    draw is evaluated, so a NaN gives NaN and a non-monotone `cdf_fn` the
+    distance of the whole staircase.
     """
-    samples = np.sort(np.asarray(samples))
+    samples = np.sort(np.asarray(samples), axis=None)
     n = samples.size
     if n == 0:
         raise DomainError("ks_distance needs at least one sample")
-    f = np.asarray(cdf_fn(samples), dtype=float)
-    if f.shape != samples.shape:
-        raise DomainError(
-            f"cdf_fn returned shape {f.shape} for samples of shape {samples.shape}; "
-            "it must be vectorized"
-        )
-    # both staircase differences in one array: k/n - f for k = 1..n, then
-    # f - k/n for k = 0..n-1 (the integers k are exact in floating point)
-    stair = np.arange(1.0, n + 1.0)
-    stair /= n
-    upper = np.max(np.subtract(stair, f, out=stair))
-    stair.fill(1.0)
-    stair[0] = 0.0
-    np.cumsum(stair, out=stair)
-    stair /= n
-    lower = np.max(np.subtract(f, stair, out=stair))
-    return float(max(upper, lower))
+    f = np.empty(n)
+    done = np.zeros(n, dtype=bool)
+    new = np.unique(np.r_[0:n:_KS_STRIDE, n - 1])
+    while new.size:
+        x = samples[new]
+        fx = np.asarray(cdf_fn(x), dtype=float)
+        if fx.shape != x.shape:
+            raise DomainError(
+                f"cdf_fn returned shape {fx.shape} for samples of shape {x.shape}; "
+                "it must be vectorized"
+            )
+        f[new] = fx
+        done[new] = True
+        # both staircase differences at each evaluated draw i: (i+1)/n - F_i
+        # and F_i - i/n (the integers are exact in floating point)
+        at = np.flatnonzero(done)
+        fa = f[at]
+        ks = float(max(np.max((at + 1.0) / n - fa), np.max(fa - at / n)))
+        if np.isnan(ks) or np.any(np.diff(fa) < -_KS_SLACK):
+            new = np.flatnonzero(~done)
+            continue
+        j, k = at[:-1], at[1:]
+        bound = np.maximum(k / n - fa[:-1], fa[1:] - (j + 1.0) / n)
+        wide = (k - j > 1) & (bound + _KS_SLACK > ks)
+        j, k = j[wide, None], k[wide, None]
+        new = np.unique(j + (k - j) * np.arange(1, _KS_SPLIT) // _KS_SPLIT)
+        new = new[~done[new]]
+    return ks
 
 
 def ks_threshold(count: int, critical: float = 1.63) -> float:

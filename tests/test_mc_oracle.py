@@ -1,5 +1,6 @@
 """Monte Carlo / convolution oracle tests plus the oracle-coverage manifest."""
 
+import functools
 import math
 import os
 import re
@@ -31,9 +32,11 @@ from p3family.mc import (
     sample_pdf_on_grid,
     sample_sum,
 )
-from p3family.pearson3 import Pearson3Params, p3_pdf, p3_sample
+from p3family.logitp3 import ltp3_cdf
+from p3family.logp3 import lp3_cdf
+from p3family.pearson3 import Pearson3Params, p3_cdf, p3_pdf, p3_sample
 from p3family.presets import beacon_field_scenario
-from p3family.sums import SumSpec, spec_to_json, sum_pdf
+from p3family.sums import SumSpec, spec_to_json, sum_cdf, sum_pdf
 
 P = Pearson3Params
 
@@ -136,6 +139,96 @@ def test_ks_self_distance():
     # a CDF that is not vectorized returns the wrong shape: a library error
     with pytest.raises(DomainError):
         ks_distance(samples, lambda x: float(np.mean(samples <= x[0])))
+
+
+def _full_ks(samples, cdf_fn):
+    # the staircase at every draw: the reference for ks_distance
+    x = np.sort(samples)
+    n = x.size
+    f = np.asarray(cdf_fn(x), dtype=float)
+    i = np.arange(n)
+    return float(max(np.max((i + 1.0) / n - f), np.max(f - i / n)))
+
+
+def _counting(cdf_fn, points):
+    def counted(x):
+        points.append(x.size)
+        return cdf_fn(x)
+
+    return counted
+
+
+_P3 = P(2.5, 1.3, 0.4)
+_PF_SUM = SumSpec((P(1.0, 1.0), P(2.0, 1.7), P(3.0, 3.1)))
+# the series-only sum of the tier-1 KS test
+_SERIES_SUM = SumSpec((P(1.5, 1.0, 0.3), P(2.5, 1.3), P(0.7, 1.6)))
+_EDGE_SUM = SumSpec((P(2.0, 1.0), P(2.0, 1.1), P(2.0, 1.2)))
+_KS_CASES = {
+    "p3_b_pos": (lambda: p3_sample(_P3, 1, 100_000), functools.partial(p3_cdf, _P3)),
+    "p3_b_neg": (lambda: p3_sample(P(1.7, -0.8, 1.0), 2, 100_000),
+                 functools.partial(p3_cdf, P(1.7, -0.8, 1.0))),
+    "ltp3": (lambda: 1.0 / (1.0 + np.exp(-p3_sample(P(3.0, -1.5, 0.0), 3, 100_000))),
+             functools.partial(ltp3_cdf, P(3.0, -1.5, 0.0))),
+    "lp3": (lambda: np.exp(p3_sample(P(2.0, 1.5, -0.5), 4, 100_000)),
+            functools.partial(lp3_cdf, P(2.0, 1.5, -0.5))),
+    "partial_fractions": (lambda: sample_sum(_PF_SUM, 5, 100_000),
+                          functools.partial(sum_cdf, _PF_SUM)),
+    "series_only": (lambda: sample_sum(_SERIES_SUM, 6, 50_000),
+                    functools.partial(sum_cdf, _SERIES_SUM)),
+    "edge_to_series": (lambda: sample_sum(_EDGE_SUM, 5, 100_000),
+                       functools.partial(sum_cdf, _EDGE_SUM)),
+    "ties": (lambda: np.round(p3_sample(_P3, 7, 20_000), 2), functools.partial(p3_cdf, _P3)),
+    **{f"n={n}": (lambda n=n: p3_sample(_P3, 8, n), functools.partial(p3_cdf, _P3))
+       for n in (1, 2, 500, 1025)},
+}
+
+
+@pytest.mark.parametrize("case", list(_KS_CASES))
+def test_ks_distance_equals_the_whole_staircase(case, monkeypatch):
+    draw, cdf_fn = _KS_CASES[case]
+    samples = draw()
+    edge_points = []
+    if case == "edge_to_series":
+        assert not _EDGE_SUM._series_only
+        series_sum = p3family.sums._series_sum
+        monkeypatch.setattr(p3family.sums, "_series_sum", lambda spec, g, component: (
+            edge_points.append(g.size) or series_sum(spec, g, component)))
+    ks = ks_distance(samples, cdf_fn)
+    if case == "edge_to_series":
+        # the sample minimum is evaluated, and the mixture sends it to the series
+        assert edge_points
+    assert ks == _full_ks(samples, cdf_fn)
+
+
+def test_ks_distance_evaluates_every_draw_of_a_cdf_it_cannot_trust():
+    samples = p3_sample(_P3, 9, 100_000)
+    lo, hi = np.quantile(samples, [0.4, 0.6])
+    spike = np.sort(samples)[1500]  # between two of the first evaluated draws
+
+    def dipping(x):
+        # the dip shows among the first evaluated draws; the spike sets the
+        # distance, and only the evaluation of every draw finds it
+        return p3_cdf(_P3, x) - 0.2 * ((x > lo) & (x < hi)) - 0.5 * (x == spike)
+
+    def nan_above(x):
+        return np.where(x > hi, np.nan, p3_cdf(_P3, x))
+
+    points = []
+    assert ks_distance(samples, _counting(dipping, points)) == _full_ks(samples, dipping)
+    assert sum(points) == samples.size
+    points.clear()
+    assert math.isnan(ks_distance(samples, _counting(nan_above, points)))
+    assert math.isnan(_full_ks(samples, nan_above))
+    assert sum(points) == samples.size
+
+
+def test_ks_distance_evaluates_few_draws():
+    # a cost guard without a timer, on the draws of the tier-1 KS test
+    samples = sample_sum(_SERIES_SUM, 22, 1_000_000)
+    points = []
+    ks = ks_distance(samples, _counting(functools.partial(sum_cdf, _SERIES_SUM), points))
+    assert ks < ks_threshold(samples.size)
+    assert sum(points) <= 0.05 * samples.size
 
 
 def test_oracle_report():
