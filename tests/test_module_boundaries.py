@@ -9,6 +9,9 @@ private top-level name that its module never loads, as a leftover constant
 or helper would be, is flagged as unused; a mention in a comment or a
 string does not count as a load.
 
+No module imports ``fractions`` or ``decimal``: the library computes in
+floats and Python ints.
+
 No module passes ``where=`` to a ``scipy.special`` function: with numpy
 2.4.6 and scipy 1.17.1, ``gammainc(3.0, u, out=out, where=mask)`` on 1000
 points with a random mask aborts the interpreter in malloc, and
@@ -186,3 +189,42 @@ def test_no_scipy_special_call_passes_where():
     found = special_calls_with_where(sources)
     assert not found, "scipy.special calls with where=: " + ", ".join(
         f"{m}.py:{line} {f}" for m, line, f in found)
+
+
+def exact_arithmetic_imports(sources: dict) -> list:
+    """(module, line, name) for each import of ``fractions`` or ``decimal``,
+    or of a submodule or name from them; `sources` maps module name to
+    source text."""
+    banned = {"fractions", "decimal"}
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, node.lineno, n) for n in names if n.split(".")[0] in banned]
+    return found
+
+
+def test_exact_arithmetic_scanner_flags_each_import_form():
+    sources = {
+        "a": "from fractions import Fraction\n",
+        "b": "import numpy as np\nimport decimal as dec\n",
+        "c": "def f():\n    import fractions\n    return fractions.Fraction(1)\n",
+        "d": "from decimal import Decimal, localcontext\n",
+        "e": "from .decimal import x\nimport numpy.fractions_like\n# import fractions\n",
+    }
+    assert exact_arithmetic_imports(sources) == [
+        ("a", 1, "fractions"), ("b", 2, "decimal"), ("c", 2, "fractions"), ("d", 1, "decimal")]
+
+
+def test_no_module_imports_fractions_or_decimal():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = exact_arithmetic_imports(sources)
+    assert not found, "fractions or decimal imported: " + ", ".join(
+        f"{m}.py:{line} {n}" for m, line, n in found)

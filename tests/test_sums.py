@@ -1,9 +1,11 @@
 """Sum-machinery tests: regimes, mixture weights, densities, transforms."""
 
+import collections
 import functools
 import json
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -37,6 +39,8 @@ from p3family.sums import (
     xi0_recursive,
     xi_shifted,
 )
+from p3family.wpt import (
+    EHModel, LinkBudget, MisoScenario, q_cdf_miso, scenario_from_json, scenario_to_json)
 
 P = Pearson3Params
 
@@ -622,7 +626,7 @@ def _close_rate_spec(L, seed):
 @pytest.mark.parametrize("L", [8, 12, 16])
 def test_close_rate_sums_need_no_exact_weights(L, monkeypatch):
     # the log bound on the weights picks the series, so building and
-    # evaluating the sum runs no rational arithmetic
+    # evaluating the sum forms no exact weight
     def refuse(shapes, bs):
         raise AssertionError("the exact mixture weights were computed")
 
@@ -669,6 +673,110 @@ def test_weights_asked_for_later_are_unchanged():
         6.218856714428704e+23, -1.0889783505191232e+30, 1.872300169367027e+23,
         1.5733638509059195e+33]
     assert spec._weight_scale == 3.7373770384189097e+34
+
+
+def _xi0_exact(spec, i):
+    """Weights k = 1..a_i of component i by xi0_closed's nested closed form,
+    in exact rational arithmetic: the rates scaled by one power of two,
+    which leaves every weight unchanged, and each G(u, v, w) =
+    (u + a_w - v - 1)! / ((a_w - 1)! (u - v)!) (b_i - b_w)^(v - u - a_w)
+    tabulated by u - v."""
+    e = math.frexp(spec.terms[0].b)[1]
+    b = [Fraction(math.ldexp(t.b, -e)) for t in spec.terms]
+    a = [spec.shape(q) for q in range(1, spec.L + 1)]
+    ai, bi = a[i - 1], b[i - 1]
+    G = [[math.comb(n + a[w] - 1, n) / (bi - b[w]) ** (n + a[w]) for n in range(ai)]
+         for w in range(spec.L) if w != i - 1]
+    f = {ai: Fraction(1)}
+    for g in G[:-1]:
+        f = {v: sum(f[u] * g[u - v] for u in f if u >= v) for v in range(1, ai + 1)}
+    pref = (-1) ** (sum(a) - ai) * math.prod(bq ** aq for bq, aq in zip(b, a))
+    return [pref / bi ** k * sum(f[u] * G[-1][u - k] for u in f if u >= k)
+            for k in range(1, ai + 1)]
+
+
+def test_recursive_weights_are_the_closed_form_rounded_once():
+    # L 2-5, shapes 1-8, one scale of 10^-300..10^300 and either sign, rates
+    # up to 10^3 either side of it: every weight of one component a spec is
+    # the exact closed-form value, correctly rounded
+    rng = random.Random(27)
+    for _ in range(1000):
+        L = rng.randint(2, 5)
+        scale = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+        spec = SumSpec(tuple(P(float(rng.randint(1, 8)), scale * 10.0 ** rng.uniform(-3.0, 3.0))
+                             for _ in range(L)))
+        i = rng.randint(1, L)
+        exact = [float(v) for v in _xi0_exact(spec, i)]
+        assert [xi0_recursive(spec, i, k) for k in range(1, spec.shape(i) + 1)] == exact, spec
+
+
+def test_exact_weights_wait_for_the_first_evaluation(monkeypatch):
+    # building a sum or a scenario, directly, from JSON or by `at`, forms
+    # neither the log weight bound nor the exact weights; the first
+    # evaluation forms each once, and a sum the bound sends to the series
+    # never forms the weights
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_weights_recursive", "_log_weight_bound"):
+        monkeypatch.setattr(sums, name, counted(name, getattr(sums, name)))
+    spec = SumSpec(MIXED_L3.terms)
+    parsed = spec_from_json(spec_to_json(spec))
+    close = _close_rate_spec(8, 1)
+    model = EHModel(150.0, 0.014, 0.024)
+    sc = MisoScenario(model, tuple(LinkBudget(0.5, 0.01, 2.4e9, d, 2.0 / 3.0, P(3.0, 1.0))
+                                   for d in (12.0, 10.0, 8.0)))
+    loaded = scenario_from_json(scenario_to_json(sc))
+    moved = sc.at(power=3.0)
+    assert not calls
+    both = {"_weights_recursive": 1, "_log_weight_bound": 1}
+    for evaluate, formed in (
+            (lambda: sum_cdf(spec, [2.0, 5.0]), both),
+            (lambda: sum_cdf(parsed, 3.0), both),
+            (lambda: sum_cdf(close, close.sm + close.mean_offset()), {"_log_weight_bound": 1}),
+            (lambda: q_cdf_miso(sc, model.Ps / 10.0), both),
+            (lambda: q_cdf_miso(loaded, model.Ps / 10.0), both),
+            (lambda: q_cdf_miso(moved, model.Ps / 10.0), both)):
+        calls.clear()
+        evaluate()
+        assert calls == formed
+        evaluate()
+        assert calls == formed
+    assert not spec._series_only and not sc._law._series_only and close._series_only
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_pass_cdf_equals_the_two_call_split(seed):
+    # a CDF array spanning the mean offset sums P below it and Q above it in
+    # one pass, each point the value that a call on its own side gives
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if seed % 2 else -1.0
+    if seed < 4:
+        spec = _random_distinct_spec(rng, sign=sign)
+    else:
+        spec = SumSpec(tuple(P(rng.uniform(0.4, 3.0), sign * rng.uniform(1.0, 3.0),
+                               rng.normal()) for _ in range(3)))
+    mean = spec.mean_offset()
+    # the mean offset itself, and points near the support edge, which the
+    # partial fractions send to the series
+    g = rng.permutation(np.concatenate((mean * rng.uniform(0.0, 4.0, 24),
+                                        [mean, mean * 1e-3, 1e-9, 5e-324, 0.0])))
+    lower = g <= mean
+    assert lower.sum() >= 5 and (~lower).sum() >= 5
+    split = np.empty_like(g)
+    split[lower], split[~lower] = spec.at_offsets(g[lower]), spec.at_offsets(g[~lower])
+    assert np.array_equal(spec.at_offsets(g), split)
+    # at another mean rate the sides are those of the rescaled points
+    for rate in (0.7, 1.9):
+        lower = (rate / spec.mean_rate) * g <= mean
+        split[lower] = spec.at_offsets(g[lower], rate=rate)
+        split[~lower] = spec.at_offsets(g[~lower], rate=rate)
+        assert np.array_equal(spec.at_offsets(g, rate=rate), split)
 
 
 def test_series_tails_reach_0_and_1():
