@@ -7,7 +7,9 @@ inverse scale ``b != 0`` and shift ``m``. For ``b > 0`` the support is
 Every pdf and CDF of the library is one evaluator, `evaluate`: a law (this
 one, or a `sums.SumSpec` mixture of them) seen through a monotone
 `Transform` y(x), here the identity, in `logp3` and `logitp3` the log and
-logit maps, in `wpt` the harvested power. It and the density of
+logit maps, in `wpt` the harvested power. Every gamma term of a law, the
+member's and each of a mixture's, is `gamma_term`: P, Q, or the density,
+which takes ln(dy/dx) in its exponent. `evaluate` and the density of
 `series.expect` take a law's values through `blockwise`, 2^14 points at a
 time, so that the memory of a call is its output and one block's work.
 """
@@ -83,19 +85,36 @@ class Pearson3Params:
 
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
-        at offsets g = sign(b)(x - m) into the support: g >= 0 for the CDF,
-        0 < g < inf for the density. ln(slope) enters the exponent, so that
-        the density of y keeps its digits where that of X leaves double range.
-        A `rate` (a float or an array broadcast against g) stands for |b|:
-        the law of X rescaled to that inverse scale. Its log is numpy's, as
-        is that of |b|, whether taken of one value or of an array, so that
-        its density is that of the law built at that rate to the last bit."""
+        at offsets g = sign(b)(x - m) into the support (g >= 0 for the CDF,
+        0 < g < inf for the density), from `gamma_term`. A `rate` (a float or
+        array broadcast against g) stands for |b|, the law rescaled to it; its
+        log is numpy's, as is |b|'s, so that its density is that of the law
+        built at that rate to the last bit."""
         rate = abs(self.b) if rate is None else rate
         u = rate * g
         if density:
-            return np.exp(np.log(rate) + xlogy(self.a - 1.0, u) - u - math.lgamma(self.a)
-                          - np.log(slope))
-        return gammainc(self.a, u) if self.b > 0 else gammaincc(self.a, u)
+            return gamma_term(DENSITY, self.a, u, np.log(rate), math.lgamma(self.a), np.log(slope))
+        return gamma_term(P if self.b > 0 else Q, self.a, u)
+
+
+P, Q, DENSITY = "P", "Q", "density"  # the kinds of gamma term of a law
+
+
+def gamma_term(kind, a, u, log_rate=None, log_gamma=None, log_slope=None, out=None):
+    """The one kernel of a law's gamma terms at u = rate g: P(a, u), Q(a, u)
+    = 1 - P(a, u), or the DENSITY e^(log_rate + (a - 1) ln u - u - log_gamma
+    - log_slope) of y(X) from ln(rate), ln Gamma(a) and ln(dy/dx) (None for
+    1), 0 at u = inf. a and log_gamma may be arrays; `out` takes an array."""
+    if kind != DENSITY:
+        f = gammainc if kind == P else gammaincc
+        return f(a, u) if out is None else f(a, u, out=out)
+    exponent = log_rate + xlogy(a - 1.0, u) - u - log_gamma
+    if log_slope is not None:
+        exponent -= log_slope
+    if not exponent.ndim:  # NaN where u = inf, there e^(-u) makes the density 0
+        return np.exp(exponent) if exponent == exponent else np.float64(0.0)
+    out = np.exp(exponent, out=exponent if out is None else out)
+    return np.fmax(out, 0.0, out=out)
 
 
 class Transform(NamedTuple):
@@ -105,8 +124,7 @@ class Transform(NamedTuple):
         infinite hi admitting y = inf; None for every point.
     offset: offset(y, m) = x(y) - m, formed from y directly, so that it
         keeps its digits near the support edge x = m.
-    slope: slope(y) = dy/dx, the Jacobian by which a density of x becomes
-        one of y.
+    slope: slope(y) = dy/dx, whose log a density of y takes in its exponent.
     """
 
     domain: tuple | None
@@ -152,10 +170,8 @@ def _values(y, law, transform, density, rate):
     if not inside.all():
         raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
     out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
-    if not (out < math.inf).all():  # a density is >= 0, or NaN where b g is inf
-        out = np.fmax(out, 0.0)  # e^(-b g) wins the exponent's inf - inf there
-        if not (out < math.inf).all():
-            raise DomainError(f"the density of {law} is beyond the double range at some y")
+    if not (out < math.inf).all():
+        raise DomainError(f"the density of {law} is beyond the double range at some y")
     return out
 
 
@@ -175,7 +191,7 @@ def blockwise(values, x, rate, *args):
 
     numpy's overflow and invalid-value warnings are off: b g may overflow
     to inf, where a CDF is 0 or 1 and a density's exponent inf - inf is
-    NaN, which `evaluate` and `series.expect` take as the density 0."""
+    NaN, which `gamma_term` takes as the density 0."""
     points = x if rate is None or np.ndim(rate) == 0 else rate
     if points.size <= _BLOCK:
         return values(x, *args, rate=rate)

@@ -7,14 +7,15 @@ shapes at pairwise-distinct rates its weights come from the partial
 fraction expansion of the product of the component Laplace transforms,
 both as a nested closed-form sum and through a numerically gentler
 recursion, run exactly in integer arithmetic at the sum's first evaluation
-and rounded once. Moschopoulos' series of positive weights,
-summed in chunks of its index sized by the points still live and the
-weights formed (up to 256 terms at once for a single point), serves every
-other sum, those whose partial-fraction weights pass 1e6, and the points
-where the partial fractions cancel. Every mixture CDF sums P up to the
-mean offset and Q above it.
-`SumSpec.at_offsets` picks the reduced law or the mixture, so the
-densities and CDFs of the sum and of its log and logit transforms are
+and rounded once. Moschopoulos' series of positive weights, summed in
+chunks of its index sized by the points still live and the weights formed
+(up to 256 terms at once for a single point), serves every other sum,
+those whose partial-fraction weights pass 1e6, and the points where the
+partial fractions cancel. Every mixture CDF sums P up to the mean offset
+and Q above it. Each term of either is `pearson3.gamma_term`, the one
+kernel of the library's gamma terms, whose density takes ln(dy/dx) in its
+exponent. `SumSpec.at_offsets` picks the reduced law or the mixture, so
+the densities and CDFs of the sum and of its log and logit transforms are
 `pearson3.evaluate` calls.
 
 Weights use the 1-based index convention of the mixture: ``i`` selects the
@@ -29,12 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincc, xlogy
+from scipy.special import betainc
 
 from .errors import ConvergenceError, DomainError
 from .logitp3 import LOGIT, ltp3_moment
 from .logp3 import LOG, lp3_moment
-from .pearson3 import IDENTITY, Pearson3Params, evaluate, p3_moment
+from .pearson3 import DENSITY, IDENTITY, P, Q, Pearson3Params, evaluate, gamma_term, p3_moment
 
 __all__ = [
     "EQUAL_RATES",
@@ -198,35 +199,31 @@ class SumSpec:
     def at_offsets(self, g, density=False, slope=1.0, rate=None):
         """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
         at offsets g = sign(b)(x - sm) into the support: the reduced law's
-        for equal rates, else the mixture's, divided by the slope.
-
+        for equal rates, else the mixture's, its terms from `gamma_term`.
         A `rate` (a float or an array broadcast against g) stands for
         `mean_rate`: the sum with every rate scaled by s = rate/mean_rate,
         whose CDF at g is this one's at s g and whose density there is s
-        times this one's, on the same weights.
-        """
+        times this one's, on the same weights."""
         if self.regime == EQUAL_RATES:
             return self._reduced.at_offsets(g, density, slope, rate)
-        if rate is not None:
-            scale = rate / self.mean_rate
-            g, slope = scale * g, slope / scale
-        g = np.asarray(g)
+        scale = 1.0 if rate is None else rate / self.mean_rate
+        g = np.asarray(g if rate is None else scale * g)
         flat = g.reshape(-1)
-        if density:
-            # rounding may not push a density below 0
-            values = _mixture(self, flat, ((_pdf_component, slice(0, flat.size)),))
-            return np.maximum(values.reshape(g.shape) / slope, 0.0)
+        if density:  # s times the density at s g; rounding may not take it below 0
+            log_slope = None if isinstance(slope, float) and slope == 1.0 else (
+                np.log(slope, out=np.empty(g.shape)).reshape(-1))
+            values = _mixture(self, flat, ((DENSITY, slice(0, flat.size)),), log_slope)
+            return np.maximum(values.reshape(g.shape) / (1.0 / scale), 0.0)
         # P below the mean offset and Q = 1 - P above it, each tail summed
         # directly, not as 1 minus a sum near 1: one pass, lower points first
         upper = flat > self.mean_offset()
-        order = np.argsort(upper, kind="stable")
         lower = flat.size - np.count_nonzero(upper)
-        sides = ((_cdf_component, slice(0, lower)), (_sf_component, slice(lower, flat.size)))
-        parts = [(c, part) for c, part in sides if part.stop > part.start]
+        sides = ((P, slice(0, lower)), (Q, slice(lower, flat.size)))
+        parts = [(kind, part) for kind, part in sides if part.stop > part.start]
+        order = np.argsort(upper, kind="stable") if len(parts) > 1 else slice(None)
         out = np.empty_like(flat)
         out[order] = _mixture(self, flat[order], parts)
-        positive = self.terms[0].b > 0
-        np.subtract(1.0, out, out=out, where=upper if positive else ~upper)
+        np.subtract(1.0, out, out=out, where=upper if self.terms[0].b > 0 else ~upper)
         # rounding may not push a CDF out of [0, 1]
         np.maximum(out, 0.0, out=out)
         return np.minimum(out, 1.0, out=out).reshape(g.shape)
@@ -363,41 +360,26 @@ def _series_chunk(spec, k0, k1):
     return tuple(x[k0:k1] for x in spec._series)
 
 
-# A component k at rate b over the points u = b g, the log-gamma of the
-# shape k given.
-def _cdf_component(k, log_gamma, b: float, u, out=None):
-    return gammainc(k, u, out=out)
-
-
-def _sf_component(k, log_gamma, b: float, u, out=None):
-    return gammaincc(k, u, out=out)
-
-
-def _pdf_component(k, log_gamma, b: float, u, out=None):
-    out = np.exp(math.log(b) + xlogy(k - 1.0, u) - u - log_gamma, out=out)
-    return np.fmax(out, 0.0, out=out)  # NaN at u = inf, where e^(-u) makes it 0
-
-
-def _partial_fraction_terms(spec, g, parts):
-    """Yield Xi(i,k) component(k, |b_i|, |b_i| g) for every (i, k) over a
-    1-d array of points g, each (component, slice) of `parts` on its slice
-    of the points: weights of both signs."""
+def _partial_fraction_terms(spec, g, parts, log_slope):
+    """Yield Xi(i,k) gamma_term(kind, k, |b_i| g) for every (i, k) over a
+    1-d array of points g, each (kind, slice) of `parts` on its slice of
+    the points, a density with `log_slope`: weights of both signs."""
     term, u = np.empty_like(g), np.empty_like(g)
-    views = [(component, u[part], term[part]) for component, part in parts]
+    views = [(kind, u[part], term[part]) for kind, part in parts]
     for i, row in enumerate(spec._weights):
         b = abs(spec.terms[i].b)
         np.multiply(g, b, out=u)
         for k, w in enumerate(row, start=1):
-            for component, u_part, term_part in views:
-                component(k, math.lgamma(k), b, u_part, term_part)
+            for kind, u_part, term_part in views:
+                gamma_term(kind, k, u_part, math.log(b), math.lgamma(k), log_slope, term_part)
             term *= w
             yield term
 
 
-def _series_sum(spec, g, component):
-    """Sum of C delta_k component(sa + k, b_max, u = b_max g), k = 0, 1, ...,
-    at a 1-d array of points g, in chunks of k (one for a point that needs
-    at most _CHUNK_MAX terms, on a spec whose weights are formed).
+def _series_sum(spec, g, kind, log_slope):
+    """Sum of C delta_k gamma_term(kind, sa + k, b_max g), k = 0, 1, ..., at
+    a 1-d array of points g with its `log_slope`, in chunks of k (one where
+    a point needs at most _CHUNK_MAX terms and the weights are formed).
 
     The components fall with k from some k on (P from k = 0, the density
     once sa + k >= u), or rise to 1 and pass 1/2 there (Q); from there the
@@ -417,7 +399,8 @@ def _series_sum(spec, g, component):
         width = max(1, min(max(2 * width, least), _CHUNK_MAX, _GRID // live.size, _SERIES_MAX - k))
         shape, log_gamma, weight, tail = _series_chunk(spec, k, k + width)
         v = u[live, None]
-        comp = component(shape, log_gamma, spec._b_max, v)
+        comp = gamma_term(kind, shape, v, math.log(spec._b_max), log_gamma,
+                          None if log_slope is None else log_slope[live, None])
         run = np.cumsum(np.concatenate((partial[live, None], comp * weight), axis=1), axis=1)
         before = np.concatenate((prev[live, None], comp[:, :-1]), axis=1)
         # a density underflowing before its peak, to 0 or to equal subnormals, does not fall
@@ -462,10 +445,11 @@ def _float_mixture(g, terms):
     return total, bound
 
 
-def _mixture(spec, g, parts):
-    """Sum_{i,k} Xi(i,k) component(k, |b_i|, |b_i| g) over a 1-d array of
+def _mixture(spec, g, parts, log_slope=None):
+    """Sum_{i,k} Xi(i,k) gamma_term(kind, k, |b_i| g) over a 1-d array of
     finite gamma-direction offsets g > 0, or g >= 0 for the CDF, which is 0
-    at g = 0, each (component, slice) of `parts` on its slice of the points.
+    at g = 0, each (kind, slice) of `parts` on its slice of the points; a
+    density, one part of them all, with `log_slope` (None, or over g).
 
     The points are summed by _float_mixture over the partial fractions,
     unless the spec is series-only, and over Moschopoulos' series, one call
@@ -477,12 +461,13 @@ def _mixture(spec, g, parts):
     if spec._series_only:
         total, edge = np.empty_like(g), np.ones(g.shape, dtype=bool)
     else:
-        total, bound = _float_mixture(g, _partial_fraction_terms(spec, g, parts))
+        total, bound = _float_mixture(g, _partial_fraction_terms(spec, g, parts, log_slope))
         edge = (total < _ROUNDING_BOUND * bound) | (g < tiny)
-    for component, part in parts:
+    for kind, part in parts:
         side = edge[part]
         if np.count_nonzero(side):
-            total[part][side] = _series_sum(spec, g[part][side], component)
+            total[part][side] = _series_sum(
+                spec, g[part][side], kind, None if log_slope is None else log_slope[side])
     return total
 
 

@@ -64,10 +64,10 @@ class EHModel:
     Ps: float
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0 and self.Ps > 0):
-            raise DomainError(
-                f"EH constants must be positive, got A={self.A}, B={self.B}, Ps={self.Ps}"
-            )
+        if not (0 < self.A < math.inf and 0 < self.B < math.inf and 0 < self.Ps < math.inf
+                and self.A * self.B < math.log(np.finfo(float).max) and self.c > 0.0):
+            raise DomainError(f"EH constants must be positive and keep e^(A B) and Ps e^(-A B) "
+                              f"in the double range, got A={self.A}, B={self.B}, Ps={self.Ps}")
         # x -> q = span logistic(x) - c; module-level functions pickle
         c, ps = self.c, self.Ps
         harvest = Transform(None, partial(_harvest_offset, c, ps, -self.A * self.B),

@@ -262,6 +262,20 @@ def test_wpt_scenario_with_a_nan_field_exits_2(capsys, scenario_file):
     assert captured.err == "error: LinkBudget field d must be positive\n"
 
 
+@pytest.mark.parametrize("value", ["Infinity", "10.0"])
+def test_scenario_with_constants_the_harvester_cannot_evaluate_exits_2(capsys, scenario_file,
+                                                                       value):
+    # B = 10 takes A B to 1500, where e^(A B) overflows, and B = inf is not finite
+    path = pathlib.Path(scenario_file)
+    path.write_text(path.read_text().replace('"B": 0.014', f'"B": {value}'))
+    for argv in (["compare", "--op", "wpt.mean", "--scenario", scenario_file, "--samples", "1000"],
+                 ["wpt", "--scenario", scenario_file, "--quantity", "mean"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: EH constants must be positive and keep e^(A B)")
+
+
 @pytest.mark.parametrize("field, value", [
     ('"d": 10.0', '"d": "far"'), ('"A": 150.0', '"A": "x"'), ('"a": 3.0', '"a": "3 0"'),
 ], ids=["distance", "model", "fading"])

@@ -191,8 +191,8 @@ def test_ks_distance_equals_the_whole_staircase(case, monkeypatch):
     if case == "edge_to_series":
         assert not _EDGE_SUM._series_only
         series_sum = p3family.sums._series_sum
-        monkeypatch.setattr(p3family.sums, "_series_sum", lambda spec, g, component: (
-            edge_points.append(g.size) or series_sum(spec, g, component)))
+        monkeypatch.setattr(p3family.sums, "_series_sum", lambda spec, g, *rest: (
+            edge_points.append(g.size) or series_sum(spec, g, *rest)))
     ks = ks_distance(samples, cdf_fn)
     if case == "edge_to_series":
         # the sample minimum is evaluated, and the mixture sends it to the series

@@ -12,6 +12,9 @@ string does not count as a load.
 No module imports ``fractions`` or ``decimal``: the library computes in
 floats and Python ints.
 
+Only `pearson3`, `specfun` and `mc` call ``gammainc``, ``gammaincc`` or
+``xlogy``: every gamma term of a law comes from `pearson3.gamma_term`.
+
 No module passes ``where=`` to a ``scipy.special`` function: with numpy
 2.4.6 and scipy 1.17.1, ``gammainc(3.0, u, out=out, where=mask)`` on 1000
 points with a random mask aborts the interpreter in malloc, and
@@ -142,30 +145,34 @@ def test_no_unused_private_names():
         f"{m}.{n}" for m, n in found)
 
 
+def _special_calls(text: str):
+    """(call node, scipy.special name) for each call in the source `text`
+    of a scipy.special function, imported by name or read off the module."""
+    tree = ast.parse(text)
+    functions, modules = {}, {"scipy.special"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            functions.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules.update(a.asname or a.name for a in node.names if a.name == "special")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.name == "scipy.special" and a.asname)
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Name) and f.id in functions:
+            yield node, functions[f.id]
+        elif isinstance(f, ast.Attribute) and ast.unparse(f.value) in modules:
+            yield node, f.attr
+
+
 def special_calls_with_where(sources: dict) -> list:
     """(module, line, function) for each call of a scipy.special function,
     imported by name or read off the module, that passes ``where=``;
     `sources` maps module name to source text."""
-    found = []
-    for module, text in sources.items():
-        tree = ast.parse(text)
-        functions, modules = set(), {"scipy.special"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
-                functions.update(a.asname or a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-                modules.update(a.asname or a.name for a in node.names if a.name == "special")
-            elif isinstance(node, ast.Import):
-                modules.update(a.asname for a in node.names
-                               if a.name == "scipy.special" and a.asname)
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and any(k.arg == "where" for k in node.keywords)):
-                continue
-            f = node.func
-            if (isinstance(f, ast.Name) and f.id in functions) or (
-                    isinstance(f, ast.Attribute) and ast.unparse(f.value) in modules):
-                found.append((module, node.lineno, ast.unparse(f)))
-    return found
+    return [(module, node.lineno, ast.unparse(node.func))
+            for module, text in sources.items() for node, _ in _special_calls(text)
+            if any(k.arg == "where" for k in node.keywords)]
 
 
 def test_where_scanner_flags_each_import_form():
@@ -188,6 +195,45 @@ def test_no_scipy_special_call_passes_where():
     }
     found = special_calls_with_where(sources)
     assert not found, "scipy.special calls with where=: " + ", ".join(
+        f"{m}.py:{line} {f}" for m, line, f in found)
+
+
+# The gamma terms of a law, P, Q and the density, are formed in one kernel,
+# `pearson3.gamma_term`. `specfun`'s truncated gamma integrals are not terms
+# of a law, and `mc`'s convolution oracle stays independent of the kernel.
+GAMMA_FUNCTIONS = {"gammainc", "gammaincc", "xlogy"}
+GAMMA_MODULES = {"pearson3", "specfun", "mc"}
+
+
+def gamma_kernel_calls(sources: dict) -> list:
+    """(module, line, function) for each call of a scipy.special function of
+    GAMMA_FUNCTIONS in a module outside GAMMA_MODULES; `sources` maps module
+    name to source text."""
+    return [(module, node.lineno, name)
+            for module, text in sources.items() if module not in GAMMA_MODULES
+            for node, name in _special_calls(text) if name in GAMMA_FUNCTIONS]
+
+
+def test_gamma_kernel_scanner_flags_each_import_form():
+    sources = {
+        "sums": "from scipy.special import gammainc as P, betainc\nP(1.0, u)\nbetainc(1, 2, x)\n",
+        "wpt": "from scipy import special as _sp\n_sp.xlogy(1.0, u)\n_sp.expit(u)\n",
+        "logp3": "import scipy.special as sc\nsc.gammaincc(1.0, u, out=o)\n",
+        "cli": "import scipy.special\nx = scipy.special.gammainc\nscipy.special.xlogy(1, u)\n",
+        "pearson3": "from scipy.special import gammainc\ngammainc(1.0, u)\n",
+        "mc": "def f(u):\n    from scipy.special import gammainc\n    return gammainc(1.0, u)\n",
+    }
+    assert gamma_kernel_calls(sources) == [
+        ("sums", 2, "gammainc"), ("wpt", 2, "xlogy"), ("logp3", 2, "gammaincc"),
+        ("cli", 3, "xlogy")]
+
+
+def test_only_the_kernel_forms_a_gamma_term():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = gamma_kernel_calls(sources)
+    assert not found, "gamma terms formed outside pearson3.gamma_term: " + ", ".join(
         f"{m}.py:{line} {f}" for m, line, f in found)
 
 

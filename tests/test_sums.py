@@ -396,12 +396,20 @@ def _delta(weights, k):
 
 def _moschopoulos(spec, g, density, weights=None, complement=False):
     """CDF (or density, or with `complement` 1 minus the CDF) of the
-    gamma-direction offset g of a sum of gammas by Moschopoulos' series
-    (Ann. Inst. Stat. Math. 37 (1985) 541-544): one gamma mixture with
-    positive weights, at 50 digits, independent of the library. C and the
-    deltas depend only on the rate ratios: `weights`, the
-    `_moschopoulos_weights` of a sum with the same ratios, stand in for
-    this one's.
+    gamma-direction offset g of a sum of gammas by Moschopoulos' series,
+    `_moschopoulos_exact` rounded to a float."""
+    value = _moschopoulos_exact(spec, g, density, weights)
+    with mp.workdps(50):
+        return float(1 - value if complement else value)
+
+
+def _moschopoulos_exact(spec, g, density, weights=None):
+    """CDF (or density) of the gamma-direction offset g of a sum of gammas
+    by Moschopoulos' series (Ann. Inst. Stat. Math. 37 (1985) 541-544): one
+    gamma mixture with positive weights, at 50 digits, independent of the
+    library, as an mpmath number. C and the deltas depend only on the rate
+    ratios: `weights`, the `_moschopoulos_weights` of a sum with the same
+    ratios, stand in for this one's.
 
     The terms are summed until the components fall (the CDF's from the
     start, the density's once sa + k >= u) and the component at k times a
@@ -431,8 +439,7 @@ def _moschopoulos(spec, g, density, weights=None, complement=False):
             cdf -= pdf * u / (top * shape)
             pdf *= u / shape
             k += 1
-        value = scale * total
-        return float(1 - value if complement else value)
+        return scale * total
 
 
 def test_mixture_near_support_edge_vs_moschopoulos():
@@ -504,6 +511,26 @@ def test_close_rate_mixtures_vs_moschopoulos(L, a, sign):
     z = 1.0 / (1.0 + math.exp(-(spec.sm + sign * mean)))
     density = _moschopoulos(spec, sign * (math.log(z / (1.0 - z)) - spec.sm), True)
     assert logitsum_pdf(spec, z) == pytest.approx(density / (z * (1.0 - z)), rel=1e-12)
+
+
+@pytest.mark.parametrize("law, shapes, rates, y", [
+    ("log", (2.0, 3.0), (-1.0, -1.5), 5e-324),
+    ("log", (2.0, 3.0), (-1.0, -1.5), 1e-318),
+    ("log", (2.5, 3.0), (-1.0, -1.5), 5e-324),
+    ("logit", (2.0, 3.0), (20.0, 25.0), 1.0 - 2.0 ** -53),
+], ids=["fractions_min_subnormal", "fractions_subnormal", "series_only", "logit_near_1"])
+def test_transformed_densities_take_the_jacobian_in_the_exponent(law, shapes, rates, y):
+    # the density of X is subnormal where dy/dx is tiny: the summed density
+    # divided by dy/dx is 6.0e-4, 3.0e-9, 1.6e-5 and 9.0e-10 off there
+    spec = SumSpec(tuple(P(a, b) for a, b in zip(shapes, rates)))
+    assert spec._series_only == (shapes[0] != 2.0)
+    if law == "log":
+        g, slope, value = -(np.log(y) - spec.sm), y, logsum_pdf(spec, y)
+    else:
+        g, slope, value = np.log(y / (1.0 - y)) - spec.sm, y * (1.0 - y), logitsum_pdf(spec, y)
+    with mp.workdps(50):
+        ref = _moschopoulos_exact(spec, float(g), True) / mp.mpf(slope)
+        assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_moments_with_huge_mixture_weights():

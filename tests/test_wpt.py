@@ -88,6 +88,21 @@ def test_model_validation():
     assert MODEL.c == pytest.approx(0.024 * math.exp(-2.1), rel=1e-13)
 
 
+@pytest.mark.parametrize("constants", [
+    (math.inf, 0.014, 0.024), (150.0, math.inf, 0.024), (150.0, 0.014, math.inf),
+    (150.0, 10.0, 0.024), (1e200, 1e200, 0.024), (700.0, 1.0, 1e-20),
+], ids=["A", "B", "Ps", "AB", "AB_inf", "c"])
+def test_model_rejects_constants_the_harvester_cannot_evaluate(constants):
+    # e^(A B) overflows at A B = 1500, and c = Ps e^(-A B) underflows to 0
+    # at Ps = 1e-20, A B = 700: span and harvest would raise OverflowError,
+    # and the CDF and density would divide by c = 0
+    with pytest.raises(DomainError):
+        EHModel(*constants)
+    # just inside the double range the constants stay usable
+    model = EHModel(700.0, 1.0, 0.024)
+    assert 0.0 < model.c and model.span == pytest.approx(0.024, rel=1e-13)
+
+
 def test_path_loss():
     # direct formula evaluation at the reference antenna parameters
     assert path_loss(LINK) == pytest.approx(3.1991427398e-3, rel=1e-9)
