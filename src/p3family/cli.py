@@ -56,12 +56,12 @@ def _parse_sweep(text: str):
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise DomainError(f"sweep must be start:stop:step, got {text!r}") from exc
-    if not (lo < hi) or step <= 0:
-        raise DomainError(f"sweep needs start < stop and step > 0, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    if count > _MAX_SWEEP_POINTS:
-        raise DomainError(f"sweep has {count} points, limit is {_MAX_SWEEP_POINTS}")
-    return lo + step * np.arange(count)
+    if not (-math.inf < lo < hi < math.inf and 0.0 < step < math.inf):
+        raise DomainError(f"sweep needs finite start < stop and step > 0, got {text!r}")
+    steps = (hi - lo) / step + 1e-9  # may overflow: checked before it is an int
+    if not steps < _MAX_SWEEP_POINTS:
+        raise DomainError(f"sweep has over {_MAX_SWEEP_POINTS} points, got {text!r}")
+    return lo + step * np.arange(int(steps) + 1)
 
 
 def _print_csv(out, headers, points, values):

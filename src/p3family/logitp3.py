@@ -40,15 +40,13 @@ def _logistic(x: float) -> float:
 
 
 def ltp3_support(params: Pearson3Params):
-    """Open support of Z = logistic(X)."""
-    mid = _logistic(params.m)
-    if params.b > 0:
-        return (mid, 1.0)
-    return (0.0, mid)
+    """Open support of Z = logistic(X), the law's through the logistic."""
+    return tuple(map(_logistic, params.support()))
 
 
-# z = 1/(1 + e^-x): x - m = ln(z/(1-z)) - m, and dz/dx = z (1 - z)
-LOGIT = Transform((0.0, 1.0), lambda z, m: np.log(z / (1.0 - z)) - m, lambda z: z * (1.0 - z))
+# z = 1/(1 + e^-x): x - m = ln(z/(1-z)) - m, and ln(dz/dx) = ln(z (1 - z))
+LOGIT = Transform((0.0, 1.0), lambda z, m: np.log(z / (1.0 - z)) - m,
+                  lambda z: np.log(z * (1.0 - z)))
 
 
 def ltp3_cdf(params: Pearson3Params, z):

@@ -16,14 +16,13 @@ from .series import sum_series
 
 __all__ = ["lp3_pdf", "lp3_cdf", "lp3_moment", "lp3_char_fn_series", "lp3_support"]
 
-# y = e^x: x - m = ln y - m, and dy/dx = y
-LOG = Transform((0.0, math.inf), lambda y, m: np.log(y) - m, lambda y: y)
+# y = e^x: x - m = ln y - m, and ln(dy/dx) = ln y
+LOG = Transform((0.0, math.inf), lambda y, m: np.log(y) - m, np.log)
 
 
 def lp3_support(params: Pearson3Params):
-    """Open support of Y = exp(X); DomainError where e^m overflows."""
-    edge = _exp(params.m)
-    return (edge, math.inf) if params.b > 0 else (0.0, edge)
+    """Open support of Y = exp(X), the law's through e^x; DomainError where e^m overflows."""
+    return tuple(map(_exp, params.support()))
 
 
 def _exp(x: float) -> float:

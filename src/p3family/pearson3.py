@@ -83,17 +83,18 @@ class Pearson3Params:
         out += self.m
         return out
 
-    def at_offsets(self, g, density=False, slope=1.0, rate=None):
-        """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
-        at offsets g = sign(b)(x - m) into the support (g >= 0 for the CDF,
-        0 < g < inf for the density), from `gamma_term`. A `rate` (a float or
-        array broadcast against g) stands for |b|, the law rescaled to it; its
-        log is numpy's, as is |b|'s, so that its density is that of the law
-        built at that rate to the last bit."""
+    def at_offsets(self, g, density=False, log_slope=None, rate=None):
+        """CDF, or with `density` the density of y(X) where ln(dy/dx) =
+        `log_slope` (None for the identity), at offsets g = sign(b)(x - m)
+        into the support (g >= 0 for the CDF, 0 < g < inf for the density),
+        from `gamma_term`. A `rate` (a float or array broadcast against g)
+        stands for |b|, the law rescaled to it; its log is numpy's, as is
+        |b|'s, so that its density is that of the law built at that rate to
+        the last bit."""
         rate = abs(self.b) if rate is None else rate
         u = rate * g
         if density:
-            return gamma_term(DENSITY, self.a, u, np.log(rate), math.lgamma(self.a), np.log(slope))
+            return gamma_term(DENSITY, self.a, u, np.log(rate), math.lgamma(self.a), log_slope)
         return gamma_term(P if self.b > 0 else Q, self.a, u)
 
 
@@ -124,15 +125,15 @@ class Transform(NamedTuple):
         infinite hi admitting y = inf; None for every point.
     offset: offset(y, m) = x(y) - m, formed from y directly, so that it
         keeps its digits near the support edge x = m.
-    slope: slope(y) = dy/dx, whose log a density of y takes in its exponent.
+    log_slope: log_slope(y) = ln(dy/dx) in a density's exponent; None for the identity.
     """
 
     domain: tuple | None
     offset: Callable
-    slope: Callable
+    log_slope: Callable | None
 
 
-IDENTITY = Transform(None, lambda x, m: x - m, lambda x: 1.0)
+IDENTITY = Transform(None, lambda x, m: x - m, None)
 
 
 def evaluate(law, transform: Transform, y, density=False, rate=None):
@@ -169,7 +170,8 @@ def _values(y, law, transform, density, rate):
     inside = (g > 0.0) & (g < math.inf)
     if not inside.all():
         raise SupportError(f"y={y[~inside][0]} is outside the open support of {law}")
-    out = law.at_offsets(g, density=True, slope=transform.slope(y), rate=rate)
+    log_slope = None if transform.log_slope is None else transform.log_slope(y)
+    out = law.at_offsets(g, density=True, log_slope=log_slope, rate=rate)
     if not (out < math.inf).all():
         raise DomainError(f"the density of {law} is beyond the double range at some y")
     return out

@@ -6,6 +6,7 @@ fig3-fig6 sweep, the (a, b) pairs of fig1 and fig2, and the two
 scenarios the harvesting figures are drawn for.
 """
 
+from .errors import DomainError
 from .pearson3 import Pearson3Params
 from .wpt import EHModel, LinkBudget, MisoScenario
 
@@ -31,7 +32,9 @@ def equal_split_scenario(L: int, d: float, total_power: float = FIG_TOTAL_POWER)
 
 
 def beacon_field_scenario(L: int, total_power: float = FIG_TOTAL_POWER):
-    """L single-antenna power beacons at the staggered reference distances."""
+    """L = 1..3 single-antenna power beacons at the staggered reference distances."""
+    if not 1 <= L <= len(FIG_PB_DISTANCES):
+        raise DomainError(f"the beacon field has 1..3 beacons, got L={L}")
     return MisoScenario(
         FIG_MODEL,
         tuple(_fig_link(d, total_power / L) for d in FIG_PB_DISTANCES[:L]),

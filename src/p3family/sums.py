@@ -196,22 +196,22 @@ class SumSpec:
         offset = self.sa / self._b_max
         return (offset if rate is None else offset * (self.mean_rate / rate)), self.sa
 
-    def at_offsets(self, g, density=False, slope=1.0, rate=None):
-        """CDF, or with `density` the density of y(X) where dy/dx = `slope`,
-        at offsets g = sign(b)(x - sm) into the support: the reduced law's
-        for equal rates, else the mixture's, its terms from `gamma_term`.
-        A `rate` (a float or an array broadcast against g) stands for
-        `mean_rate`: the sum with every rate scaled by s = rate/mean_rate,
-        whose CDF at g is this one's at s g and whose density there is s
-        times this one's, on the same weights."""
+    def at_offsets(self, g, density=False, log_slope=None, rate=None):
+        """CDF, or with `density` the density of y(X) where ln(dy/dx) =
+        `log_slope`, at offsets g = sign(b)(x - sm) into the support: the
+        reduced law's for equal rates, else the mixture's, its terms from
+        `gamma_term`. A `rate` (a float or an array broadcast against g)
+        stands for `mean_rate`: the sum with every rate scaled by s =
+        rate/mean_rate, whose CDF at g is this one's at s g and whose
+        density there is s times this one's, on the same weights."""
         if self.regime == EQUAL_RATES:
-            return self._reduced.at_offsets(g, density, slope, rate)
+            return self._reduced.at_offsets(g, density, log_slope, rate)
         scale = 1.0 if rate is None else rate / self.mean_rate
         g = np.asarray(g if rate is None else scale * g)
         flat = g.reshape(-1)
         if density:  # s times the density at s g; rounding may not take it below 0
-            log_slope = None if isinstance(slope, float) and slope == 1.0 else (
-                np.log(slope, out=np.empty(g.shape)).reshape(-1))
+            if log_slope is not None:  # one a point: a float y's over an array of rates
+                log_slope = np.broadcast_to(log_slope, g.shape).reshape(-1)
             values = _mixture(self, flat, ((DENSITY, slice(0, flat.size)),), log_slope)
             return np.maximum(values.reshape(g.shape) / (1.0 / scale), 0.0)
         # P below the mean offset and Q = 1 - P above it, each tail summed
@@ -377,19 +377,19 @@ def _partial_fraction_terms(spec, g, parts, log_slope):
 
 
 def _series_sum(spec, g, kind, log_slope):
-    """Sum of C delta_k gamma_term(kind, sa + k, b_max g), k = 0, 1, ..., at
-    a 1-d array of points g with its `log_slope`, in chunks of k (one where
+    """Sum of C delta_k gamma_term(kind, sa + k, u), u = b_max g, k = 0, 1, ...,
+    at a 1-d array of points g with its `log_slope`, in chunks of k (one where
     a point needs at most _CHUNK_MAX terms and the weights are formed).
 
-    The components fall with k from some k on (P from k = 0, the density
-    once sa + k >= u), or rise to 1 and pass 1/2 there (Q); from there the
-    terms after k sum to at most component_k (twice it, for Q) times the
-    weight bound of _series_chunk. A point's value is its running sum
-    (`cumsum` adds in order), at the first k where that bound is below
-    _SERIES_TOL of it: neither the chunks nor the other points change it.
+    A point stops at the first k where the bound of _series_chunk on the
+    later weights is 0, or where component_k times it is at most
+    _SERIES_TOL of the running sum (`cumsum` adds in order) and the
+    components no longer rise: P at every k, as P falls with k; the density
+    and Q once sa + k >= u, where the density falls and Q has passed about
+    1/2. Its value is that running sum, whatever the chunks and points.
     """
     u = g * spec._b_max
-    partial, prev = np.zeros_like(u), np.zeros_like(u)
+    partial = np.zeros_like(u)
     live = np.flatnonzero(u != math.inf)  # Q, the one component taken there, is 0 at inf
     k, width = 0, _CHUNK // 2
     while live.size:
@@ -402,15 +402,12 @@ def _series_sum(spec, g, kind, log_slope):
         comp = gamma_term(kind, shape, v, math.log(spec._b_max), log_gamma,
                           None if log_slope is None else log_slope[live, None])
         run = np.cumsum(np.concatenate((partial[live, None], comp * weight), axis=1), axis=1)
-        before = np.concatenate((prev[live, None], comp[:, :-1]), axis=1)
-        # a density underflowing before its peak, to 0 or to equal subnormals, does not fall
-        falling = (shape >= v) | ((comp <= before) & (comp >= _TINY))
-        on = (~falling | (comp * tail > _SERIES_TOL * run[:, 1:])) & (tail > 0.0)
+        rising = kind != P and shape < v  # P falls with k
+        on = ((comp * tail > _SERIES_TOL * run[:, 1:]) | rising) & (tail > 0.0)
         np.logical_and.accumulate(on, axis=1, out=on)
         # the term after the last live one is the last that counts
         counted = np.minimum(on.sum(axis=1) + 1, width)
         partial[live] = run[np.arange(live.size), counted]
-        prev[live] = comp[:, -1]
         live = live[on[:, -1]]
         k += width
     return partial

@@ -71,7 +71,7 @@ class EHModel:
         # x -> q = span logistic(x) - c; module-level functions pickle
         c, ps = self.c, self.Ps
         harvest = Transform(None, partial(_harvest_offset, c, ps, -self.A * self.B),
-                            partial(_harvest_slope, c, ps))
+                            partial(_harvest_log_slope, c, ps))
         object.__setattr__(self, "_harvest", harvest)
 
     @property
@@ -290,8 +290,8 @@ def _harvest_offset(c, ps, edge, q, m):
     return log1p(q / c) - log1p(q / -ps) + (edge - m)
 
 
-def _harvest_slope(c, ps, q):
-    return (q + c) * (ps - q) / (ps + c)
+def _harvest_log_slope(c, ps, q):
+    return np.log((q + c) * (ps - q) / (ps + c))
 
 
 def harvested_power_miso(scenario: MisoScenario, h2s) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in-process through main(), and
 one run of the module in a child process for the real stdout path."""
 
+import hashlib
 import io
 import json
 import math
@@ -15,12 +16,12 @@ import numpy as np
 import pytest
 
 import p3family
-from p3family import cli, csvrows
+from p3family import cli, csvrows, mc
 from p3family.cli import _build_parser, _parse_sweep, _print_csv, main
 from p3family.logitp3 import ltp3_cdf
 from p3family.logp3 import lp3_char_fn_series
-from p3family.pearson3 import Pearson3Params
-from p3family.presets import beacon_field_scenario
+from p3family.pearson3 import Pearson3Params, p3_cdf, p3_sample
+from p3family.presets import beacon_field_scenario, equal_split_scenario
 from p3family.sums import SumSpec, spec_to_json, sum_cdf
 from p3family.wpt import q_cdf_miso, q_mean_miso
 
@@ -139,6 +140,55 @@ def test_dist_errors(capsys):
                "--sweep", "2:1:0.5")[0] == 2
 
 
+def error_of(capsys, *argv):
+    """(exit code, stdout, stderr) of one CLI call."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("sweep", ["0:inf:1", "-inf:1:1", "0:1:nan", "0:1:inf", "nan:1:1"])
+def test_non_finite_sweep_exits_2(capsys, scenario_file, sweep):
+    # 0:inf:1 and -inf:1:1 overflowed converting the point count, 0:1:nan
+    # raised in numpy, and 0:1:inf printed the row nan,nan
+    for argv in (("dist", "p3", "cdf", "--a", "2", "--b", "1", f"--sweep={sweep}"),
+                 ("wpt", "--scenario", scenario_file, "--quantity", "outage", "--qt-frac", "0.1",
+                  f"--sweep=distance:{sweep}")):
+        assert error_of(capsys, *argv) == (
+            2, "", f"error: sweep needs finite start < stop and step > 0, got {sweep!r}\n")
+
+
+@pytest.mark.parametrize("sweep", ["0:1e300:1e-300", "0:1000000:1", "-1e308:1e308:1"])
+def test_oversized_sweep_exits_2(capsys, scenario_file, sweep):
+    # the point count overflows a float at 0:1e300:1e-300 and -1e308:1e308:1
+    for argv in (("dist", "p3", "cdf", "--a", "2", "--b", "1", f"--sweep={sweep}"),
+                 ("wpt", "--scenario", scenario_file, "--quantity", "mean",
+                  f"--sweep=distance:{sweep}")):
+        assert error_of(capsys, *argv) == (
+            2, "", f"error: sweep has over 1000000 points, got {sweep!r}\n")
+    assert _parse_sweep("0:999999:1").size == 10 ** 6
+
+
+@pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:2:1", ""])
+def test_malformed_sweep_exits_2(capsys, sweep):
+    assert error_of(capsys, "dist", "p3", "cdf", "--a", "2", "--b", "1", f"--sweep={sweep}") == (
+        2, "", f"error: sweep must be start:stop:step, got {sweep!r}\n")
+
+
+def test_moment_without_order_exits_2(capsys, spec_file, scenario_file):
+    for argv in (("dist", "p3", "moment", "--a", "2", "--b", "1"),
+                 ("sum", "--spec", spec_file, "--quantity", "moment"),
+                 ("wpt", "--scenario", scenario_file, "--quantity", "moment"),
+                 ("wpt", "--scenario", scenario_file, "--quantity", "moment",
+                  "--sweep", "distance:4:8:1")):
+        assert error_of(capsys, *argv) == (2, "", "error: moment queries need --n\n")
+
+
+def test_charfn_without_point_exits_2(capsys):
+    assert error_of(capsys, "dist", "p3", "charfn", "--a", "2", "--b", "1") == (
+        2, "", "error: charfn queries need --at (the argument t)\n")
+
+
 def test_negative_values_as_separate_arguments(capsys):
     base = ("dist", "logp3", "cdf", "--a", "2", "--b", "3")
     joined = run(capsys, *base, "--m=-1e-05", "--at", "1.0")
@@ -250,6 +300,12 @@ def test_wpt_errors(capsys, scenario_file):
                    "--quantity", quantity, "--sweep", "distance:4:8:1")[0] == 2
         assert run(capsys, "wpt", "--scenario", scenario_file, "--quantity", quantity,
                    "--qt-frac", "0.1", "--at", "0.004", "--sweep", "speed:1:2:1")[0] == 2
+
+
+def test_wpt_sweep_without_a_variable_exits_2(capsys, scenario_file):
+    assert error_of(capsys, "wpt", "--scenario", scenario_file, "--quantity", "mean",
+                    "--sweep", "4") == (
+        2, "", "error: wpt sweep must be {distance,power}:start:stop:step\n")
 
 
 def test_wpt_scenario_with_a_nan_field_exits_2(capsys, scenario_file):
@@ -430,6 +486,47 @@ def test_figure_fig3_ordering_and_determinism(capsys, tmp_path):
         assert pathlib.Path(p).read_text() == files[p.split("/")[-1]]
 
 
+# SHA-256 of each file of `figure --id fig1..fig6`. A change that moves
+# figure values on purpose updates the table with them.
+FIGURE_DIGESTS = {
+    "fig1_a2_b1p5.csv": "d2a200e5f08d366962afdc5a7c5a546f42fff31e1a2ef09637d979ae54cde844",
+    "fig1_a2_bneg1p5.csv": "ab271ebb761a4eda4359b6d97f5b3bde5f35fba40596db016daaf62b3ff42f95",
+    "fig1_a3_b1p5.csv": "44d5119021d8662b879765f71c8c41e093f16bfa742f9c13efc8ad08d7083da0",
+    "fig1_a3_bneg1p5.csv": "12a95d6e1343718880cd7794eb4682a032bec48b2bc366f13604590d67a6e9bc",
+    "fig2_a2_b1p5.csv": "29248e5c94745f67ca8ebe17142a627c1597c19263f5d62719e34801cbcabe72",
+    "fig2_a2_bneg1p5.csv": "b8a5f0f26ca7465c96a97b75d42a0c569420c160b18d122d7bdbbf2413c1eba1",
+    "fig2_a3_b1p5.csv": "57d0eac5c872e07d814260d989aea3c304e5f888526fa52d2a7e53a68800aa94",
+    "fig2_a3_bneg1p5.csv": "a960644c959df5987f435f210dda054055f99119bbf762cfac646b463bbf5695",
+    "fig3_L1_qt_ps_1_10.csv": "b4913f25f495d531104d74be3f568fafca5bf3f3974ef0fa3006fa293b99f9e8",
+    "fig3_L1_qt_ps_1_20.csv": "7c41607407f3ad22762399fb768a6bffdd5e59fb9107e566ed7b270f7532a1e4",
+    "fig3_L2_qt_ps_1_10.csv": "fbfbc2728a4d7896c292bad62a367fd167b26f82228d5e61dd0fd4a7b0e4c18c",
+    "fig3_L2_qt_ps_1_20.csv": "525e202b8ef0f8d00a6ac60b5a81bb484791e606bcffc66e7579c448f7bfcaea",
+    "fig3_L3_qt_ps_1_10.csv": "d587d4c05566fa1f50edf1535109ee9c9753d65b790e0060338471779406fee8",
+    "fig3_L3_qt_ps_1_20.csv": "da53b096b0b610c46c4fd7619ca10a8120445c1830c772e3bd31eb10e4df9f88",
+    "fig4_L1_qt_ps_1_10.csv": "a6e16f96c2888c3bb32aa4558be00b7c7227cf4e8ef5d7ad505d3c3b280a7dcd",
+    "fig4_L1_qt_ps_1_20.csv": "960b3e53e65b0db47641595a0fac3c7fb120501510851d840bc66bcd640c6ca7",
+    "fig4_L2_qt_ps_1_10.csv": "522d1dd31319ccb122bfbb6a42be30e4c74919bb31e815070bb609c585fcb3e8",
+    "fig4_L2_qt_ps_1_20.csv": "ead9afab3e15b81632d314482a8147b3fa8c2d0d7d4a385c3b9be09ac3c0c84a",
+    "fig4_L3_qt_ps_1_10.csv": "af5a75e1a376748e6edecfe776eb2a81ac73e1a2f9e2bc1228f59ea6f6f60269",
+    "fig4_L3_qt_ps_1_20.csv": "cbc858d837b6442b726b66f30c983724cd6b0ea1b3445b1b75d5ede54b8596f9",
+    "fig5_L1.csv": "c6135f20b89af745246b0844e47e6b00e3ea8e73d071d9453d7ea10efb026280",
+    "fig5_L2.csv": "d8f78dd879c45ad226b11f6e5cd18d1610b6ab49dd1acc763498a04d72aee052",
+    "fig5_L3.csv": "ee9dbf3e33c7408444362f93075a57aeadab315bf0794521645eca069a1ea857",
+    "fig6_L1.csv": "57aac97e86124792970c221709ae044b1e3b688720e0adb049b7594502bb76eb",
+    "fig6_L2.csv": "78d45e181fedf0a43c98f86046954651b4461cfe0dce41cf0355166fc639b632",
+    "fig6_L3.csv": "ea8026fda7516a48c8dd3588e9568c67ca2ed2877aa774cd4a44bc607a401dbc",
+}
+
+
+def test_figure_files_match_their_pinned_digests(capsys, tmp_path):
+    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
+        assert run(capsys, "figure", "--id", fig, "--out", str(tmp_path))[0] == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert sorted(digests) == sorted(FIGURE_DIGESTS)
+    moved = [name for name in sorted(digests) if digests[name] != FIGURE_DIGESTS[name]]
+    assert not moved, f"figure files differ from their pinned digests: {moved}"
+
+
 def test_figure_gnuplot_script(capsys, tmp_path):
     out_dir = tmp_path / "g"
     code, out = run(capsys, "figure", "--id", "fig4", "--out", str(out_dir),
@@ -477,6 +574,50 @@ def test_compare_beacon_field_presets(capsys, preset, op, query):
     analytic = (q_cdf_miso(scenario, 0.1 * scenario.model.Ps) if op == "wpt.cdf"
                 else q_mean_miso(scenario))
     assert report["analytic"] == analytic and report["passed"] is True
+
+
+def test_compare_moves_the_preset_to_a_distance(capsys):
+    code, out = run(capsys, "compare", "--op", "wpt.cdf", "--preset", "fig3", "--L", "2",
+                    "--d", "7.5", "--qt-frac", "0.1", "--samples", "20000", "--seed", "6")
+    report = json.loads(out)
+    scenario = equal_split_scenario(2, 10.0).at(distance=7.5)
+    assert code == 0 and report["passed"] is True
+    assert report["analytic"] == q_cdf_miso(scenario, 0.1 * scenario.model.Ps)
+
+
+def test_compare_moves_the_preset_to_a_total_power(capsys):
+    code, out = run(capsys, "compare", "--op", "wpt.mean", "--preset", "fig6", "--L", "2",
+                    "--p", "3.5", "--samples", "20000", "--seed", "6")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["analytic"] == q_mean_miso(beacon_field_scenario(2).at(power=3.5))
+
+
+def test_compare_dist_defaults_to_the_plain_family(capsys):
+    code, out = run(capsys, "compare", "--op", "dist.cdf", "--a", "3", "--b", "1.5",
+                    "--samples", "20000", "--seed", "4")
+    report = json.loads(out)
+    params = Pearson3Params(3.0, 1.5)
+    ks = mc.ks_distance(p3_sample(params, 4, 20000), lambda x: p3_cdf(params, x))
+    assert code == 0 and report["passed"] is True
+    assert report["statistic"] == "p3 cdf KS a=3 b=1.5 m=0" and report["empirical"] == ks
+
+
+def test_compare_beacon_field_beyond_three_beacons_exits_2(capsys):
+    # the field has three beacons: --L 5 once ran the L = 3 field
+    assert error_of(capsys, "compare", "--op", "wpt.mean", "--preset", "fig6", "--L", "5",
+                    "--samples", "1000") == (
+        2, "", "error: the beacon field has 1..3 beacons, got L=5\n")
+
+
+def test_compare_wpt_without_a_scenario_exits_2(capsys):
+    assert error_of(capsys, "compare", "--op", "wpt.mean", "--samples", "1000") == (
+        2, "", "error: wpt comparisons need --scenario or --preset fig3..fig6\n")
+
+
+def test_compare_wpt_cdf_without_a_threshold_exits_2(capsys):
+    assert error_of(capsys, "compare", "--op", "wpt.cdf", "--preset", "fig4", "--L", "2",
+                    "--samples", "1000") == (2, "", "error: wpt.cdf comparisons need --qt-frac\n")
 
 
 def test_compare_sums_ops(capsys, spec_file):

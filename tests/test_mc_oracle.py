@@ -141,6 +141,15 @@ def test_ks_self_distance():
         ks_distance(samples, lambda x: float(np.mean(samples <= x[0])))
 
 
+def test_ks_distance_of_no_samples_raises():
+    with pytest.raises(DomainError, match="^ks_distance needs at least one sample$"):
+        ks_distance(np.empty(0), functools.partial(p3_cdf, Pearson3Params(2.0, 1.0)))
+
+
+def test_empirical_moment_of_one_sample_has_no_standard_error():
+    assert empirical_moment(np.array([3.0]), 2) == (9.0, math.inf)
+
+
 def _full_ks(samples, cdf_fn):
     # the staircase at every draw: the reference for ks_distance
     x = np.sort(samples)

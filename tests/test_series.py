@@ -205,10 +205,10 @@ def test_expect_density_work_of_a_batched_sweep(monkeypatch):
     # sweep evaluates: 16 419 on the whole grids, 5 955 from the rising starts
     at_offsets, points = SumSpec.at_offsets, []
 
-    def counted(self, g, density=False, slope=1.0, rate=None):
+    def counted(self, g, density=False, log_slope=None, rate=None):
         if density:
             points.append(np.size(g))
-        return at_offsets(self, g, density, slope, rate)
+        return at_offsets(self, g, density, log_slope, rate)
 
     monkeypatch.setattr(SumSpec, "at_offsets", counted)
     beacon_field_scenario(3).moments("power", FIG_P_GRID, 1)

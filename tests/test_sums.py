@@ -112,6 +112,18 @@ def test_sums_without_partial_fractions_are_series_only():
     assert type(SumSpec((P(1.0, 1.0), P(2.0, 1.0), P(1.0, 3.0))).sa) is int
 
 
+@pytest.mark.parametrize("l", [0, 3])
+def test_shifted_weight_rejects_an_inner_index_out_of_range(l):
+    spec = SumSpec((P(2.0, 1.0, 0.5), P(1.0, 3.0)))
+    with pytest.raises(DomainError, match=f"^inner index l={l} out of range 1..2$"):
+        xi_shifted(spec, 1, 2, l)
+
+
+def test_sum_moment_rejects_a_negative_order():
+    with pytest.raises(DomainError, match="^moment order must be nonnegative, got n=-1$"):
+        sum_moment(SumSpec((P(2.0, 1.0), P(1.0, 3.0))), -1)
+
+
 def test_coincident_exponential_rates_vs_closed_form():
     # Exp(1) + Exp(1) + Exp(3) has the transform 3/((1 + s)^2 (3 + s)): density
     # (3/2 x - 3/4) e^(-x) + 3/4 e^(-3x), CDF 1 - (3/4 + 3/2 x) e^(-x) - 1/4 e^(-3x)

@@ -64,6 +64,22 @@ def distinct_scenario(L, ptot=2.0):
     )
 
 
+@pytest.mark.parametrize("L", [0, 4, 5])
+def test_beacon_field_has_one_to_three_beacons(L):
+    with pytest.raises(DomainError, match=f"^the beacon field has 1..3 beacons, got L={L}$"):
+        beacon_field_scenario(L)
+
+
+def test_scenario_needs_a_branch():
+    with pytest.raises(DomainError, match="^a scenario needs at least one branch$"):
+        MisoScenario(MODEL, ())
+
+
+def test_scenario_branches_must_be_link_budgets():
+    with pytest.raises(DomainError, match="^branches must be LinkBudget values, got Pearson3Params"):
+        MisoScenario(MODEL, (LINK, FADING))
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         EHModel(-1.0, 0.014, 0.024)
@@ -499,6 +515,20 @@ def test_fig4_curves_vs_series():
                                        rtol=2e-8, atol=0.0)
             np.testing.assert_allclose(_per_point(sc, "power", FIG_P_GRID, qt), ref,
                                        rtol=2e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_power_density_curve_of_a_beacon_field(L):
+    # one mixture law serves the sweep, and its one log-slope, that of the
+    # float q, goes with every rate: at small q to the series, where the
+    # curve keeps 2.3e-14, at the thresholds to the partial fractions, where
+    # their rounding moves with the rate, as in test_fig4_curves_vs_series
+    sc = beacon_field_scenario(L)
+    for q, rtol in ((1e-9, 1e-13), (1e-6, 1e-13), (1e-4, 1e-13),
+                    *((qt, 2e-8) for qt in FIG_THRESHOLDS)):
+        np.testing.assert_allclose(sc.curve("power", FIG_P_GRID, q, density=True),
+                                   _per_point(sc, "power", FIG_P_GRID, q, density=True),
+                                   rtol=rtol, atol=0.0)
 
 
 def test_distance_curve_with_distinct_apertures_equals_per_point():
