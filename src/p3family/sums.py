@@ -210,7 +210,7 @@ class SumSpec:
         g = np.asarray(g if rate is None else scale * g)
         flat = g.reshape(-1)
         if density:  # s times the density at s g; rounding may not take it below 0
-            if log_slope is not None:  # one a point: a float y's over an array of rates
+            if log_slope is not None:  # one per point: a float y's goes with every rate
                 log_slope = np.broadcast_to(log_slope, g.shape).reshape(-1)
             values = _mixture(self, flat, ((DENSITY, slice(0, flat.size)),), log_slope)
             return np.maximum(values.reshape(g.shape) / (1.0 / scale), 0.0)
