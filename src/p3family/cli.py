@@ -171,13 +171,18 @@ def _wpt_order(args) -> int:
     return args.n
 
 
+def _outage_threshold(model, qt_frac):
+    """The outage threshold qt_frac Ps, for a --qt-frac in (0, 1)."""
+    if qt_frac is None or not (0.0 < qt_frac < 1.0):
+        raise DomainError("outage thresholds need --qt-frac in (0, 1)")
+    return qt_frac * model.Ps
+
+
 def _wpt_point(model, args):
     """The harvested power q of an outage, cdf or pdf query, and whether it
     asks for the density."""
     if args.quantity == "outage":
-        if args.qt_frac is None or not (0.0 < args.qt_frac < 1.0):
-            raise DomainError("outage queries need --qt-frac in (0, 1)")
-        return args.qt_frac * model.Ps, False
+        return _outage_threshold(model, args.qt_frac), False
     if args.at is None:
         raise DomainError(f"{args.quantity} queries need --at (harvested power, W)")
     return args.at, args.quantity == "pdf"
@@ -329,43 +334,45 @@ def cmd_compare(args) -> int:
         params = Pearson3Params(args.a, args.b, args.m)
         samples = pearson3.p3_sample(params, seed, count)
         # the transforms act in place on the draws, by the IEEE operations of
-        # 1 / (1 + exp(-x)) and exp(x)
-        if args.family == "logitp3":
-            np.exp(np.negative(samples, out=samples), out=samples)
-            samples += 1.0
-            np.divide(1.0, samples, out=samples)
-            cdf = logitp3.ltp3_cdf
-        elif args.family == "logp3":
-            np.exp(samples, out=samples)
-            cdf = logp3.lp3_cdf
-        else:
-            cdf = pearson3.p3_cdf
+        # 1 / (1 + exp(-x)) and exp(x); a draw beyond the double range is 0 or inf
+        with np.errstate(over="ignore"):
+            if args.family == "logitp3":
+                np.exp(np.negative(samples, out=samples), out=samples)
+                samples += 1.0
+                np.divide(1.0, samples, out=samples)
+                cdf = logitp3.ltp3_cdf
+            elif args.family == "logp3":
+                np.exp(samples, out=samples)
+                cdf = logp3.lp3_cdf
+            else:
+                cdf = pearson3.p3_cdf
+        if args.family != "p3" and not (0.0 < samples.min() and samples.max() < math.inf):
+            raise DomainError(f"{args.family} draws of {params} leave the double range")
         ks = mc.ks_distance(samples, functools.partial(cdf, params))
         report = mc.OracleReport.build(
             f"{args.family} cdf KS a={_fmt(args.a)} b={_fmt(args.b)} m={_fmt(args.m)}",
             0.0, ks, mc.ks_threshold(count), count, seed, 1.0,
         )
-    elif args.op == "sums.cdf":
+    elif args.op in ("sums.cdf", "sums.mean"):
+        if args.spec is None:
+            raise DomainError("sums comparisons need --spec")
         spec = sums.spec_from_json(_read_file(args.spec))
         samples = mc.sample_sum(spec, seed, count)
-        ks = mc.ks_distance(samples, functools.partial(sums.sum_cdf, spec))
-        report = mc.OracleReport.build(
-            f"sum cdf KS L={spec.L}", 0.0, ks, mc.ks_threshold(count),
-            count, seed, 1.0,
-        )
-    elif args.op == "sums.mean":
-        spec = sums.spec_from_json(_read_file(args.spec))
-        samples = mc.sample_sum(spec, seed, count)
-        emp, se = mc.empirical_moment(samples, 1)
-        report = mc.OracleReport.build(
-            f"sum mean L={spec.L}", sums.sum_moment(spec, 1), emp, se,
-            count, seed, 3.0,
-        )
+        if args.op == "sums.cdf":
+            ks = mc.ks_distance(samples, functools.partial(sums.sum_cdf, spec))
+            report = mc.OracleReport.build(
+                f"sum cdf KS L={spec.L}", 0.0, ks, mc.ks_threshold(count),
+                count, seed, 1.0,
+            )
+        else:
+            emp, se = mc.empirical_moment(samples, 1)
+            report = mc.OracleReport.build(
+                f"sum mean L={spec.L}", sums.sum_moment(spec, 1), emp, se,
+                count, seed, 3.0,
+            )
     elif args.op == "wpt.cdf":
         sc = _compare_scenario(args)
-        if args.qt_frac is None:
-            raise DomainError("wpt.cdf comparisons need --qt-frac")
-        qt = args.qt_frac * sc.model.Ps
+        qt = _outage_threshold(sc.model, args.qt_frac)
         analytic = wpt.q_cdf_miso(sc, qt)
         samples = mc.sample_harvested(sc, seed, count)
         emp = mc.empirical_cdf(samples, qt)

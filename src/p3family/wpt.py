@@ -2,19 +2,21 @@
 
 A logistic energy-harvesting circuit maps the received RF power r to
 
-    Q(r) = Ps (1 + e^(A B)) / (e^(A B) (1 + e^(-A (r - B)))) - Ps e^(-A B),
+    Q(r) = Ps (1 - e^(-A r)) / (1 + e^(A B) e^(-A r)),
 
-which rises from 0 at r = 0 to the saturation level Ps. With
-c = Ps e^(-A B) and span = c (1 + e^(A B)) this is the affine map
-Q = span Z - c of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B.
-Under gamma (Nakagami power) fading A r is gamma with inverse scale
-b_hat = b/(A l p), so X is the `sums.SumSpec` of the branch terms with
-shift -A B: one Pearson III law when every branch shares b_hat, else a
-mixture, for any positive fading shapes. The harvested-power CDF and
-density, for a float or an array of q, are `pearson3.evaluate` of that
-law through the map x -> q. Its moments are one positive integral against
-that law, `series.expect`, of Q^n written as Ps (1 - e^(-A r))
-logistic(A r - A B), which does not cancel.
+which rises from 0 at r = 0 to the saturation level Ps. Its factors are
+positive and it subtracts nothing, so this one form, `_q_fraction` of
+g = A r, keeps its digits as r -> 0 and stays finite for every A B that
+an `EHModel` admits; `EHModel.harvest` and the moments both take it. Q is
+the affine map span Z - c, with c = Ps e^(-A B) and span = c (1 + e^(A B)),
+of the logistic Z = 1/(1 + e^(-X)) of X = A r - A B. Under gamma
+(Nakagami power) fading A r is gamma with inverse scale b_hat = b/(A l p),
+so X is the `sums.SumSpec` of the branch terms with shift -A B: one
+Pearson III law when every branch shares b_hat, else a mixture, for any
+positive fading shapes. The harvested-power CDF and density, for a float
+or an array of q, are `pearson3.evaluate` of that law through the map
+x -> q; its moments E[Q^n] are one positive integral of (Q/Ps)^n against
+that law, `series.expect`.
 """
 
 import json
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit, log1p
+from scipy.special import log1p
 
 from .errors import DomainError
-from .pearson3 import Pearson3Params, Transform, evaluate
+from .pearson3 import Pearson3Params, Transform, blockwise, evaluate
 from .series import expect
 from .sums import SumSpec
 
@@ -85,22 +87,12 @@ class EHModel:
         return self.c * (1.0 + math.exp(self.A * self.B))
 
     def harvest(self, r):
-        """The logistic harvester applied to received power r (scalar or array).
-
-        r is copied once into a float64 array, and each step of Q(r) is
-        taken in place in that copy, so r is left as it was. A scalar r
-        gives a numpy scalar, an array the array of values."""
-        eab = math.exp(self.A * self.B)
-        num = self.Ps * (1.0 + eab)
-        out = np.array(r, dtype=float)
-        out -= self.B
-        out *= -self.A
-        np.exp(out, out=out)
-        out += 1.0
-        out *= eab
-        np.divide(num, out, out=out)
-        out -= self.c
-        return out[()]
+        """Q(r), Ps times `_q_fraction` at g = A r, at received powers
+        r >= 0 (scalar or array): 0 at r = 0 and Ps at r = inf. It takes r
+        2^14 points at a time (`pearson3.blockwise`), so an array call holds
+        its output and one block. A scalar gives a numpy scalar."""
+        return blockwise(lambda part, rate: self.Ps * _q_fraction(self, self.A * part),
+                         np.asarray(r, dtype=float), None)[()]
 
 
 @dataclass(frozen=True)
@@ -342,22 +334,24 @@ def q_pdf_miso(scenario: MisoScenario, q):
 
 
 def q_moment_miso(scenario: MisoScenario, n: int) -> float:
-    """Raw moment E[Q^n] for the aggregate of all branches.
-
-    At the offset g = A r of the law from its edge -A B, the harvested power
-    is Q = Ps (1 - e^(-g)) logistic(g - A B), a product of positive factors
-    that does not cancel as g -> 0; E[Q^n] is `series.expect` of its n-th
-    power.
-    """
+    """Raw moment E[Q^n] for the aggregate of all branches: Ps^n times
+    `series.expect` of (Q/Ps)^n over the offsets g = A r of the law."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got n={n}")
     return scenario.model.Ps ** n * expect(scenario._law, _q_power(scenario.model, n))
 
 
+def _q_fraction(model, g):
+    """Q/Ps at the offset g = A r >= 0 of the law from its edge -A B:
+    (1 - e^(-g)) / (1 + e^(A B) e^(-g)), taken as (e^(-g) - 1) /
+    (-1 - e^(A B) e^(-g)), which rounds alike and saves a negation."""
+    t = -g
+    return np.expm1(t) / (-1.0 - math.exp(model.A * model.B) * np.exp(t))
+
+
 def _q_power(model, n):
     """(Q/Ps)^n as a function of the offset g = A r of the law from its edge."""
-    threshold = model.A * model.B
-    return lambda g: (-np.expm1(-g) * expit(g - threshold)) ** n
+    return lambda g: _q_fraction(model, g) ** n
 
 
 def q_mean_miso(scenario: MisoScenario) -> float:

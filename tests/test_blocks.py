@@ -31,7 +31,7 @@ def _peak(f, x):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["p3_cdf", "ltp3_cdf", "sum_cdf", "q_cdf_miso"])
+@pytest.mark.parametrize("name", ["p3_cdf", "ltp3_cdf", "sum_cdf", "q_cdf_miso", "harvest"])
 def test_memory_of_a_million_points_is_the_output_and_one_block(name):
     # the output is 8 MB; whole-array temporaries took 26-32 MB in all
     law = Pearson3Params(2.5, 1.5, 0.3)
@@ -42,6 +42,7 @@ def test_memory_of_a_million_points_is_the_output_and_one_block(name):
         "ltp3_cdf": (lambda z: ltp3_cdf(law, z), 0.01, 0.99),
         "sum_cdf": (lambda x: sum_cdf(spec, x), -2.0, 30.0),
         "q_cdf_miso": (lambda q: q_cdf_miso(scenario, q), 0.0, 2e-5),
+        "harvest": (scenario.model.harvest, 0.0, 1e-3),
     }[name]
     x = np.random.default_rng(3).uniform(lo, hi, 10**6)
     assert _peak(f, x) < 8_000_000 + 4_000_000

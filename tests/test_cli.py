@@ -617,7 +617,37 @@ def test_compare_wpt_without_a_scenario_exits_2(capsys):
 
 def test_compare_wpt_cdf_without_a_threshold_exits_2(capsys):
     assert error_of(capsys, "compare", "--op", "wpt.cdf", "--preset", "fig4", "--L", "2",
-                    "--samples", "1000") == (2, "", "error: wpt.cdf comparisons need --qt-frac\n")
+                    "--samples", "1000") == (
+        2, "", "error: outage thresholds need --qt-frac in (0, 1)\n")
+
+
+@pytest.mark.parametrize("qt_frac", ["2", "-0.5", "nan"])
+def test_compare_wpt_cdf_threshold_outside_0_1_exits_2(capsys, scenario_file, qt_frac):
+    # the wpt verb's rule in both verbs; compare ran 2 and -0.5, and printed
+    # a report with NaN for nan, exit 4
+    for argv in (("compare", "--op", "wpt.cdf", "--preset", "fig4", "--L", "2",
+                  "--samples", "1000"),
+                 ("wpt", "--scenario", scenario_file, "--quantity", "outage")):
+        assert error_of(capsys, *argv, "--qt-frac", qt_frac) == (
+            2, "", "error: outage thresholds need --qt-frac in (0, 1)\n")
+
+
+@pytest.mark.parametrize("op", ["sums.cdf", "sums.mean"])
+def test_compare_sums_without_a_spec_exits_2(capsys, op):
+    # both ops were a TypeError traceback from open(None)
+    assert error_of(capsys, "compare", "--op", op, "--samples", "1000") == (
+        2, "", "error: sums comparisons need --spec\n")
+
+
+@pytest.mark.parametrize("family, b, m", [
+    ("logp3", 1.0, 800.0), ("logp3", -1.0, 800.0), ("logitp3", 1.0, -800.0),
+])
+def test_compare_draws_beyond_the_double_range_exit_2(capsys, family, b, m):
+    # e^X overflowed to inf (a RuntimeWarning, and a KS distance of 1), and
+    # the logistic of -800 to 0
+    assert error_of(capsys, "compare", "--op", "dist.cdf", "--family", family, "--a", "2",
+                    "--b", str(b), "--m", str(m), "--samples", "1000") == (
+        2, "", f"error: {family} draws of {Pearson3Params(2.0, b, m)} leave the double range\n")
 
 
 def test_compare_sums_ops(capsys, spec_file):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -39,6 +40,7 @@ from p3family.wpt import (
     q_pdf_siso,
     scenario_from_json,
     scenario_to_json,
+    _q_power,
 )
 
 from test_sums import _moschopoulos, _moschopoulos_weights
@@ -149,10 +151,41 @@ def test_harvested_power_map():
         harvested_power_siso(MODEL, LINK, -0.1)
 
 
+# the figure constants, and A B = 400 and 700, where e^(A B) is a double
+# but e^(2 A B) is not
+HARVESTERS = [MODEL, EHModel(400.0, 1.0, 0.024), EHModel(700.0, 1.0, 0.024)]
+
+
+@pytest.mark.parametrize("model", HARVESTERS, ids=["fig", "AB400", "AB700"])
+def test_harvest_vs_40_digits(model):
+    # Q = Ps (1 - e^(-g)) / (1 + e^(A B - g)) at the rounded g = A r and A B,
+    # at every r where Q is a normal double; Ps (1 + e^(A B)) / (e^(A B)
+    # (1 + e^(-A (r - B)))) - Ps e^(-A B) loses every digit there as r -> 0
+    r = np.geomspace(1e-300, 10.0 * model.B, 400)
+    q = model.harvest(r)
+    with mp.workdps(40):
+        ab = mp.mpf(model.A * model.B)
+        for rv, qv in zip(r.tolist(), q.tolist()):
+            g = mp.mpf(model.A * rv)
+            exact = model.Ps * -mp.expm1(-g) / (1 + mp.exp(ab - g))
+            if exact >= sys.float_info.min:
+                assert abs(qv - exact) <= 1e-15 * exact, rv
+
+
+@pytest.mark.parametrize("model", HARVESTERS, ids=["fig", "AB400", "AB700"])
+def test_harvest_ends_and_the_moment_integrand_are_one_map(model):
+    # the suite turns a RuntimeWarning into an error: the cancelling form
+    # overflowed at r = 0 for A B = 400
+    assert model.harvest(0.0) == 0.0
+    assert model.harvest(math.inf) == model.Ps
+    r = np.concatenate([[0.0], np.geomspace(1e-300, 1e3, 400), [math.inf]])
+    assert np.array_equal(model.harvest(r), model.Ps * _q_power(model, 1)(model.A * r))
+
+
 def test_harvest_leaves_its_input_and_keeps_scalars():
-    # the map works in place on one copy of r: the caller's array is left
-    # as it was, each value is that of the one-point map, and a scalar r
-    # gives a numpy scalar
+    # the map reads r a block at a time: the caller's array is left as it
+    # was, each value is that of the one-point map, and a scalar r gives a
+    # numpy scalar
     r = np.geomspace(1e-6, 1.0, 50)
     before = r.copy()
     q = MODEL.harvest(r)
