@@ -7,13 +7,23 @@ several times, on sorted subsets of the sample, and evaluates it only
 where the largest deviation can lie; this assumes the CDF is monotone to
 within 1e-12 and gives each point the value a call on it alone would.
 Samplers are deterministic per seed (PCG64 streams) so comparison
-artifacts are reproducible. Their draws fill one reused buffer, scaled
-and shifted in place: a sampler holds the buffer and its result,
-whatever the number of components, and gives the values of `rng.gamma`
-from the same stream. The convolution takes its
-gamma masses from `scipy.special` and its transforms from `scipy.fft`, as
-`scipy.stats.gamma` and `scipy.signal.fftconvolve` do, without importing
-either.
+artifacts are reproducible.
+
+Memory: the samplers and `empirical_moment` hold their result and blocks
+of _DRAWS = 2^16 values, never a second whole-sample array (a KS distance
+and an empirical CDF at an array of points sort a copy of the sample,
+which they must not reorder in place). A sampler draws its first
+component straight into the result and adds each later one through one
+_DRAWS buffer, scaled and shifted in place; consecutive `standard_gamma`
+calls continue one stream, so the draws are those of `rng.gamma` on the
+whole sample, to the last bit. `sample_harvested` maps its received power
+through the harvester in place, a block at a time, and `empirical_moment`
+forms its powers and squared deviations a block at a time. The
+convolution multiplies the real spectra of all its densities at one
+length and inverts once. It takes its gamma masses from `scipy.special`
+and its transforms from `scipy.fft`, as `scipy.stats.gamma` and
+`scipy.signal.fftconvolve` do, without importing either; `scipy.fft` is
+imported at its first call.
 """
 
 import json
@@ -56,15 +66,22 @@ class OracleReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        """Strict JSON: an infinite or NaN value is written as null."""
+        return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                           for k, v in asdict(self).items()}, allow_nan=False)
 
     @staticmethod
     def build(statistic, analytic, empirical, scale, count, seed, tolerance):
-        """The pass flag is |analytic - empirical| <= tolerance * scale."""
-        passed = abs(analytic - empirical) <= tolerance * scale
-        return OracleReport(statistic, float(analytic), float(empirical),
-                            float(scale), int(count), int(seed),
+        """The pass flag is |analytic - empirical| <= tolerance * scale, with
+        the analytic value, the empirical value and the scale finite."""
+        analytic, empirical, scale = float(analytic), float(empirical), float(scale)
+        passed = (all(map(math.isfinite, (analytic, empirical, scale)))
+                  and abs(analytic - empirical) <= tolerance * scale)
+        return OracleReport(statistic, analytic, empirical, scale, int(count), int(seed),
                             float(tolerance), bool(passed))
+
+
+_DRAWS = 1 << 16  # values of one block of a sampler or a moment
 
 
 def sample_channel_gain(fading: Pearson3Params, seed: int, count: int) -> np.ndarray:
@@ -74,30 +91,44 @@ def sample_channel_gain(fading: Pearson3Params, seed: int, count: int) -> np.nda
     return p3_sample(fading, seed, count)
 
 
-def sample_sum(spec: SumSpec, seed: int, count: int) -> np.ndarray:
-    """Draws of SX_L: the components' draws, one after another from one
-    stream, each into one reused buffer, summed."""
+def _summed_draws(seed, count, laws, scales=None):
+    """The sum of `count` draws of each of `laws`, one law after another
+    from the stream of `seed`, each law's draws times its factor of
+    `scales` if given. The first law draws into the result, each later one
+    _DRAWS at a time into one buffer that is added in."""
     rng = np.random.default_rng(seed)
-    out = np.zeros(count)
-    g = np.empty(count)
-    for t in spec.terms:
-        out += t.draw_into(rng, g)
+    out = np.empty(count)
+    buf = np.empty(min(count, _DRAWS))
+    for i, law in enumerate(laws):
+        step = _DRAWS if i else max(count, 1)
+        for start in range(0, count, step):
+            part = out[start:start + step]
+            g = law.draw_into(rng, buf[:part.size] if i else part)
+            if scales is not None:
+                g *= scales[i]
+            if i:
+                part += g
     return out
 
 
+def sample_sum(spec: SumSpec, seed: int, count: int) -> np.ndarray:
+    """Draws of SX_L: the components' draws, one after another from one
+    stream, summed."""
+    return _summed_draws(seed, count, spec.terms)
+
+
 def sample_harvested(scenario, seed: int, count: int) -> np.ndarray:
-    """Draws of the harvested power: per-branch gamma gains, each drawn
-    into one reused buffer, through the nonlinear harvester, fully
-    independent of the closed forms."""
-    rng = np.random.default_rng(seed)
-    r = np.zeros(count)
-    g = np.empty(count)
-    for br in scenario.branches:
-        br.fading.draw_into(rng, g)
-        g *= br.loss * br.p
-        r += g
-    del g  # not held while the harvester maps r
-    return scenario.model.harvest(r)
+    """Draws of the harvested power: per-branch gamma gains, one branch
+    after another from one stream, each times its l p, summed and mapped
+    through the nonlinear harvester in place, fully independent of the
+    closed forms."""
+    branches = scenario.branches
+    r = _summed_draws(seed, count, [br.fading for br in branches],
+                      [br.loss * br.p for br in branches])
+    for start in range(0, count, _DRAWS):
+        part = r[start:start + _DRAWS]
+        part[...] = scenario.model.harvest(part)
+    return r
 
 
 def empirical_cdf(samples, x):
@@ -181,16 +212,38 @@ def ks_threshold(count: int, critical: float = 1.63) -> float:
 
 
 def empirical_moment(samples, n: int):
-    """Mean of x^n with its standard error; returns (moment, stderr)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+    """Mean of x^n with its standard error; returns (moment, stderr).
+
+    For n = 1 the mean is numpy's mean of the sample where that cannot
+    overflow. The powers and their squared deviations from the mean are
+    formed _DRAWS at a time, scaled by a power of two at or above the
+    largest |x^n|: the scaling is exact, and neither a sum of powers nor
+    one of squares overflows where the moment and its error are finite.
+    A sample with an infinite or NaN power gives a NaN error."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    size = x.size
+    if size == 0:
         raise DomainError("empirical_moment needs at least one sample")
-    powers = samples if n == 1 else samples ** n
-    mean = float(np.mean(powers))
-    if samples.size == 1:
+    blocks = [x[i:i + _DRAWS] for i in range(0, size, _DRAWS)]
+    power = (lambda b: b) if n == 1 else (lambda b: b ** n)
+    top = max(float(np.max(np.abs(power(b)))) for b in blocks)
+    # |x^n| < 2^e, and the powers times 2^-e are the powers to the last bit
+    e = max(math.frexp(top)[1], -1000) if top < math.inf else 0
+    shrink = math.ldexp(1.0, -e)
+    if n == 1 and top < np.finfo(float).max / size:
+        mean = float(np.mean(x))
+    else:
+        mean = float(np.ldexp(sum(float(np.sum(power(b) * shrink)) for b in blocks) / size, e))
+    if size == 1:
         return mean, math.inf
-    se = float(np.std(powers, ddof=1) / math.sqrt(samples.size))
-    return mean, se
+    if not top < math.inf:
+        return mean, math.nan
+    squares = 0.0
+    for b in blocks:
+        d = power(b) * shrink
+        d -= mean * shrink
+        squares += float(np.sum(np.square(d, out=d)))
+    return mean, float(np.ldexp(math.sqrt(squares / (size - 1)) / math.sqrt(size), e))
 
 
 @dataclass(frozen=True)
@@ -225,7 +278,13 @@ def convolve_pdfs_numeric(gridded) -> GriddedPdf:
     """Convolve midpoint-sampled densities on a common spacing.
 
     Midpoint-rule convolution: exact up to O(dx^2); the result integrates
-    to the product of the input integrals.
+    to the product of the input integrals. The densities of more than one
+    value are convolved as `scipy.signal.fftconvolve` convolves two: the
+    product of all their real transforms at the next fast length of the
+    full result, transformed back once. A density of one value multiplies
+    the result, as in `fftconvolve`. The result is scaled by dx per
+    convolution and clipped at 0, so for two densities it is
+    `fftconvolve`'s times dx, clipped, to the last bit.
     """
     gridded = list(gridded)
     if len(gridded) < 1:
@@ -233,26 +292,28 @@ def convolve_pdfs_numeric(gridded) -> GriddedPdf:
     dxs = {g.dx for g in gridded}
     if len(dxs) > 1:
         raise DomainError(f"incompatible grids: spacings {sorted(dxs)} differ")
-    out = gridded[0]
-    for g in gridded[1:]:
-        vals = _fftconvolve(out.values, g.values) * out.dx
-        # Discrete index k = i + j lands at x0a + x0b + k*dx.
-        out = GriddedPdf(out.x0 + g.x0, out.dx, np.maximum(vals, 0.0, out=vals))
-    return out
+    if len(gridded) == 1:
+        return gridded[0]
+    dx = gridded[0].dx
+    # discrete index k = i + j + ... lands at the sum of the first midpoints + k*dx
+    x0 = sum((g.x0 for g in gridded[1:]), gridded[0].x0)
+    wide = [g.values for g in gridded if g.values.size != 1]
+    ones = [g.values for g in gridded if g.values.size == 1]
+    if len(wide) > 1:
+        from scipy.fft import irfft, next_fast_len, rfft
 
-
-def _fftconvolve(x, y):
-    """The full linear convolution of two 1-d arrays, as
-    `scipy.signal.fftconvolve` forms it: the product of their real
-    transforms at the next fast length, transformed back, or for an input
-    of one value the plain product."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    if x.size == 1 or y.size == 1:
-        return x * y
-    n = x.size + y.size - 1
-    s = next_fast_len(n, True)
-    return irfft(rfft(x, s) * rfft(y, s), s)[:n]
+        n = sum(v.size for v in wide) - len(wide) + 1
+        s = next_fast_len(n, True)
+        spectrum = rfft(wide[0], s)
+        for v in wide[1:]:
+            spectrum *= rfft(v, s)
+        vals = irfft(spectrum, s)[:n]
+    else:  # the product of two inputs, one of them of one value: a new array
+        vals = (wide[0] if wide else ones.pop(0)) * ones.pop(0)
+    for one in ones:
+        vals *= one
+    vals *= dx ** (len(gridded) - 1)
+    return GriddedPdf(x0, dx, np.maximum(vals, 0.0, out=vals))
 
 
 def convolve_p3_components(spec: SumSpec, dx: float = 2e-4,

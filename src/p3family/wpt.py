@@ -133,9 +133,12 @@ def path_loss(link: LinkBudget) -> float:
 
 def _loss(at, ar, fc, d):
     # `path_loss` at a distance d or at each of an array of them, by one
-    # numpy expm1 for both, so that a sweep's losses are those of its points
+    # numpy expm1 for both, so that a sweep's losses are those of its points;
+    # where lam^2 d^2 underflows, to 0 or near it, the quotient overflows to
+    # -inf and the loss is 1
     lam = SPEED_OF_LIGHT / fc
-    return -np.expm1(-at * ar / (lam * lam * d * d))
+    with np.errstate(divide="ignore", over="ignore"):
+        return -np.expm1(np.divide(-at * ar, lam * lam * d * d))
 
 
 def _rate(b, model, loss, p):

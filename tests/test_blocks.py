@@ -1,6 +1,7 @@
 """The block loop of `pearson3.blockwise`: every family is evaluated a block
 of points at a time, with the values of one call over all points and the
-memory of one block."""
+memory of one block. The Monte Carlo oracles of `mc` hold their result and
+blocks of draws alike."""
 
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 from p3family.errors import SupportError
 from p3family.logitp3 import ltp3_cdf, ltp3_pdf
+from p3family.mc import convolve_p3_components, empirical_moment, sample_harvested, sample_sum
 from p3family.pearson3 import _BLOCK, Pearson3Params, p3_cdf, p3_pdf
 from p3family.presets import beacon_field_scenario
 from p3family.sums import SumSpec, sum_cdf
@@ -21,11 +23,11 @@ N = 2 * _BLOCK + 7  # two whole blocks and part of a third
 SOME = np.union1d(np.arange(0, N, 5), [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, N - 1])
 
 
-def _peak(f, x):
-    f(x[:10])  # builds what a law caches on first use
+def _peak(f, warm):
+    warm()  # builds what a law caches on first use
     tracemalloc.start()
     try:
-        f(x)
+        f()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -45,7 +47,34 @@ def test_memory_of_a_million_points_is_the_output_and_one_block(name):
         "harvest": (scenario.model.harvest, 0.0, 1e-3),
     }[name]
     x = np.random.default_rng(3).uniform(lo, hi, 10**6)
-    assert _peak(f, x) < 8_000_000 + 4_000_000
+    assert _peak(lambda: f(x), lambda: f(x[:10])) < 8_000_000 + 4_000_000
+
+
+# the components of the sum of the mc_oracle workload: shapes 1, 2, 3
+SUM3 = SumSpec((Pearson3Params(1, 1.0, 0.2), Pearson3Params(2, 1.8), Pearson3Params(3, 3.1)))
+
+
+@pytest.mark.parametrize("name", ["sample_sum", "sample_harvested"])
+def test_memory_of_a_million_draws_is_the_output_and_one_block(name):
+    # a whole-sample buffer beside the result took 16.0 and 16.7 MB
+    scenario = beacon_field_scenario(3)
+    f = {"sample_sum": lambda: sample_sum(SUM3, 5, 10**6),
+         "sample_harvested": lambda: sample_harvested(scenario, 5, 10**6)}[name]
+    assert _peak(f, f) < 8_000_000 + 4_000_000
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_memory_of_a_moment_of_a_million_draws_is_blocks(n):
+    # np.std's deviations, and the powers for n > 1, took 8.0 and 16.0 MB
+    x = np.random.default_rng(4).gamma(2.0, 1.0, 10**6)
+    f = lambda: empirical_moment(x, n)
+    assert _peak(f, f) < 4_000_000
+
+
+def test_memory_of_the_convolution_oracle_is_one_product_of_spectra():
+    # pairwise products at two transform lengths took 12.6 MB on this sum
+    f = lambda: convolve_p3_components(SUM3)
+    assert _peak(f, f) < 11_650_000
 
 
 def test_blocks_of_a_member_give_its_scalar_values():

@@ -23,7 +23,7 @@ from p3family.logp3 import lp3_char_fn_series
 from p3family.pearson3 import Pearson3Params, p3_cdf, p3_sample
 from p3family.presets import beacon_field_scenario, equal_split_scenario
 from p3family.sums import SumSpec, spec_to_json, sum_cdf
-from p3family.wpt import q_cdf_miso, q_mean_miso
+from p3family.wpt import q_cdf_miso, q_mean_miso, q_pdf_miso, scenario_from_json
 
 
 @pytest.fixture
@@ -656,6 +656,48 @@ def test_compare_sums_ops(capsys, spec_file):
                         "--samples", "20000", "--seed", "8")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+def _strict_json(out):
+    def no_constant(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(out, parse_constant=no_constant)
+
+
+@pytest.mark.parametrize("samples", ["1000", "1000000"])
+def test_compare_sums_mean_of_huge_draws(capsys, tmp_path, samples):
+    # the squares of the deviations (and at 10^6 draws their sum) overflowed:
+    # a RuntimeWarning, "scale": Infinity and "passed": true
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"terms": [{"a": 800, "b": 1e-300, "m": 40}]}))
+    code, out = run(capsys, "compare", "--op", "sums.mean", "--spec", str(spec),
+                    "--samples", samples, "--seed", "8")
+    report = _strict_json(out)
+    assert code == 0 and report["passed"] is True
+    assert report["empirical"] == pytest.approx(8e302, rel=1e-2)
+    assert 0.0 < report["scale"] < 1e301
+
+
+def test_wpt_at_an_underflowing_distance_term(capsys, scenario_file):
+    # a branch at d = 1e-300 ended in a ZeroDivisionError traceback
+    path = pathlib.Path(scenario_file)
+    path.write_text(path.read_text().replace('"d": 10.0', '"d": 1e-300'))
+    code, out = run(capsys, "wpt", "--scenario", scenario_file, "--quantity", "pdf",
+                    "--at", "0.001")
+    scenario = scenario_from_json(path.read_text())
+    assert scenario.branches[0].loss == 1.0
+    assert code == 0 and float(out) == pytest.approx(q_pdf_miso(scenario, 0.001), rel=1e-11)
+
+
+def test_compare_at_an_underflowing_distance_term(capsys):
+    # d = 1e-300 ended in a ZeroDivisionError traceback from the path loss
+    code, out = run(capsys, "compare", "--op", "wpt.cdf", "--preset", "fig6", "--L", "2",
+                    "--d", "1e-300", "--qt-frac", "0.1", "--samples", "20000", "--seed", "6")
+    report = _strict_json(out)
+    scenario = beacon_field_scenario(2).at(distance=1e-300)
+    assert report["analytic"] == q_cdf_miso(scenario, 0.1 * scenario.model.Ps)
+    assert code == 0 and report["passed"] is True
 
 
 def test_compare_wpt_ops(capsys, scenario_file):

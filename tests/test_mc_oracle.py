@@ -1,6 +1,7 @@
 """Monte Carlo / convolution oracle tests plus the oracle-coverage manifest."""
 
 import functools
+import json
 import math
 import os
 import re
@@ -104,6 +105,76 @@ def test_sampler_streams_are_pinned(name):
     assert samples.dtype == np.float64 and samples.shape == (10_000,)
     assert tuple(map(repr, samples[:3].tolist())) == first
     assert repr(math.fsum(samples.tolist())) == total
+
+
+# above one block of the samplers (2^16 draws): the reference adds the
+# draws of rng.gamma, each component's or branch's whole, in that order
+ABOVE_A_BLOCK = 2**17 + 7
+
+
+@pytest.mark.parametrize("terms", [
+    (P(2.5, 1.5, 0.3),),
+    (P(2.0, -1.2, 0.0), P(1.0, -2.6, -0.5), P(1.7, -5.0, 1.0)),
+], ids=["L1", "L3"])
+def test_sample_sum_above_a_block_is_the_one_call_stream(terms):
+    rng = np.random.default_rng(31)
+    expected = np.zeros(ABOVE_A_BLOCK)
+    for t in terms:
+        expected += np.sign(t.b) * rng.gamma(t.a, 1.0 / abs(t.b), ABOVE_A_BLOCK) + t.m
+    assert np.array_equal(sample_sum(SumSpec(terms), 31, ABOVE_A_BLOCK), expected)
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_sample_harvested_above_a_block_is_the_one_call_stream(L):
+    scenario = beacon_field_scenario(L)
+    rng = np.random.default_rng(32)
+    r = np.zeros(ABOVE_A_BLOCK)
+    for br in scenario.branches:
+        r += rng.gamma(br.fading.a, 1.0 / br.fading.b, ABOVE_A_BLOCK) * (br.loss * br.p)
+    expected = scenario.model.harvest(r)
+    assert np.array_equal(sample_harvested(scenario, 32, ABOVE_A_BLOCK), expected)
+
+
+def test_a_report_with_an_infinite_or_nan_value_does_not_pass():
+    # an infinite scale passed: |1 - 2| <= 3 inf
+    for values in ((1.0, 2.0, math.inf), (1.0, 1.0, math.nan), (math.inf, math.inf, 1.0),
+                   (math.nan, 1.0, 1.0), (1.0, -math.inf, 1.0)):
+        report = OracleReport.build("x", *values, 10, 1, 3.0)
+        assert report.passed is False
+        doc = json.loads(report.to_json(), parse_constant=_no_constant)
+        assert [doc[k] for k in ("analytic", "empirical", "scale")] == [
+            v if math.isfinite(v) else None for v in values]
+    assert OracleReport.build("x", 1.0, 2.0, 1.0, 10, 1, 3.0).passed is True
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_empirical_moment_of_huge_draws_does_not_overflow():
+    # the squares of the deviations overflowed to an infinite error, and for
+    # n = 1 the sum of a million draws near 8e302 to an infinite mean
+    x = 8e302 + 3e300 * np.random.default_rng(33).standard_normal(10**6)
+    for size in (1000, 10**6):
+        mean, se = empirical_moment(x[:size], 1)
+        assert mean == pytest.approx(8e302, rel=1e-3)
+        assert se == pytest.approx(3e300 / math.sqrt(size), rel=0.05)
+    mean, se = empirical_moment(x[:1000] * 1e-201, 3)  # powers near 5e305
+    assert mean == pytest.approx(8e101**3, rel=1e-3)
+    assert se == pytest.approx(3 * 3e99 * 8e101**2 / math.sqrt(1000), rel=0.1)
+
+
+def test_empirical_moment_is_numpy_mean_and_std_to_rounding():
+    x = np.random.default_rng(34).gamma(2.0, 1.5, 300_007)
+    for n in (1, 2, 3):
+        mean, se = empirical_moment(x, n)
+        powers = x**n
+        if n == 1:
+            assert mean == np.mean(powers)
+        assert mean == pytest.approx(np.mean(powers), rel=1e-13)
+        assert se == pytest.approx(np.std(powers, ddof=1) / math.sqrt(x.size), rel=1e-12)
+    # subnormal draws: the unscaled squares of their deviations underflowed to 0
+    assert empirical_moment(np.array([1e-320, 3e-320]), 1)[1] == pytest.approx(1e-320, rel=1e-3, abs=0)
 
 
 def test_empirical_statistics():
@@ -306,6 +377,23 @@ def test_convolution_equals_fftconvolve():
             assert conv.x0 == -0.75
             expected = np.maximum(fftconvolve(a, b) * dx, 0.0)
             assert np.array_equal(conv.values, expected), (n1, n2)
+
+
+def test_a_one_value_density_multiplies_the_convolution():
+    # one product of spectra for the wider densities, times each one-value
+    # density, times dx per convolution
+    dx = 1e-3
+    rng = np.random.default_rng(35)
+    a, b = GriddedPdf(0.0, dx, rng.random(1009)), GriddedPdf(0.5, dx, rng.random(300))
+    one = GriddedPdf(0.25, dx, np.array([2.0]))
+    two = convolve_pdfs_numeric([a, b]).values
+    for order in ([a, one, b], [one, a, b], [a, b, one]):
+        three = convolve_pdfs_numeric(order)
+        assert three.x0 == 0.75
+        np.testing.assert_allclose(three.values, two * 2.0 * dx, rtol=1e-13, atol=0.0)
+    ones = convolve_pdfs_numeric([one, GriddedPdf(1.0, dx, np.array([3.0])), one])
+    assert ones.x0 == 1.5 and ones.values.tolist() == [12.0 * dx**2]
+    assert convolve_pdfs_numeric([a]) == a
 
 
 @pytest.mark.parametrize("term", [P(2.0, -1.2, 0.0), P(1.0, -2.6, -0.5), P(1.0, -5.0, 1.0),

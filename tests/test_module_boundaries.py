@@ -15,6 +15,10 @@ floats and Python ints.
 Only `pearson3`, `specfun` and `mc` call ``gammainc``, ``gammaincc`` or
 ``xlogy``: every gamma term of a law comes from `pearson3.gamma_term`.
 
+Importing the package, `mc` and `cli` loads none of ``scipy.fft``,
+``scipy.stats`` and ``scipy.signal``: every CLI call starts without them,
+and the convolution oracle imports ``scipy.fft`` at its first call.
+
 No module passes ``where=`` to a ``scipy.special`` function: with numpy
 2.4.6 and scipy 1.17.1, ``gammainc(3.0, u, out=out, where=mask)`` on 1000
 points with a random mask aborts the interpreter in malloc, and
@@ -22,6 +26,9 @@ points with a random mask aborts the interpreter in malloc, and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import p3family
@@ -274,3 +281,14 @@ def test_no_module_imports_fractions_or_decimal():
     found = exact_arithmetic_imports(sources)
     assert not found, "fractions or decimal imported: " + ", ".join(
         f"{m}.py:{line} {n}" for m, line, n in found)
+
+
+def test_import_loads_no_scipy_fft_stats_or_signal():
+    script = ("import sys, p3family, p3family.mc, p3family.cli; print(sorted(m for m in sys.modules"
+              " if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'stats'], ['scipy', 'signal'])))")
+    src = str(PACKAGE_DIR.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=60, check=False)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

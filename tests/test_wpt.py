@@ -136,6 +136,24 @@ def test_path_loss():
     assert path_loss(link(d=6.0)) > path_loss(link(d=7.0))
 
 
+@pytest.mark.parametrize("d", [1e-300, 1e-160, 5e-324])
+def test_path_loss_saturates_where_the_distance_term_underflows(d):
+    # lam^2 d^2 rounded to 0 at d = 1e-300: a ZeroDivisionError traceback
+    assert path_loss(link(d=d)) == 1.0
+    scenario = beacon_field_scenario(2).at(distance=d)
+    assert [br.loss for br in scenario.branches] == [1.0, 1.0]
+    assert 0.0 < q_cdf_miso(scenario, MODEL.Ps / 10) < 1.0
+
+
+def test_distance_curve_through_an_underflowing_distance_term():
+    # a divide-by-zero warning, then the ZeroDivisionError of the law's build
+    sc = beacon_field_scenario(2)
+    points = [1e-300, 1e-160, 1.0]
+    values = sc.curve("distance", points, 0.01)
+    np.testing.assert_array_equal(values, _per_point(sc, "distance", points, 0.01, False))
+    assert values[0] == values[1] and np.all((0.0 < values) & (values < 1.0))
+
+
 def test_harvested_power_map():
     assert harvested_power_siso(MODEL, LINK, 0.0) == pytest.approx(0.0, abs=1e-18)
     assert harvested_power_siso(MODEL, LINK, 1e9) == pytest.approx(0.024, rel=1e-9)
